@@ -4,7 +4,7 @@ Subcommands: epoly, ctable, weylchar, basis, limitchar, fusion, walks,
 verify.  Every subcommand takes --format text|json; text output uses the
 canonical term ordering, JSON follows the schemas documented in the README.
 Exit codes: 0 success, 1 usage error, 2 verification mismatch outside the
-frozen errata table.
+frozen errata table (including disagreeing specialization routes in epoly).
 """
 
 import argparse
@@ -294,6 +294,9 @@ def run(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except ramyip.RouteMismatch as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return 2
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

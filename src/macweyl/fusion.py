@@ -11,7 +11,7 @@ linear algebra is exact over Fraction.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from macweyl.ring import QPolynomial, XPolynomial
+from macweyl.ring import BoundExceeded, QPolynomial, XPolynomial
 
 
 class RelationViolation(ArithmeticError):
@@ -19,10 +19,6 @@ class RelationViolation(ArithmeticError):
 
 
 class NotCyclic(ArithmeticError):
-    pass
-
-
-class BoundExceeded(ValueError):
     pass
 
 

@@ -1,17 +1,22 @@
 """Full alcove-walk sums for the rank-one E-polynomials and their exact
 t = 0 / t = infinity specializations.
 
-Every walk contributes one term: a power of v = t^(1/2), a factor (1-v^2)
-per folding, and per-folding rational factors in xi_j = q^(deg beta_j) v^2.
-Under the raw prefactor convention the surviving terms carry a spurious
-overall v-power (+1 for positive weights, -1 for negative ones); the
-`normalize` flag shifts the whole sum by the power of v that puts the
-minimum v-valuation over the t=0 surviving walks at zero, after which both
-limits exist term by term.
+A walk's term is the prefactor v^((sign(n)-1)/2 + d), v = t^(1/2), times
+one factor v^-1 (1 - v^2) xi^k / den_j per folding at step j, where
+xi = q^(deg beta_j) v^2, den_j is 1 - xi for s1 and 1 - xi^2 for s0, and k
+is looked up in _FOLD_XI_POWER.  Every factor depends only on the step, the
+current alcove and whether the step folds, so the sum is computed as a
+transfer matrix over alcoves on numerators over D = prod_j den_j (a crossing
+multiplies by den_j), without listing the 2^l walks; each x-coefficient
+then cancels the den_j that divide it exactly.
 
-specialize() computes each limit twice -- once through exact rational
-arithmetic, once through the folding statistics -- and refuses to return a
-value if the two routes disagree.
+The raw prefactor leaves a spurious overall v-power; `normalize` shifts the
+sum so that the least v-valuation of a t = 0 surviving walk's term is zero
+(a min-plus pass over the same alcoves), after which both limits exist.
+
+specialize() computes each limit twice -- by exact rational arithmetic on
+the sum and by the folding statistics of the enumerated walks -- and
+refuses to return a value if the two routes disagree.
 """
 
 from dataclasses import dataclass
@@ -19,6 +24,8 @@ from functools import lru_cache
 
 from macweyl.ring import (
     BiPolynomial,
+    BoundExceeded,
+    NotPolynomial,
     QPolynomial,
     RationalFunction,
     XPolynomial,
@@ -26,17 +33,19 @@ from macweyl.ring import (
     rf_limit_v_infinity,
 )
 from macweyl.walks import (
+    CUT_SIGN,
     FAMILIES,
+    S0,
+    S1,
+    AlcoveElement,
     beta_degree,
     enumerate_walks,
     normalize_spec,
     surviving,
     traverse,
+    walk_word,
+    wall_side,
 )
-
-
-class BoundExceeded(ValueError):
-    pass
 
 
 class RouteMismatch(ArithmeticError):
@@ -56,73 +65,97 @@ class RouteMismatch(ArithmeticError):
 
 DEFAULT_BOUND = 6
 
-
-def _xi(deg):
-    return BiPolynomial.monomial(1, deg, 2)
-
-
-def _one_minus_xi(deg):
-    return BiPolynomial({(0, 0): 1, (deg, 2): -1})
-
-
-def _one_minus_xi_sq(deg):
-    return BiPolynomial({(0, 0): 1, (2 * deg, 4): -1})
-
-
-ONE_MINUS_V2 = BiPolynomial({(0, 0): 1, (0, 2): -1})
+# Power k of xi in the numerator of a folding's factor, by (family, letter,
+# fold sign); the sign is +1 for a positive folding.
+_FOLD_XI_POWER = {
+    ("A2", S1, +1): 0,
+    ("A2", S1, -1): 1,
+    ("A2", S0, +1): 1,
+    ("A2", S0, -1): 1,
+    ("A2dagger", S1, +1): 0,
+    ("A2dagger", S1, -1): 1,
+    ("A2dagger", S0, +1): 0,
+    ("A2dagger", S0, -1): 2,
+}
 
 
-class _Term:
-    """One walk's contribution, kept factored for exact assembly."""
-
-    __slots__ = ("walk", "stats", "x_exp", "v_exp", "num_parts", "den_factors", "valuation")
-
-    def __init__(self, walk, stats, family, n):
-        l = walk.length
-        self.walk = walk
-        self.stats = stats
-        self.x_exp = stats.final.wt
-        self.v_exp = _literal_prefactor(n, stats)
-        num_parts = []
-        den_factors = []
-        val = self.v_exp
-        for j in stats.folds:
-            deg = beta_degree(j, l)
-            if j in stats.J_pos:
-                den_factors.append(("lin", deg))
-            elif j in stats.J_neg:
-                num_parts.append(_xi(deg))
-                den_factors.append(("lin", deg))
-                val += 2
-            elif family == "A2":
-                num_parts.append(_xi(deg))
-                den_factors.append(("sq", deg))
-                val += 2
-            elif j in stats.J0_pos:
-                den_factors.append(("sq", deg))
-            else:
-                num_parts.append(_xi(deg) * _xi(deg))
-                den_factors.append(("sq", deg))
-                val += 4
-        self.num_parts = num_parts
-        self.den_factors = frozenset(den_factors)
-        self.valuation = val
-
-    def numerator(self, extra_v):
-        num = BiPolynomial.monomial(1, 0, self.v_exp + extra_v)
-        num = num * ONE_MINUS_V2 ** len(self.stats.J)
-        for part in self.num_parts:
-            num = num * part
-        return num
+def _den_exponents(letter, deg):
+    """(a, b) such that the step's denominator is 1 - q^a v^b."""
+    return (deg, 2) if letter == S1 else (2 * deg, 4)
 
 
-def _literal_prefactor(n, stats):
-    sign = 1 if n > 0 else -1
-    return (sign - 1) // 2 + stats.final.d - len(stats.J)
+def _binomial(a, b):
+    return BiPolynomial({(0, 0): 1, (a, b): -1})
 
 
-def _factor_poly(kind, deg):
-    return _one_minus_xi(deg) if kind == "lin" else _one_minus_xi_sq(deg)
+def _fold_numerator(family, letter, sign, deg):
+    """v^-1 (1 - v^2) xi^k: the numerator of one folding's factor."""
+    k = _FOLD_XI_POWER[family, letter, sign]
+    return BiPolynomial({(k * deg, 2 * k - 1): 1, (k * deg, 2 * k + 1): -1})
+
+
+def _prefactor_v(n, final):
+    """v-exponent (sign(n)-1)/2 + d of the prefactor of a walk ending at `final`."""
+    return (-1 if n < 0 else 0) + final.d
+
+
+def _moves(lo, letter):
+    """(next lo, fold sign) of the crossing (sign None) and the folding at lo."""
+    side = wall_side(lo, letter)
+    return ((lo + side, None), (lo, -side))
+
+
+def _transfer(family, steps):
+    """{final lo: sum of the numerators over D of the walks ending there}.
+
+    `steps` lists (letter, deg beta_j) for each step j of the walk word.
+    """
+    states = {0: BiPolynomial.one()}
+    for letter, deg in steps:
+        factor = {
+            None: _binomial(*_den_exponents(letter, deg)),
+            +1: _fold_numerator(family, letter, +1, deg),
+            -1: _fold_numerator(family, letter, -1, deg),
+        }
+        nxt = {}
+        for lo, num in states.items():
+            for target, sign in _moves(lo, letter):
+                term = num * factor[sign]
+                nxt[target] = nxt[target] + term if target in nxt else term
+        states = nxt
+    return states
+
+
+def _t0_shift(family, n, steps):
+    """Minus the least v-valuation of a t = 0 surviving walk's term."""
+    cut = CUT_SIGN[(family, "t0")]
+    states = {0: 0}
+    for letter, _ in steps:
+        nxt = {}
+        for lo, val in states.items():
+            for target, sign in _moves(lo, letter):
+                if sign is None:
+                    step = 0
+                elif letter == S0 and sign == cut:
+                    continue
+                else:
+                    step = 2 * _FOLD_XI_POWER[family, letter, sign] - 1
+                nxt[target] = min(val + step, nxt.get(target, val + step))
+        states = nxt
+    return -min(
+        val + _prefactor_v(n, AlcoveElement.from_interval(lo)) for lo, val in states.items()
+    )
+
+
+def _cancel(num, dens):
+    """num / prod(1 - q^a v^b), cancelling each binomial that divides num."""
+    kept = BiPolynomial.one()
+    for a, b in dens:
+        try:
+            num = num.divide_exact_binomial(a, b)
+        except NotPolynomial:
+            kept = kept * _binomial(a, b)
+    return RationalFunction(num, kept)
 
 
 @lru_cache(maxsize=None)
@@ -134,34 +167,16 @@ def _assembled_sum(family, n, normalize, bound):
     if abs(n) > bound:
         raise BoundExceeded("|n| exceeds the configured bound %d" % bound)
 
-    terms = [_Term(walk, traverse(walk), family, n) for walk in enumerate_walks(n)]
-
-    shift = 0
-    if normalize:
-        shift = -min(
-            t.valuation for t in terms if surviving(t.stats, family, "t0")
-        )
-
-    groups = {}
-    for t in terms:
-        groups.setdefault(t.x_exp, []).append(t)
-
-    coeffs = {}
-    for x_exp, group in groups.items():
-        union = sorted(set().union(*(t.den_factors for t in group)))
-        den = BiPolynomial.one()
-        for kind, deg in union:
-            den = den * _factor_poly(kind, deg)
-        total = BiPolynomial.zero()
-        for t in group:
-            num = t.numerator(shift) * den
-            for kind, deg in t.den_factors:
-                # divide by (1 - q^a v^b): both factor shapes are binomials
-                a, b = (deg, 2) if kind == "lin" else (2 * deg, 4)
-                num = num.divide_exact_binomial(a, b)
-            total = total + num
-        coeffs[x_exp] = RationalFunction(total, den)
-    return XPolynomial(coeffs)
+    word = walk_word(n)
+    steps = [(letter, beta_degree(j, len(word))) for j, letter in enumerate(word, start=1)]
+    shift = _t0_shift(family, n, steps) if normalize else 0
+    by_x = {}
+    for lo, num in _transfer(family, steps).items():
+        final = AlcoveElement.from_interval(lo)
+        num = num.shift(v_exp=_prefactor_v(n, final) + shift)
+        by_x[final.wt] = by_x[final.wt] + num if final.wt in by_x else num
+    dens = [_den_exponents(letter, deg) for letter, deg in steps]
+    return XPolynomial({x: _cancel(num, dens) for x, num in by_x.items()})
 
 
 def ramyip_sum(family, n, normalize=True, bound=DEFAULT_BOUND):
@@ -228,32 +243,27 @@ def specialize(family, n, spec, bound=DEFAULT_BOUND):
 
 @dataclass(frozen=True)
 class RamYipTerm:
+    """One walk's term: v^v_exponent times the product of `factors`."""
+
     walk: object
     v_exponent: int
-    factors: tuple
+    factors: tuple  # one RationalFunction per folding, in step order
     x_exponent: int
 
 
-def _fold_factor(family, stats, j, l):
-    deg = beta_degree(j, l)
-    if j in stats.J_pos:
-        return RationalFunction(BiPolynomial.one(), _one_minus_xi(deg))
-    if j in stats.J_neg:
-        return RationalFunction(_xi(deg), _one_minus_xi(deg))
-    if family == "A2":
-        return RationalFunction(_xi(deg), _one_minus_xi_sq(deg))
-    if j in stats.J0_pos:
-        return RationalFunction(BiPolynomial.one(), _one_minus_xi_sq(deg))
-    return RationalFunction(_xi(deg) * _xi(deg), _one_minus_xi_sq(deg))
-
-
 def ramyip_terms(family, n):
-    """One RamYipTerm per walk, with the raw (unnormalized) prefactor."""
+    """One RamYipTerm per enumerated walk, with the raw (unnormalized) prefactor."""
     if n == 0:
         return []
     out = []
     for walk in enumerate_walks(n):
         stats = traverse(walk)
-        factors = tuple(_fold_factor(family, stats, j, walk.length) for j in stats.folds)
-        out.append(RamYipTerm(walk, _literal_prefactor(n, stats), factors, stats.final.wt))
+        factors = []
+        for j in stats.folds:
+            letter, deg = walk.word[j - 1], beta_degree(j, walk.length)
+            factors.append(RationalFunction(
+                _fold_numerator(family, letter, stats.arrows[j - 1], deg),
+                _binomial(*_den_exponents(letter, deg)),
+            ))
+        out.append(RamYipTerm(walk, _prefactor_v(n, stats.final), tuple(factors), stats.final.wt))
     return out

@@ -18,6 +18,10 @@ of the rings above (anything with ``is_zero``, ``+``, ``*`` works).
 from __future__ import annotations
 
 
+class BoundExceeded(ValueError):
+    """An input lies beyond the size a route is configured to compute."""
+
+
 class RingError(ArithmeticError):
     pass
 

@@ -103,12 +103,15 @@ class WalkStats:
         return sorted(self.J)
 
 
-def _wall_of(lo, letter):
-    # Wall of the alcove (lo, lo+1) carrying the requested label:
-    # even endpoint for s1, odd endpoint for s0.
-    if letter == S1:
-        return lo if lo % 2 == 0 else lo + 1
-    return lo if lo % 2 != 0 else lo + 1
+def wall_side(lo, letter):
+    """Side of the alcove (lo, lo+1) holding the wall labelled `letter`.
+
+    -1 for the left endpoint, +1 for the right one (the even endpoint carries
+    s1, the odd one s0).  Crossing that wall moves lo by this amount; folding
+    on it leaves the arrow pointing the other way, so the folding is positive
+    exactly when the wall is on the left.
+    """
+    return -1 if (lo % 2 == 0) == (letter == S1) else +1
 
 
 def traverse(walk):
@@ -119,21 +122,17 @@ def traverse(walk):
     for i, (letter, bit) in enumerate(zip(walk.word, walk.mask), start=1):
         if letter not in (S0, S1):
             raise MalformedWalk("unknown letter %r at step %d" % (letter, i))
-        wall = _wall_of(lo, letter)
+        side = wall_side(lo, letter)
         if bit:
-            if wall == lo:
-                lo -= 1
-                arrows.append(-1)
-            else:
-                lo += 1
-                arrows.append(+1)
+            lo += side
+            arrows.append(side)
         else:
             # Bounce: the arrow ends pointing away from the attempted wall.
-            positive = wall == lo
-            arrows.append(+1 if positive else -1)
-            target = j0p if letter == S0 else jp
-            if not positive:
-                target = j0n if letter == S0 else jn
+            arrows.append(-side)
+            if letter == S0:
+                target = j0p if side < 0 else j0n
+            else:
+                target = jp if side < 0 else jn
             target.add(i)
     return WalkStats(
         final=AlcoveElement.from_interval(lo),
@@ -206,27 +205,25 @@ def enumerate_walks(target):
 FAMILIES = ("A2", "A2dagger")
 SPECS = ("t0", "tinf")
 
-# Which set of s0-foldings kills a walk in each specialization.
-_CUT_SET = {
-    ("A2", "t0"): "J0_pos",
-    ("A2", "tinf"): "J0_neg",
-    ("A2dagger", "t0"): "J0_neg",
-    ("A2dagger", "tinf"): "J0_pos",
+# Sign of the s0-foldings that kill a walk in each specialization.
+CUT_SIGN = {
+    ("A2", "t0"): +1,
+    ("A2", "tinf"): -1,
+    ("A2dagger", "t0"): -1,
+    ("A2dagger", "tinf"): +1,
 }
 
 
 def normalize_spec(spec):
-    if spec in ("tinf", "tinf_qinv"):
-        return "tinf"
-    if spec == "t0":
-        return "t0"
+    if spec in SPECS:
+        return spec
     raise ValueError("unknown specialization %r" % (spec,))
 
 
 def surviving(stats, family, spec):
     """True when the walk contributes to the given specialization."""
-    cut = _CUT_SET[(family, normalize_spec(spec))]
-    return not getattr(stats, cut)
+    positive = CUT_SIGN[(family, normalize_spec(spec))] > 0
+    return not (stats.J0_pos if positive else stats.J0_neg)
 
 
 def qb_filter(walks, family, spec):

@@ -120,6 +120,17 @@ def test_verify_exit_two_on_unknown_mismatch(capsys, monkeypatch):
     assert code == 2
 
 
+def test_epoly_route_mismatch_exit_two(capsys, monkeypatch):
+    from macweyl import ramyip
+
+    broken = dict(ramyip._STAT_SETS)
+    broken[("A2", "t0")] = ("J0_pos", "J_neg")
+    monkeypatch.setattr(ramyip, "_STAT_SETS", broken)
+    code, out = run_cli(capsys, "epoly", "--family", "A2", "--n", "-1", "--spec", "t0")
+    assert code == 2
+    assert out == ""
+
+
 def test_usage_error_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["epoly", "--family", "bogus", "--n", "1", "--spec", "t0"])

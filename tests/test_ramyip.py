@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from macweyl.cform import E_spec
@@ -9,7 +11,7 @@ from macweyl.ramyip import (
     specialize,
 )
 from macweyl.ring import QPolynomial, XPolynomial
-from macweyl.walks import enumerate_walks, qb_filter
+from macweyl.walks import enumerate_walks, qb_filter, surviving, traverse
 from macweyl.weylchar import ch_W_sigma
 
 
@@ -71,9 +73,49 @@ def test_both_routes_agree_everywhere():
     # specialize() raises RouteMismatch internally if the exact-arithmetic
     # and statistic routes ever diverge
     for family in ("A2", "A2dagger"):
-        for n in [m for m in range(-3, 4) if m != 0]:
+        for n in [m for m in range(-6, 7) if m != 0]:
             for spec in ("t0", "tinf"):
                 specialize(family, n, spec)
+
+
+# Exact rational (q, v) points at which no step binomial 1 - q^a v^b vanishes.
+POINTS = ((Fraction(2, 3), Fraction(5, 7)), (Fraction(7, 5), Fraction(3, 2)))
+
+
+def _at(rf, q, v):
+    def ev(p):
+        return sum(c * q**a * v**b for (a, b), c in p.terms.items())
+
+    return Fraction(ev(rf.num)) / ev(rf.den)
+
+
+def _valuation(term):
+    return term.v_exponent + sum(f.v_valuation() for f in term.factors)
+
+
+def test_transfer_sum_equals_walk_enumeration():
+    for family in ("A2", "A2dagger"):
+        for n in [m for m in range(-5, 6) if m != 0]:
+            terms = ramyip_terms(family, n)
+            t0 = [surviving(traverse(t.walk), family, "t0") for t in terms]
+            shift = -min(_valuation(t) for t, keep in zip(terms, t0) if keep)
+            for q, v in POINTS:
+                want = {}
+                for t in terms:
+                    value = v**t.v_exponent
+                    for f in t.factors:
+                        value *= _at(f, q, v)
+                    want[t.x_exponent] = want.get(t.x_exponent, 0) + value
+                for normalize, extra in ((False, 0), (True, shift)):
+                    full = ramyip_sum(family, n, normalize=normalize)
+                    got = {x: _at(rf, q, v) for x, rf in full.terms.items()}
+                    assert got == {x: c * v**extra for x, c in want.items() if c != 0}
+            # normalized: every t = 0 surviving term sits at v-valuation 0,
+            # every cut term above it, and so does the sum itself
+            for t, keep in zip(terms, t0):
+                assert (_valuation(t) + shift == 0) if keep else (_valuation(t) + shift > 0)
+            full = ramyip_sum(family, n)
+            assert min(rf.v_valuation() for rf in full.terms.values()) == 0
 
 
 def test_mass_and_symmetry_negative_n():
