@@ -163,8 +163,20 @@ def _cmd_limitchar(args):
     return 0
 
 
+def _parse_points(text):
+    points = []
+    for token in text.split(","):
+        try:
+            points.append(Fraction(token))
+        except ZeroDivisionError:
+            raise ValueError("point %r has a zero denominator" % token) from None
+        except ValueError:
+            raise ValueError("point %r is not a rational number" % token) from None
+    return points
+
+
 def _cmd_fusion(args):
-    points = [Fraction(p) for p in args.points.split(",")]
+    points = _parse_points(args.points)
     poly = fusion.fusion_character(args.n, points, twisted=args.twisted)
     _emit(
         args,
@@ -289,9 +301,21 @@ def build_parser():
     return parser
 
 
+def _join_points(argv):
+    """Rewrite `--points X` as `--points=X`, so that a list starting with a
+    negative point is not read as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--points":
+            out[-1] = "--points=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_points(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except ramyip.RouteMismatch as exc:

@@ -4,12 +4,27 @@ off its graded character.
 
 The three-dimensional module has basis vectors of weights -1, 0, +1 with
 parities even, odd, even.  Generator matrices are solved from the bracket
-relations; the relation checker is the only correctness gate for them.  All
-linear algebra is exact over Fraction.
+relations; the relation checker is the only correctness gate for them.
+
+The filtration is computed in integers, over the raising currents only:
+
+* The cyclic vector (0,...,0) has the lowest weight, so f(x)t^k and
+  g-(x)t^k kill it and h(x)t^k acts on it by a scalar.  Commuting currents
+  keeps the t-degree, so by PBW F_d = U(n+[t])_{<=d} v: only e(x)t^k and
+  g+(x)t^k need applying.
+* x(x)t^k acts as sum_i p_i^k x_i.  By Cayley-Hamilton for diag(p), or for
+  diag(p^2) in the twisted case, x(x)t^k with k >= n (twisted: k >= 2n) acts
+  as a combination of x(x)t^j with j < k of the same parity, so it adds
+  nothing to the filtration.
+* t -> Lt is a graded automorphism of both current algebras, so scaling every
+  point by L, the lcm of their denominators, leaves the filtration unchanged
+  (repeated points and repeated squares stay repeated).  The points are then
+  integers, and rows are reduced by fraction-free elimination.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from macweyl.ring import BoundExceeded, QPolynomial, XPolynomial
 
@@ -26,11 +41,11 @@ EVEN, ODD = 0, 1
 
 # 3x3 matrices as column maps {col: [(row, value), ...]} on basis v0,v1,v2
 # (weights -1, 0, +1; parities even, odd, even).
-_E = {0: [(2, Fraction(1))]}
-_F = {2: [(0, Fraction(1))]}
-_H = {0: [(0, Fraction(-1))], 2: [(2, Fraction(1))]}
-_GP = {0: [(1, Fraction(1))], 1: [(2, Fraction(1))]}
-_GM = {2: [(1, Fraction(1))], 1: [(0, Fraction(-1))]}
+_E = {0: [(2, 1)]}
+_F = {2: [(0, 1)]}
+_H = {0: [(0, -1)], 2: [(2, 1)]}
+_GP = {0: [(1, 1)], 1: [(2, 1)]}
+_GM = {2: [(1, 1)], 1: [(0, -1)]}
 
 _PARITY = {"e": EVEN, "f": EVEN, "h": EVEN, "g+": ODD, "g-": ODD}
 _STATE_PARITY = (EVEN, ODD, EVEN)
@@ -47,7 +62,7 @@ def _dense(colmap):
     m = [[Fraction(0)] * 3 for _ in range(3)]
     for col, entries in colmap.items():
         for row, val in entries:
-            m[row][col] = val
+            m[row][col] = Fraction(val)
     return m
 
 
@@ -121,41 +136,53 @@ def check_relations(rep):
 _COLMAPS = {"e": _E, "f": _F, "h": _H, "g+": _GP, "g-": _GM}
 
 
-def _apply_current(vec, name, k, points):
-    """Apply x tensor t^k to a sparse tensor vector {state-tuple: Fraction}."""
+def _apply_current(vec, name, k, powers):
+    """Apply x tensor t^k to a sparse tensor vector {state-tuple: int};
+    powers[i][k] is the k-th power of the i-th (integer) point."""
     colmap = _COLMAPS[name]
     odd = _PARITY[name] == ODD
     out = {}
     for state, coeff in vec.items():
-        sign = 1
+        signed = coeff
         for i, s in enumerate(state):
             entries = colmap.get(s)
             if entries:
-                z = points[i] ** k
+                z = signed * powers[i][k]
                 for row, val in entries:
                     new = state[:i] + (row,) + state[i + 1 :]
-                    c = coeff * val * z * sign
-                    out[new] = out.get(new, 0) + c
+                    out[new] = out.get(new, 0) + val * z
             if odd and _STATE_PARITY[s] == ODD:
-                sign = -sign
-    return {s: c for s, c in out.items() if c != 0}
+                signed = -signed
+    return {s: c for s, c in out.items() if c}
 
 
 class _WeightSpace:
-    """Row-reduced sparse vectors of one fixed weight."""
+    """Fraction-free row echelon form of integer vectors of one fixed weight."""
 
     def __init__(self):
-        self.rows = []  # list of (pivot-state, {state: Fraction})
+        self.rows = []  # list of (pivot-state, {state: int}) with content 1
 
     def reduce(self, vec):
+        """vec minus its projection on the rows, scaled to content 1."""
         vec = dict(vec)
         for pivot, row in self.rows:
             c = vec.get(pivot)
             if c:
+                a = row[pivot]
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                if a != 1:
+                    for s in vec:
+                        vec[s] *= a
                 for s, v in row.items():
-                    vec[s] = vec.get(s, 0) - c * v
-                    if vec[s] == 0:
+                    x = vec.get(s, 0) - c * v
+                    if x:
+                        vec[s] = x
+                    else:
                         del vec[s]
+        content = gcd(*vec.values())
+        if content > 1:
+            vec = {s: v // content for s, v in vec.items()}
         return vec
 
     def add(self, vec):
@@ -163,27 +190,20 @@ class _WeightSpace:
         vec = self.reduce(vec)
         if not vec:
             return False
-        pivot = min(vec)
-        inv = 1 / vec[pivot]
-        row = {s: c * inv for s, c in vec.items()}
-        self.rows.append((pivot, row))
+        self.rows.append((min(vec), vec))
         return True
 
 
 def _generators(n, twisted):
+    """The raising currents of degree below n (see the module docstring)."""
     if twisted:
-        even_ks = range(0, 2 * n + 1, 2)
-        odd_ks = range(1, 2 * n + 2, 2)
-        for name in ("e", "f", "h"):
-            for k in even_ks:
-                yield name, k
-        for name in ("g+", "g-"):
-            for k in odd_ks:
-                yield name, k
+        for m in range(n):
+            yield "e", 2 * m
+            yield "g+", 2 * m + 1
     else:
-        for name in ("e", "f", "h", "g+", "g-"):
-            for k in range(0, 2 * n + 1):
-                yield name, k
+        for k in range(n):
+            yield "e", k
+            yield "g+", k
 
 
 def fusion_character(n, points, twisted=False):
@@ -196,18 +216,21 @@ def fusion_character(n, points, twisted=False):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > 4:
-        raise BoundExceeded("fusion oracle is limited to n <= 4")
+    if n > 5:
+        raise BoundExceeded("fusion oracle is limited to n <= 5")
     if len(points) != n:
         raise ValueError("need exactly n evaluation points")
     points = tuple(Fraction(p) for p in points)
     build_rep()  # relation gate
+    scale = lcm(*(p.denominator for p in points))
+    top = 2 * n if twisted else n
+    powers = [[int(p * scale) ** k for k in range(top)] for p in points]
 
     total_dim = 3 ** n
     gens = list(_generators(n, twisted))
     spaces = {}  # weight -> _WeightSpace
     char = {}  # (degree, weight) -> multiplicity
-    pending = {0: [dict({(0,) * n: Fraction(1)})]}
+    pending = {0: [{(0,) * n: 1}]}
     found = 0
     degree = 0
     max_degree = 2 * n * n + 2 * n + 4
@@ -230,7 +253,7 @@ def fusion_character(n, points, twisted=False):
             vec = frontier[idx]
             idx += 1
             for name, k in gens:
-                img = _apply_current(vec, name, k, points)
+                img = _apply_current(vec, name, k, powers)
                 if not img:
                     continue
                 if k == 0:

@@ -182,6 +182,7 @@ def suite_duality(max_n, errata):
 
 
 _POINT_SETS = ([1, 2, 3, 4], [1, -2, 3, -4], [2, 3, 5, 7])
+_POINT_SET_5 = (1, -2, 3, -4, 5)  # distinct squares, so the twisted oracle is cyclic
 
 
 def suite_fusion(max_n, errata):
@@ -200,6 +201,13 @@ def suite_fusion(max_n, errata):
     if max_n >= 4:
         lhs = fusion.fusion_character(4, _POINT_SETS[0], twisted=False)
         entries.append(classify("fusion_vs_ch_W", 4, lhs, weylchar.ch_W(-4), errata))
+    if max_n >= 5:
+        lhs = fusion.fusion_character(5, _POINT_SET_5, twisted=False)
+        entries.append(classify("fusion_vs_ch_W", 5, lhs, weylchar.ch_W(-5), errata))
+        lhs = fusion.fusion_character(5, _POINT_SET_5, twisted=True)
+        entries.append(
+            classify("fusion_vs_ch_W_sigma", 5, lhs, weylchar.ch_W_sigma(-5), errata)
+        )
     try:
         fusion.fusion_character(2, [1, -1], twisted=True)
         entries.append(_equal_entry("fusion_equal_squares_rejected", 2, False))
@@ -267,6 +275,8 @@ _SUITE_FN = {
 
 def run_suites(suite, max_n, errata=None):
     """Run one suite or all of them; returns (entries, exit_code)."""
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1, got %d" % max_n)
     if errata is None:
         errata = load_errata()
     names = SUITES if suite == "all" else (suite,)

@@ -91,6 +91,35 @@ def test_fusion_cli(capsys):
     assert doc["dimension"] == 9
 
 
+def test_fusion_leading_negative_point(capsys):
+    argv = ["fusion", "--n", "2", "--twisted", "--format", "json"]
+    code, spaced = run_cli(capsys, *argv, "--points", "-1/2,3")
+    assert code == 0
+    code, joined = run_cli(capsys, *argv, "--points=-1/2,3")
+    assert code == 0
+    assert spaced == joined
+    assert json.loads(spaced)["points"] == ["-1/2", "3"]
+
+
+def test_fusion_bad_point_named(capsys):
+    code = cli.run(["fusion", "--n", "2", "--points", "1/0,2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.strip() == "error: point '1/0' has a zero denominator"
+    code = cli.run(["fusion", "--n", "2", "--points", "1,x"])
+    assert code == 1
+    assert "'x'" in capsys.readouterr().err
+
+
+def test_verify_max_n_below_one_is_usage_error(capsys):
+    for suite, max_n in (("fusion", "0"), ("routes", "-2"), ("all", "0")):
+        code, out = run_cli(capsys, "verify", "--suite", suite, "--max-n", max_n)
+        assert code == 1
+        assert out == ""
+    with pytest.raises(ValueError):
+        verify.run_suites("fusion", 0)
+
+
 def test_limitchar_cli(capsys):
     code, out = run_cli(
         capsys, "limitchar", "--kind", "untwisted", "--qmax", "0", "--xmax", "1"

@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from macweyl.fusion import (
+    BoundExceeded,
     NotCyclic,
     RelationViolation,
     SuperRep,
@@ -14,6 +16,7 @@ from macweyl.fusion import (
 from macweyl.weylchar import ch_W, ch_W_sigma
 
 POINT_SETS = ([1, 2, 3], [1, -2, 3], [Fraction(1, 2), 2, 5])
+MIXED_POINTS = [Fraction(1, 2), -3, Fraction(5, 3), Fraction(-7, 2), Fraction(2, 5)]
 
 
 def test_relations_hold():
@@ -79,3 +82,32 @@ def test_twisted_equal_squares_not_cyclic():
         fusion_character(2, [1, -1], twisted=True)
     # the same points are fine untwisted
     assert fusion_character(2, [1, -1]) == ch_W(-2)
+
+
+def test_n5_matches_closed_form():
+    assert fusion_character(5, MIXED_POINTS) == ch_W(-5)
+    assert fusion_character(5, MIXED_POINTS, twisted=True) == ch_W_sigma(-5)
+
+
+def test_scaled_points_same_character():
+    # t -> ct is a graded automorphism, so scaling all points changes nothing
+    pts = MIXED_POINTS[:3]
+    scaled = [Fraction(7, 3) * p for p in pts]
+    for twisted in (False, True):
+        assert fusion_character(3, scaled, twisted=twisted) == fusion_character(
+            3, pts, twisted=twisted
+        )
+
+
+def test_rational_equal_squares_not_cyclic():
+    with pytest.raises(NotCyclic):
+        fusion_character(2, [Fraction(1, 2), Fraction(-1, 2)], twisted=True)
+
+
+def test_n6_bound_exceeded_fast():
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded):
+        fusion_character(6, [1, 2, 3, 4, 5, 6])
+    with pytest.raises(BoundExceeded):
+        fusion_character(6, [1, 2, 3, 4, 5, 6], twisted=True)
+    assert time.perf_counter() - start < 1.0

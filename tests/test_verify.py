@@ -82,3 +82,12 @@ def test_entries_follow_schema():
     for e in entries:
         assert set(e) == {"identity", "n", "status", "transform", "diff"}
         json.dumps(e)
+
+
+def test_fusion_suite_reaches_n5():
+    entries, code = verify.run_suites("fusion", 5)
+    assert code == 0
+    top = [(e["identity"], e["status"]) for e in entries if e["n"] == 5]
+    assert top == [("fusion_vs_ch_W", "EQUAL"), ("fusion_vs_ch_W_sigma", "EQUAL")]
+    four, _ = verify.run_suites("fusion", 4)
+    assert [e for e in entries if e["n"] != 5] == four
