@@ -4,7 +4,8 @@ Subcommands: epoly, ctable, weylchar, basis, limitchar, fusion, walks,
 verify.  Every subcommand takes --format text|json; text output uses the
 canonical term ordering, JSON follows the schemas documented in the README.
 Exit codes: 0 success, 1 usage error, 2 verification mismatch outside the
-frozen errata table (including disagreeing specialization routes in epoly).
+frozen errata table (including disagreeing specialization routes in epoly),
+3 an input beyond the size a route is configured to compute.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from macweyl import cform, fusion, ramyip, verify, walks, weylchar
+from macweyl.ring import BoundExceeded
 
 
 class _Parser(argparse.ArgumentParser):
@@ -20,14 +22,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write("error: %s\n" % message)
         raise SystemExit(1)
-
-
-def _q_terms_json(poly):
-    out = []
-    for x, c in poly.sorted_terms():
-        for q, v in c.sorted_terms():
-            out.append({"x": x, "q": q, "coeff": str(v)})
-    return out
 
 
 def _bi_terms_json(bipoly):
@@ -79,7 +73,7 @@ def _cmd_epoly(args):
             "family": args.family,
             "n": args.n,
             "spec": args.spec,
-            "terms": _q_terms_json(poly),
+            "terms": verify._diff_terms(poly),
         },
     )
     return 0
@@ -115,7 +109,7 @@ def _cmd_weylchar(args):
     _emit(
         args,
         poly.render,
-        {"module": args.module, "n": args.n, "terms": _q_terms_json(poly)},
+        {"module": args.module, "n": args.n, "terms": verify._diff_terms(poly)},
     )
     return 0
 
@@ -157,7 +151,7 @@ def _cmd_limitchar(args):
             "qmax": args.qmax,
             "xmax": args.xmax,
             "approximant_n": args.approx,
-            "terms": _q_terms_json(poly),
+            "terms": verify._diff_terms(poly),
         },
     )
     return 0
@@ -186,7 +180,7 @@ def _cmd_fusion(args):
             "points": [str(p) for p in points],
             "twisted": args.twisted,
             "dimension": poly.eval_at_ones(),
-            "terms": _q_terms_json(poly),
+            "terms": verify._diff_terms(poly),
         },
     )
     return 0
@@ -321,6 +315,9 @@ def run(argv=None):
     except ramyip.RouteMismatch as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except BoundExceeded as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return 3
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

@@ -24,6 +24,7 @@ The filtration is computed in integers, over the raising currents only:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from macweyl.ring import BoundExceeded, QPolynomial, XPolynomial
@@ -133,6 +134,13 @@ def check_relations(rep):
             )
 
 
+@cache
+def _relation_gate():
+    """Build and check the representation once per process: the matrices
+    are constants, so one passing check covers every later call."""
+    build_rep()
+
+
 _COLMAPS = {"e": _E, "f": _F, "h": _H, "g+": _GP, "g-": _GM}
 
 
@@ -221,7 +229,7 @@ def fusion_character(n, points, twisted=False):
     if len(points) != n:
         raise ValueError("need exactly n evaluation points")
     points = tuple(Fraction(p) for p in points)
-    build_rep()  # relation gate
+    _relation_gate()
     scale = lcm(*(p.denominator for p in points))
     top = 2 * n if twisted else n
     powers = [[int(p * scale) ** k for k in range(top)] for p in points]

@@ -113,15 +113,6 @@ def _pair_product(exponents, q_bound, x_bound):
     return _truncate_q((plus * minus).truncate_x(x_bound), q_bound)
 
 
-def partition_series(q_bound):
-    """1 / prod_{i>=1} (1 - q^i), truncated to q-degree q_bound."""
-    out = QPolynomial.one()
-    for i in range(1, q_bound + 1):
-        geo = QPolynomial({i * j: 1 for j in range(0, q_bound // i + 1)})
-        out = (out * geo).truncate_above(q_bound)
-    return out
-
-
 def inv_pochhammer_truncated(k, q_bound):
     """1 / ((1-q)(1-q^2)...(1-q^k)), truncated to q-degree q_bound."""
     out = QPolynomial.one()
@@ -133,8 +124,9 @@ def inv_pochhammer_truncated(k, q_bound):
 
 def _theta_sum(parity, q_bound, x_bound):
     # sum over k of x^(2k) q^(k^2) (even) or x^(2k+1) q^(k(k+1)) (odd),
-    # multiplied by the partition series.
-    ps = partition_series(q_bound)
+    # multiplied by the partition series 1 / prod_{i>=1} (1 - q^i); factors
+    # with i > q_bound do not change it below q^(q_bound + 1).
+    ps = inv_pochhammer_truncated(q_bound, q_bound)
     terms = {}
     candidates = set()
     for k in range(-(q_bound + x_bound + 2), q_bound + x_bound + 3):

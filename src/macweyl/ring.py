@@ -13,9 +13,28 @@ Three coefficient rings are provided:
 
 ``XPolynomial`` is a Laurent polynomial in x whose coefficients live in any
 of the rings above (anything with ``is_zero``, ``+``, ``*`` works).
+
+``QPolynomial`` products are computed three ways, by operand size.  A zero
+or one-term operand shifts and scales the other's terms; a product of fewer
+than ``_SCHOOLBOOK_PAIRS`` term pairs (or one too sparse to pack) runs the
+schoolbook double loop; anything larger goes through Kronecker substitution
+(``_kronecker_mul``): each operand becomes one integer whose base-2^(8w)
+digits are its coefficients, the two integers are multiplied once, and the
+product's digits are read back as coefficients.  No product coefficient
+exceeds min(len a, len b) * max|a| * max|b| in absolute value, and w is
+chosen so that this bound stays below 2^(8w-1), half the digit base; so
+each digit of the integer product is exactly one coefficient, read as a
+signed digit, and no carry between digits is lost.  There is no modular
+reduction and the result is exact.
 """
 
 from __future__ import annotations
+
+from math import gcd
+from struct import pack, unpack
+
+# A product of fewer term pairs than this keeps the schoolbook loop.
+_SCHOOLBOOK_PAIRS = 256
 
 
 class BoundExceeded(ValueError):
@@ -51,6 +70,13 @@ class QPolynomial:
         self.terms = _strip_zeros(terms or {})
 
     @classmethod
+    def _nonzero(cls, terms):
+        """Wrap a dict that holds no zero coefficient, without copying it."""
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -68,9 +94,6 @@ class QPolynomial:
 
     def is_zero(self):
         return not self.terms
-
-    def is_one(self):
-        return self.terms == {0: 1}
 
     def __bool__(self):
         return bool(self.terms)
@@ -96,7 +119,7 @@ class QPolynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return QPolynomial({e: -c for e, c in self.terms.items()})
+        return QPolynomial._nonzero({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -105,10 +128,24 @@ class QPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QPolynomial({e: c * other for e, c in self.terms.items()})
+            if not other:
+                return QPolynomial()
+            return QPolynomial._nonzero({e: c * other for e, c in self.terms.items()})
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return QPolynomial()
+        if len(b) == 1:
+            ((e0, c0),) = b.items()
+            return QPolynomial._nonzero({e + e0: c * c0 for e, c in a.items()})
+        if len(a) * len(b) >= _SCHOOLBOOK_PAIRS:
+            out = _kronecker_mul(a, b)
+            if out is not None:
+                return QPolynomial._nonzero(out)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return QPolynomial(out)
@@ -140,7 +177,7 @@ class QPolynomial:
         """Substitute q -> q^k (k nonzero; k = -1 is the inversion)."""
         if k == 0:
             raise ValueError("exponent scale must be nonzero")
-        return QPolynomial({e * k: c for e, c in self.terms.items()})
+        return QPolynomial._nonzero({e * k: c for e, c in self.terms.items()})
 
     def truncate_above(self, bound):
         return QPolynomial({e: c for e, c in self.terms.items() if e <= bound})
@@ -201,6 +238,64 @@ class QPolynomial:
 
     def __repr__(self):
         return "QPolynomial(%s)" % self.render()
+
+
+def _kronecker_mul(a, b):
+    """Product of two coefficient dicts {exponent: int} by Kronecker
+    substitution, or None when the product is too sparse to pack (more
+    output slots than term pairs, where the schoolbook loop does less work).
+
+    Exponents are packed on the grid low + step*i, step the gcd of every
+    exponent offset.  Digits are `width`-byte two's-complement chunks; XOR
+    with `half` (2^(8*width-1) in every chunk) turns them into offset-binary
+    chunks c + 2^(8*width-1), which are nonnegative, so an operand is that
+    integer minus `half`, and adding `half` to the product gives chunks that
+    carry into each other nowhere.
+    """
+    a_low, b_low = min(a), min(b)
+    step = gcd(*(e - a_low for e in a), *(e - b_low for e in b))
+    a_len = (max(a) - a_low) // step + 1
+    b_len = (max(b) - b_low) // step + 1
+    size = a_len + b_len - 1
+    if size > len(a) * len(b):
+        return None
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    width = (bound.bit_length() + 8) // 8
+    width = next((w for w in _STRUCT_CODES if width <= w), width)
+    half = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+
+    def packed(terms, low, length):
+        dense = [0] * length
+        for e, c in terms.items():
+            dense[(e - low) // step] = c
+        return (int.from_bytes(_digits_to_bytes(dense, width), "little") ^ half) - half
+
+    packed_a = packed(a, a_low, a_len)
+    packed_b = packed_a if b is a else packed(b, b_low, b_len)
+    raw = ((packed_a * packed_b + half) ^ half).to_bytes(width * size, "little")
+    low = a_low + b_low
+    return {low + i * step: c for i, c in enumerate(_bytes_to_digits(raw, width)) if c}
+
+
+# struct codes of the signed little-endian digit widths packed in one call.
+_STRUCT_CODES = {1: "<%db", 2: "<%dh", 4: "<%di", 8: "<%dq"}
+
+
+def _digits_to_bytes(digits, width):
+    code = _STRUCT_CODES.get(width)
+    if code:
+        return pack(code % len(digits), *digits)
+    return b"".join([c.to_bytes(width, "little", signed=True) for c in digits])
+
+
+def _bytes_to_digits(raw, width):
+    code = _STRUCT_CODES.get(width)
+    if code:
+        return unpack(code % (len(raw) // width), raw)
+    return [
+        int.from_bytes(raw[i:i + width], "little", signed=True)
+        for i in range(0, len(raw), width)
+    ]
 
 
 def _q_term_str(c, e, var="q"):
@@ -457,12 +552,6 @@ class RationalFunction:
             return None
         return self.num.v_min() - self.den.v_min()
 
-    def v_degree(self):
-        """Degree in v (None for the zero function)."""
-        if self.num.is_zero():
-            return None
-        return self.num.v_max() - self.den.v_max()
-
     def render(self):
         if self.den == BiPolynomial.one():
             return self.num.render()
@@ -589,9 +678,6 @@ class XPolynomial:
     def coefficient(self, e):
         return self.terms.get(e)
 
-    def x_support(self):
-        return sorted(self.terms)
-
     def eval_at_ones(self):
         """Total coefficient mass: x = 1 and q = 1 (QPolynomial coefficients)."""
         return sum(c.eval_at_one() for c in self.terms.values())
@@ -634,8 +720,3 @@ class XPolynomial:
     def __repr__(self):
         return "XPolynomial(%s)" % self.render()
 
-
-def x_monomial(coeff, x_exp):
-    if isinstance(coeff, int):
-        coeff = QPolynomial.monomial(coeff)
-    return XPolynomial({x_exp: coeff})

@@ -160,6 +160,18 @@ def test_epoly_route_mismatch_exit_two(capsys, monkeypatch):
     assert out == ""
 
 
+def test_capacity_limit_exit_three(capsys):
+    for argv in (
+        ("fusion", "--n", "6", "--points", "1,2,3,4,5,6"),
+        ("epoly", "--family", "A2", "--n", "7", "--spec", "t0"),
+    ):
+        code = cli.run(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 def test_usage_error_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["epoly", "--family", "bogus", "--n", "1", "--spec", "t0"])

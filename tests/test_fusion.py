@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from macweyl import fusion
 from macweyl.fusion import (
     BoundExceeded,
     NotCyclic,
@@ -111,3 +112,21 @@ def test_n6_bound_exceeded_fast():
     with pytest.raises(BoundExceeded):
         fusion_character(6, [1, 2, 3, 4, 5, 6], twisted=True)
     assert time.perf_counter() - start < 1.0
+
+
+def test_relation_gate_runs_once_per_process(monkeypatch):
+    calls = []
+    real = fusion.check_relations
+
+    def counting(rep):
+        calls.append(rep)
+        real(rep)
+
+    monkeypatch.setattr(fusion, "check_relations", counting)
+    fusion._relation_gate.cache_clear()
+    try:
+        fusion_character(2, [1, 2])
+        fusion_character(2, [1, 2], twisted=True)
+    finally:
+        fusion._relation_gate.cache_clear()
+    assert len(calls) == 1

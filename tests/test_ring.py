@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -14,6 +15,8 @@ from macweyl.ring import (
     rf_limit_v_infinity,
     substitute_q_inverse,
 )
+from macweyl.qcomb import q_binomial
+from macweyl.weylchar import ch_W, ch_W_sigma
 
 
 def qp(d):
@@ -177,3 +180,71 @@ def test_xpolynomial_mirror_and_mass():
     poly = XPolynomial({-1: qp({0: 1}), 0: qp({1: 1}), 1: qp({0: 2})})
     assert poly.mirror_x() == XPolynomial({1: qp({0: 1}), 0: qp({1: 1}), -1: qp({0: 2})})
     assert poly.eval_at_ones() == 4
+
+
+def schoolbook(a, b):
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+EDGE_COEFFS = (0, 1, 127, 128, 255, 256, 2**63, 10**30)
+
+
+def rand_mul_operand(rng):
+    size = rng.randint(1, 80)
+    stride = rng.choice((1, 2, 3))
+    offset = rng.choice((0, 1))
+    signs = rng.choice(("mixed", "negative", "positive"))
+    terms = {}
+    for _ in range(size):
+        e = offset + stride * rng.randint(-60 // stride, 60 // stride)
+        c = rng.choice(EDGE_COEFFS) if rng.random() < 0.5 else rng.randint(1, 10**rng.randint(0, 25))
+        if signs == "negative" or (signs == "mixed" and rng.random() < 0.5):
+            c = -c
+        terms[e] = c
+    return QPolynomial(terms)
+
+
+def test_mul_matches_schoolbook_both_sides_of_cutoff():
+    rng = random.Random(23)
+    pair_counts = []
+    for _ in range(300):
+        a, b = rand_mul_operand(rng), rand_mul_operand(rng)
+        pair_counts.append(len(a.terms) * len(b.terms))
+        want = schoolbook(a, b)
+        assert (a * b).terms == want
+        assert (b * a).terms == want
+        assert (a * a).terms == schoolbook(a, a)
+    assert min(pair_counts) < 256 <= max(pair_counts)
+
+
+def test_mul_monomial_int_and_zero_operands():
+    rng = random.Random(29)
+    zero = QPolynomial.zero()
+    for _ in range(50):
+        p = rand_mul_operand(rng)
+        m = QPolynomial.monomial(rng.choice((-1, 1)) * rng.choice(EDGE_COEFFS[1:]), rng.randint(-60, 60))
+        want = schoolbook(m, p)
+        assert (m * p).terms == want
+        assert (p * m).terms == want
+        k = rng.choice((-(10**30), -256, -1, 1, 255, 2**63))
+        assert (k * p).terms == (p * k).terms == {e: c * k for e, c in p.terms.items()}
+        assert (p * zero).is_zero() and (zero * p).is_zero()
+        assert (p * 0).is_zero() and (0 * p).is_zero()
+    assert (zero * zero).is_zero()
+
+
+def test_mul_sparse_operands_keep_schoolbook():
+    # Exponents too far apart to pack densely; the product is still exact.
+    a = QPolynomial({10**9 * i: i + 1 for i in range(20)})
+    b = QPolynomial({7 * i: -(2 * i + 1) for i in range(20)})
+    assert (a * b).terms == schoolbook(a, b)
+
+
+def test_large_products_keep_known_masses():
+    assert q_binomial(60, 30).eval_at_one() == comb(60, 30)
+    assert ch_W(-40).eval_at_ones() == 3**40
+    assert ch_W_sigma(-40).eval_at_ones() == 3**40
