@@ -25,7 +25,10 @@ exceeds min(len a, len b) * max|a| * max|b| in absolute value, and w is
 chosen so that this bound stays below 2^(8w-1), half the digit base; so
 each digit of the integer product is exactly one coefficient, read as a
 signed digit, and no carry between digits is lost.  There is no modular
-reduction and the result is exact.
+reduction and the result is exact.  ``packed_width`` picks such a digit
+width for a given coefficient bound and ``QPolynomial.from_packed`` reads a
+nonnegative packed integer back, for callers that do their own integer
+arithmetic on packed coefficients (``weylchar`` at weights <= 0).
 """
 
 from __future__ import annotations
@@ -75,6 +78,13 @@ class QPolynomial:
         p = cls.__new__(cls)
         p.terms = terms
         return p
+
+    @classmethod
+    def from_packed(cls, value, width):
+        """sum_i d_i q^i, d_i the base-2^(8*width) digits of the nonnegative
+        integer `value`; every digit must lie below 2^(8*width-1)."""
+        raw = value.to_bytes(-(-value.bit_length() // (8 * width)) * width, "little")
+        return cls._nonzero({i: c for i, c in enumerate(_bytes_to_digits(raw, width)) if c})
 
     @classmethod
     def zero(cls):
@@ -259,9 +269,9 @@ def _kronecker_mul(a, b):
     size = a_len + b_len - 1
     if size > len(a) * len(b):
         return None
-    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    width = (bound.bit_length() + 8) // 8
-    width = next((w for w in _STRUCT_CODES if width <= w), width)
+    width = packed_width(
+        min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    )
     half = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
 
     def packed(terms, low, length):
@@ -279,6 +289,13 @@ def _kronecker_mul(a, b):
 
 # struct codes of the signed little-endian digit widths packed in one call.
 _STRUCT_CODES = {1: "<%db", 2: "<%dh", 4: "<%di", 8: "<%dq"}
+
+
+def packed_width(bound):
+    """Digit width w in bytes with bound < 2^(8*w-1), rounded up to a width
+    that struct packs in one call where there is one."""
+    width = (bound.bit_length() + 8) // 8
+    return next((w for w in _STRUCT_CODES if width <= w), width)
 
 
 def _digits_to_bytes(digits, width):

@@ -14,7 +14,7 @@ from itertools import combinations, combinations_with_replacement
 
 from macweyl import cform
 from macweyl.qcomb import euler_product_truncated, q_binomial
-from macweyl.ring import QPolynomial, XPolynomial
+from macweyl.ring import QPolynomial, XPolynomial, packed_width
 
 KINDS = (
     "untwisted_neg",
@@ -125,41 +125,63 @@ def _add(terms, x, coeff):
     terms[x] = terms[x] + coeff if x in terms else coeff
 
 
+def _lowest_weight_char(m, b):
+    """ch_W(-m) (b = 1) or ch_W_sigma(-m) (b = 2) by a three-term recurrence.
+
+    The closed forms sum_{k,s} q^(b k(k-1)/2 + (b-1)k) [m,k] [m-k,s]
+    x^(-m+k+2s), binomials in base Q = q^b, have by the q-binomial theorem
+    the generating function sum_m F_m t^m / (Q;Q)_m
+    = (-q^(b-1) t; Q)_inf / ((t x; Q)_inf (t/x; Q)_inf); comparing it at t
+    and Q t gives
+
+        F_m = (x + 1/x + q^(b m - 1)) F_(m-1) - (1 - q^(b (m-1))) F_(m-2),
+
+    with F_0 = 1.  So no polynomial product is needed.  Each x-coefficient is
+    kept as one integer whose base-2^(8 w) digit i is its q^i coefficient:
+    multiplying by q^e is a shift and the recurrence is integer shifts and
+    adds.  Every coefficient of F_j is nonnegative and at most F_j(1, 1) = 3^j,
+    and w is chosen with 3^m < 2^(8 w - 1), so each F_j's integers have valid
+    digits and read back exactly, whatever the order of the additions.
+    """
+    width = packed_width(3**m)
+    bits = 8 * width
+    prev, cur = {}, {0: 1}
+    for j in range(1, m + 1):
+        up, down = bits * (b * j - 1), bits * b * (j - 1)
+        nxt = {}
+        for x in range(-j, j + 1):
+            p = prev.get(x, 0)
+            nxt[x] = (cur.get(x - 1, 0) + cur.get(x + 1, 0) + (cur.get(x, 0) << up)
+                      + (p << down) - p)
+        prev, cur = cur, nxt
+    return XPolynomial({x: QPolynomial.from_packed(v, width) for x, v in cur.items()})
+
+
 def ch_W(n):
     """Closed-form character of the untwisted module, any integer weight."""
-    terms = {}
     if n <= 0:
-        m = -n
-        for k in range(m + 1):
-            outer = QPolynomial.q_power(k * (k - 1) // 2) * q_binomial(m, k)
-            for s in range(m - k + 1):
-                _add(terms, -m + k + 2 * s, outer * q_binomial(m - k, s))
-    else:
-        for k in range(n):
-            outer = QPolynomial.q_power(k * (k + 1) // 2) * q_binomial(n - 1, k)
-            for s in range(n - k):
-                inner = QPolynomial.q_power(s) * q_binomial(n - k - 1, s)
-                _add(terms, n - k - 2 * s, outer * inner)
+        return _lowest_weight_char(-n, 1)
+    terms = {}
+    for k in range(n):
+        outer = QPolynomial.q_power(k * (k + 1) // 2) * q_binomial(n - 1, k)
+        for s in range(n - k):
+            inner = QPolynomial.q_power(s) * q_binomial(n - k - 1, s)
+            _add(terms, n - k - 2 * s, outer * inner)
     return XPolynomial(terms)
 
 
 def ch_W_sigma(n):
     """Closed-form character of the twisted module, any integer weight."""
-    terms = {}
     if n <= 0:
-        m = -n
-        for k in range(m + 1):
-            outer = QPolynomial.q_power(k * k) * q_binomial(m, k, 2)
-            for s in range(m - k + 1):
-                _add(terms, -m + k + 2 * s, outer * q_binomial(m - k, s, 2))
-    else:
-        for k in range(n):
-            outer = QPolynomial.q_power(k * k) * q_binomial(n - 1, k, 2)
-            for s in range(n - k):
-                x = n - k - 2 * s
-                inner = q_binomial(n - k - 1, s, 2)
-                _add(terms, x, outer * QPolynomial.q_power(2 * s) * inner)
-                _add(terms, x - 1, outer * QPolynomial.q_power(2 * n - 1) * inner)
+        return _lowest_weight_char(-n, 2)
+    terms = {}
+    for k in range(n):
+        outer = QPolynomial.q_power(k * k) * q_binomial(n - 1, k, 2)
+        for s in range(n - k):
+            x = n - k - 2 * s
+            inner = q_binomial(n - k - 1, s, 2)
+            _add(terms, x, outer * QPolynomial.q_power(2 * s) * inner)
+            _add(terms, x - 1, outer * QPolynomial.q_power(2 * n - 1) * inner)
     return XPolynomial(terms)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from macweyl.cform import E_spec
+from macweyl.qcomb import q_binomial
 from macweyl.ring import QPolynomial, XPolynomial
 from macweyl.weylchar import (
     approximant,
@@ -49,6 +50,23 @@ def test_basis_inequalities_hold():
             k, s = len(m.g_degrees), len(m.e_degrees)
             assert all(b % 2 == 1 and 1 <= b <= 2 * n - 1 for b in m.g_degrees)
             assert all(a % 2 == 0 and 0 <= a <= 2 * (n - k - s) for a in m.e_degrees)
+
+
+def _closed_form_sum(m, b):
+    # The double sum of the paper at weight -m, binomials in base q^b.
+    terms = {}
+    for k in range(m + 1):
+        outer = qp({b * k * (k - 1) // 2 + (b - 1) * k: 1}) * q_binomial(m, k, b)
+        for s in range(m - k + 1):
+            x = -m + k + 2 * s
+            terms[x] = terms.get(x, qp({})) + outer * q_binomial(m - k, s, b)
+    return XPolynomial(terms)
+
+
+def test_lowest_weight_recurrence_equals_closed_form_sum():
+    for m in list(range(13)) + [29, 40]:
+        assert ch_W(-m) == _closed_form_sum(m, 1)
+        assert ch_W_sigma(-m) == _closed_form_sum(m, 2)
 
 
 def test_characters_match_basis_enumeration():
