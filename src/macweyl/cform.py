@@ -4,12 +4,24 @@ E-polynomial closed forms built from them.
 Each table exists twice: once by unrolling its defining recurrence (with
 memoization) and once in closed form as a q-power times a base-q^2
 trinomial.  The two must agree; the test suite checks this exhaustively.
+
+E_spec sums the closed forms on packed integers: each x-coefficient is one
+nonnegative integer whose base-2^(8 w) digit i is its q^i coefficient.  A
+table entry q^shift * (k22 + k + k11; k22, k, k11)_(q^2) is the product of
+two packed base-q^2 binomials, shifted left by `shift` digits, so every term
+costs one integer multiply, one shift and one add.  This is exact: every
+table entry has nonnegative coefficients, and at q = 1 the trinomials over
+all triples of total t add up to 3^t, so the entries of one E_spec(n) total
+3^|n|, 3^(|n|-1) or 2 * 3^(|n|-1) at q = x = 1.  With 2 * 3^|n| < 2^(8 w - 1)
+no digit of any product or partial sum reaches the sign bit of its w bytes,
+digits never carry into each other, and QPolynomial.from_packed reads each
+one back.
 """
 
 from functools import lru_cache
 
-from macweyl.qcomb import q_multinomial
-from macweyl.ring import QPolynomial, XPolynomial
+from macweyl.qcomb import packed_q_binomial, q_multinomial
+from macweyl.ring import QPolynomial, XPolynomial, packed_width
 from macweyl.walks import FAMILIES, normalize_spec
 
 
@@ -27,11 +39,18 @@ def c_rec(r, k22, k12, k11):
     return c_rec(2, k22 - 1, k12, k11) + mid + last
 
 
+def _shift(family, r, k22, kmid):
+    """q-power of the closed form of c_r (A2, kmid = k12) or c_r-dagger
+    (A2dagger, kmid = k21) in front of its base-q^2 trinomial."""
+    if family == "A2":
+        return kmid * kmid + (2 * k22 if r == 1 else 0)
+    return kmid * (kmid - 1) + (2 * k22 + 2 * kmid if r == 1 else 0)
+
+
 def c_closed(r, k22, k12, k11):
     if k22 < 0 or k12 < 0 or k11 < 0:
         return QPolynomial.zero()
-    shift = k12 * k12 + (2 * k22 if r == 1 else 0)
-    return QPolynomial.q_power(shift) * q_multinomial(k22, k12, k11, 2)
+    return QPolynomial.q_power(_shift("A2", r, k22, k12)) * q_multinomial(k22, k12, k11, 2)
 
 
 @lru_cache(maxsize=None)
@@ -51,8 +70,7 @@ def cdag_rec(r, k22, k21, k11):
 def cdag_closed(r, k22, k21, k11):
     if k22 < 0 or k21 < 0 or k11 < 0:
         return QPolynomial.zero()
-    shift = k21 * (k21 - 1) + (2 * k22 + 2 * k21 if r == 1 else 0)
-    return QPolynomial.q_power(shift) * q_multinomial(k22, k21, k11, 2)
+    return QPolynomial.q_power(_shift("A2dagger", r, k22, k21)) * q_multinomial(k22, k21, k11, 2)
 
 
 def _triples(total):
@@ -73,44 +91,50 @@ def E_spec(family, n, spec):
     if n == 0:
         return XPolynomial.constant(QPolynomial.one())
 
-    terms = {}
+    width = packed_width(2 * 3 ** abs(n))
+    bits = 8 * width
+    sums = {}
 
-    def put(x_exp, coeff):
-        if coeff.is_zero():
+    def put(x_exp, r, k22, kmid, k11, q_shift=0):
+        # x^x_exp q^q_shift times table entry r at (k22, kmid, k11), if any.
+        if k22 < 0 or kmid < 0:
             return
-        terms[x_exp] = terms[x_exp] + coeff if x_exp in terms else coeff
+        total = k22 + kmid + k11
+        trinomial = (packed_q_binomial(total, k22, 2, width)
+                     * packed_q_binomial(total - k22, kmid, 2, width))
+        shift = _shift(family, r, k22, kmid) + q_shift
+        sums[x_exp] = sums.get(x_exp, 0) + (trinomial << bits * shift)
 
     if family == "A2":
         if n < 0 and spec == "t0":
             for k22, k12, k11 in _triples(-n):
-                put(k22 - k11, c_closed(2, k22, k12, k11))
+                put(k22 - k11, 2, k22, k12, k11)
         elif n > 0 and spec == "t0":
             for k22, k12, k11 in _triples(n):
-                c = QPolynomial.q_power(2 * n - 1) * c_closed(2, k22 - 1, k12, k11)
-                c = c + c_closed(1, k22, k12 - 1, k11)
-                put(k11 - k22 + 1, c)
+                put(k11 - k22 + 1, 2, k22 - 1, k12, k11, 2 * n - 1)
+                put(k11 - k22 + 1, 1, k22, k12 - 1, k11)
         elif n < 0 and spec == "tinf":
             for k22, k12, k11 in _triples(-n):
-                put(k11 - k22, c_closed(1, k22, k12, k11))
+                put(k11 - k22, 1, k22, k12, k11)
         else:  # n > 0, tinf: sums over triples totalling n-1
             for k22, k12, k11 in _triples(n - 1):
-                put(k11 - k22 + 1, c_closed(2, k22, k12, k11))
+                put(k11 - k22 + 1, 2, k22, k12, k11)
     else:
         if n < 0 and spec == "t0":
             for k22, k21, k11 in _triples(-n):
-                put(k11 - k22, cdag_closed(2, k22, k21, k11))
+                put(k11 - k22, 2, k22, k21, k11)
         elif n > 0 and spec == "t0":
             for k22, k21, k11 in _triples(n - 1):
-                put(k11 - k22 + 1, cdag_closed(1, k22, k21, k11))
+                put(k11 - k22 + 1, 1, k22, k21, k11)
         elif n < 0 and spec == "tinf":
             for k22, k21, k11 in _triples(-n):
-                put(k11 - k22, cdag_closed(1, k22, k21, k11))
+                put(k11 - k22, 1, k22, k21, k11)
         else:  # n > 0, tinf
             for k22, k21, k11 in _triples(n - 1):
-                c = cdag_closed(2, k22, k21, k11) + cdag_closed(1, k22, k21, k11)
-                put(k11 - k22 + 1, c)
+                put(k11 - k22 + 1, 2, k22, k21, k11)
+                put(k11 - k22 + 1, 1, k22, k21, k11)
 
-    return XPolynomial(terms)
+    return XPolynomial({x: QPolynomial.from_packed(v, width) for x, v in sums.items()})
 
 
 def ctable(family, r, max_n):

@@ -2,16 +2,20 @@
 
 Subcommands: epoly, ctable, weylchar, basis, limitchar, fusion, walks,
 verify.  Every subcommand takes --format text|json; text output uses the
-canonical term ordering, JSON follows the schemas documented in the README.
+canonical term ordering, JSON follows the schemas documented in the README
+and is byte for byte what json.dumps(obj, indent=2) prints, with sorted keys
+where the subcommand sorts them; polynomial term lists go through a per-row
+%-template instead of the stdlib's pure-Python indenting encoder.
 Exit codes: 0 success, 1 usage error, 2 verification mismatch outside the
 frozen errata table (including disagreeing specialization routes in epoly),
 3 an input beyond the size a route is configured to compute.
 """
 
 import argparse
-import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from macweyl import cform, fusion, ramyip, verify, walks, weylchar
 from macweyl.ring import BoundExceeded
@@ -24,25 +28,100 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _bi_terms_json(bipoly):
-    return [
-        {"q": qe, "v": ve, "coeff": str(c)}
-        for (qe, ve), c in bipoly.sorted_terms()
-    ]
+# A JSON list of flat objects that share one key set: `fields` holds (key,
+# %-format) pairs and `values` one tuple per object, in field order.
+_Rows = namedtuple("_Rows", "fields values")
+
+
+_COEFF_Q_X = (("coeff", '"%d"'), ("q", "%d"), ("x", "%d"))
+_COEFF_Q_V = (("coeff", '"%d"'), ("q", "%d"), ("v", "%d"))
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _dumps(obj, sort_keys=False):
+    """json.dumps(obj, indent=2, sort_keys=sort_keys), byte for byte, where
+    each _Rows in obj stands for the list of objects it describes."""
+    out = []
+    _encode(obj, "\n", sort_keys, out)
+    return "".join(out)
+
+
+def _encode(obj, nl, sort_keys, out):
+    # nl is a newline plus the indentation of the line obj starts on.
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_LITERALS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, _Rows):
+        out.append(_encode_rows(obj, nl, sort_keys))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{"
+        for key, value in sorted(obj.items()) if sort_keys else obj.items():
+            out.append(sep + inner + _quote(key) + ": ")
+            _encode(value, inner, sort_keys, out)
+            sep = ","
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "["
+        for value in obj:
+            out.append(sep + inner)
+            _encode(value, inner, sort_keys, out)
+            sep = ","
+        out.append(nl + "]")
+    else:
+        raise TypeError("cannot encode %r as JSON" % (obj,))
+
+
+def _encode_rows(rows, nl, sort_keys):
+    if not rows.values:
+        return "[]"
+    fields, values = rows.fields, rows.values
+    if sort_keys:
+        order = sorted(range(len(fields)), key=lambda i: fields[i][0])
+        if order != list(range(len(fields))):
+            fields = [fields[i] for i in order]
+            values = [tuple(v[i] for i in order) for v in values]
+    row_nl = nl + "  "
+    key_nl = row_nl + "  "
+    template = "{%s%s}" % (
+        ",".join(key_nl + _quote(k).replace("%", "%%") + ": " + fmt for k, fmt in fields),
+        row_nl,
+    )
+    return "[%s%s%s]" % (row_nl, ("," + row_nl).join(map(template.__mod__, values)), nl)
+
+
+def _q_rows(poly):
+    """{coeff, q, x} rows of an XPolynomial over QPolynomial."""
+    return _Rows(
+        _COEFF_Q_X,
+        [(c, q, x) for x, qpoly in poly.sorted_terms() for q, c in qpoly.sorted_terms()],
+    )
+
+
+def _bi_rows(bipoly):
+    return _Rows(_COEFF_Q_V, [(c, qe, ve) for (qe, ve), c in bipoly.sorted_terms()])
 
 
 def _rf_terms_json(poly):
-    out = []
-    for x, rf in poly.sorted_terms():
-        out.append(
-            {"x": x, "num": _bi_terms_json(rf.num), "den": _bi_terms_json(rf.den)}
-        )
-    return out
+    return [
+        {"x": x, "num": _bi_rows(rf.num), "den": _bi_rows(rf.den)}
+        for x, rf in poly.sorted_terms()
+    ]
 
 
 def _emit(args, text_fn, json_obj):
     if args.format == "json":
-        print(json.dumps(json_obj, indent=2, sort_keys=True))
+        print(_dumps(json_obj, sort_keys=True))
     else:
         print(text_fn())
 
@@ -73,7 +152,7 @@ def _cmd_epoly(args):
             "family": args.family,
             "n": args.n,
             "spec": args.spec,
-            "terms": verify._diff_terms(poly),
+            "terms": _q_rows(poly),
         },
     )
     return 0
@@ -87,11 +166,11 @@ def _cmd_ctable(args):
                 "k22": k22,
                 "k21" if args.family == "A2dagger" else "k12": kmid,
                 "k11": k11,
-                "poly": [{"q": e, "coeff": str(c)} for e, c in value.sorted_terms()],
+                "poly": _Rows((("q", "%d"), ("coeff", '"%d"')), value.sorted_terms()),
                 "text": value.render(),
             }
         )
-    print(json.dumps({"family": args.family, "r": args.r, "values": rows}, indent=2))
+    print(_dumps({"family": args.family, "r": args.r, "values": rows}))
     return 0
 
 
@@ -109,7 +188,7 @@ def _cmd_weylchar(args):
     _emit(
         args,
         poly.render,
-        {"module": args.module, "n": args.n, "terms": verify._diff_terms(poly)},
+        {"module": args.module, "n": args.n, "terms": _q_rows(poly)},
     )
     return 0
 
@@ -127,7 +206,7 @@ def _cmd_basis(args):
         for m in monomials
     ]
     if args.format == "json":
-        print(json.dumps({"kind": args.kind, "n": args.n, "count": len(rows), "monomials": rows}, indent=2))
+        print(_dumps({"kind": args.kind, "n": args.n, "count": len(rows), "monomials": rows}))
     else:
         for r in rows:
             print(
@@ -151,7 +230,7 @@ def _cmd_limitchar(args):
             "qmax": args.qmax,
             "xmax": args.xmax,
             "approximant_n": args.approx,
-            "terms": verify._diff_terms(poly),
+            "terms": _q_rows(poly),
         },
     )
     return 0
@@ -180,7 +259,7 @@ def _cmd_fusion(args):
             "points": [str(p) for p in points],
             "twisted": args.twisted,
             "dimension": poly.eval_at_ones(),
-            "terms": verify._diff_terms(poly),
+            "terms": _q_rows(poly),
         },
     )
     return 0
@@ -195,7 +274,7 @@ def _cmd_walks(args):
     for w in all_walks:
         records.append(walks.walk_record(w, args.n))
     if args.format == "json":
-        print(json.dumps({"n": args.n, "walks": records}, indent=2))
+        print(_dumps({"n": args.n, "walks": records}))
     else:
         for r in records:
             print(
@@ -210,14 +289,13 @@ def _cmd_verify(args):
     entries, exit_code = verify.run_suites(args.suite, args.max_n)
     if args.format == "json":
         print(
-            json.dumps(
+            _dumps(
                 {
                     "suite": args.suite,
                     "max_n": args.max_n,
                     "exit_code": exit_code,
                     "entries": entries,
                 },
-                indent=2,
                 sort_keys=True,
             )
         )

@@ -28,7 +28,7 @@ signed digit, and no carry between digits is lost.  There is no modular
 reduction and the result is exact.  ``packed_width`` picks such a digit
 width for a given coefficient bound and ``QPolynomial.from_packed`` reads a
 nonnegative packed integer back, for callers that do their own integer
-arithmetic on packed coefficients (``weylchar`` at weights <= 0).
+arithmetic on packed coefficients (``weylchar`` characters, ``cform.E_spec``).
 """
 
 from __future__ import annotations
@@ -42,6 +42,19 @@ _SCHOOLBOOK_PAIRS = 256
 
 class BoundExceeded(ValueError):
     """An input lies beyond the size a route is configured to compute."""
+
+
+# Largest |n| each exhaustive enumeration accepts.  walks.enumerate_walks
+# lists 2^l walks, l about 2|n|, and weylchar.enumerate_basis about 3^n
+# monomials; on a 2-core x86 VM |n| = 9 walks take 8-15 s and 0.5 GB and
+# n = 12 bases 14 s and 1.3 GB, and each step further costs 3-4x more.
+SIZE_LIMITS = {"walks": 9, "basis": 12}
+
+
+def check_size(name, n):
+    """Raise BoundExceeded, before any work, when |n| > SIZE_LIMITS[name]."""
+    if abs(n) > SIZE_LIMITS[name]:
+        raise BoundExceeded("%s is limited to |n| <= %d" % (name, SIZE_LIMITS[name]))
 
 
 class RingError(ArithmeticError):

@@ -293,43 +293,36 @@ def run_suites(suite, max_n, errata=None):
 # Build-time generators for the frozen data files.
 
 
+def _outcome(lhs, rhs):
+    """Conventions-table name of the transform compare(lhs, rhs) finds."""
+    status, transform = compare(lhs, rhs)
+    if status == "EQUAL":
+        return "identity"
+    if status == "EQUAL_UP_TO":
+        return "x_mirror" if transform == {"x_mirror": True} else "q_shift"
+    return "erratum"
+
+
 def derive_conventions(max_n=3):
     """Which transform each comparison route needs, measured empirically."""
     table = {}
     for family in walks.FAMILIES:
         for spec in ("t0", "tinf"):
             for sign, ns in (("neg", range(-max_n, 0)), ("pos", range(1, max_n + 1))):
-                outcomes = set()
-                for n in ns:
-                    status, transform = compare(
-                        ramyip.specialize(family, n, spec), cform.E_spec(family, n, spec)
-                    )
-                    if status == "EQUAL":
-                        outcomes.add("identity")
-                    elif status == "EQUAL_UP_TO" and transform == {"x_mirror": True}:
-                        outcomes.add("x_mirror")
-                    elif status == "EQUAL_UP_TO":
-                        outcomes.add("q_shift")
-                    else:
-                        outcomes.add("erratum")
-                key = "routes:%s:%s:%s" % (family, sign, spec)
-                table[key] = sorted(outcomes)
+                outcomes = {
+                    _outcome(ramyip.specialize(family, n, spec), cform.E_spec(family, n, spec))
+                    for n in ns
+                }
+                table["routes:%s:%s:%s" % (family, sign, spec)] = sorted(outcomes)
     for twisted, label in ((False, "untwisted"), (True, "twisted")):
-        outcomes = set()
         family = "A2" if twisted else "A2dagger"
-        for n in range(1, max_n + 1):
-            status, transform = compare(
+        outcomes = {
+            _outcome(
                 weylchar.pbw_character_specialized(n, twisted),
                 cform.E_spec(family, -n, "tinf"),
             )
-            if status == "EQUAL":
-                outcomes.add("identity")
-            elif status == "EQUAL_UP_TO" and transform == {"x_mirror": True}:
-                outcomes.add("x_mirror")
-            elif status == "EQUAL_UP_TO":
-                outcomes.add("q_shift")
-            else:
-                outcomes.add("erratum")
+            for n in range(1, max_n + 1)
+        }
         table["pbw:%s" % label] = sorted(outcomes)
     return table
 

@@ -24,6 +24,8 @@ test suite.
 from dataclasses import dataclass
 from itertools import product
 
+from macweyl.ring import check_size
+
 
 class MalformedWalk(ValueError):
     pass
@@ -198,6 +200,7 @@ def beta_degree(j, l):
 
 def enumerate_walks(target):
     """All 2^l walks for the target weight, in lexicographic mask order."""
+    check_size("walks", target)
     word = walk_word(target)
     return [AlcoveWalk(word, mask) for mask in product((0, 1), repeat=len(word))]
 

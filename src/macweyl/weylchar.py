@@ -7,14 +7,24 @@ E-polynomials.
 Basis monomials apply e-generators (weight +2 each) and odd g-generators
 (weight +1 each) to a lowest- or highest-weight vector; the inequalities on
 the generator t-degrees depend on the module family ("kind").
+
+The closed-form characters ch_W and ch_W_sigma keep each x-coefficient as one
+packed integer whose base-2^(8 w) digit i is its q^i coefficient, so a
+q-shift is an integer shift and a sum of terms an integer sum.  All terms are
+nonnegative and a character of weight n totals 3^|n| (n <= 0) or
+b * 3^(n-1) (n > 0; b = 1 untwisted, 2 twisted) at q = x = 1, and w is
+chosen with that total below 2^(8 w - 1), so no digit of any partial result
+spills into the next and each reads back exactly; see _lowest_weight_char
+(n <= 0, a three-term recurrence) and _highest_weight_char (n > 0, the
+paper's double sum).
 """
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from macweyl import cform
-from macweyl.qcomb import euler_product_truncated, q_binomial
-from macweyl.ring import QPolynomial, XPolynomial, packed_width
+from macweyl.qcomb import euler_product_truncated, packed_q_binomial, q_binomial
+from macweyl.ring import QPolynomial, XPolynomial, check_size, packed_width
 
 KINDS = (
     "untwisted_neg",
@@ -47,6 +57,7 @@ def enumerate_basis(kind, n):
     positive_kind = kind in ("untwisted_pos", "twisted_pos_1", "twisted_pos_2")
     if n < 0 or (positive_kind and n < 1):
         raise ValueError("n out of range for kind %s" % kind)
+    check_size("basis", n)
 
     out = []
 
@@ -157,32 +168,47 @@ def _lowest_weight_char(m, b):
     return XPolynomial({x: QPolynomial.from_packed(v, width) for x, v in cur.items()})
 
 
+def _highest_weight_char(n, b):
+    """ch_W(n) (b = 1) or ch_W_sigma(n) (b = 2) for n >= 1, by the paper's
+    double sum over 0 <= k < n, 0 <= s < n - k, binomials in base Q = q^b:
+
+        b = 1: q^(k(k+1)/2) [n-1, k] q^s [n-k-1, s] x^(n-k-2s),
+        b = 2: q^(k^2) [n-1, k] [n-k-1, s] (q^(2s) x^(n-k-2s) + q^(2n-1) x^(n-k-2s-1)).
+
+    Each x-coefficient is summed as one packed integer, as in
+    _lowest_weight_char: a term is the product of two packed binomials
+    (qcomb.packed_q_binomial) shifted by its q-power.  Every term has
+    nonnegative coefficients and the sum is b * 3^(n-1) at q = x = 1, so with
+    b * 3^n < 2^(8 w - 1) no digit of a product or partial sum overflows and
+    each reads back exactly.
+    """
+    width = packed_width(b * 3**n)
+    bits = 8 * width
+    sums = {}
+    for k in range(n):
+        outer = packed_q_binomial(n - 1, k, b, width) << bits * (
+            k * (k + 1) // 2 if b == 1 else k * k)
+        for s in range(n - k):
+            x = n - k - 2 * s
+            term = outer * packed_q_binomial(n - k - 1, s, b, width)
+            sums[x] = sums.get(x, 0) + (term << bits * b * s)
+            if b == 2:
+                sums[x - 1] = sums.get(x - 1, 0) + (term << bits * (2 * n - 1))
+    return XPolynomial({x: QPolynomial.from_packed(v, width) for x, v in sums.items()})
+
+
 def ch_W(n):
     """Closed-form character of the untwisted module, any integer weight."""
     if n <= 0:
         return _lowest_weight_char(-n, 1)
-    terms = {}
-    for k in range(n):
-        outer = QPolynomial.q_power(k * (k + 1) // 2) * q_binomial(n - 1, k)
-        for s in range(n - k):
-            inner = QPolynomial.q_power(s) * q_binomial(n - k - 1, s)
-            _add(terms, n - k - 2 * s, outer * inner)
-    return XPolynomial(terms)
+    return _highest_weight_char(n, 1)
 
 
 def ch_W_sigma(n):
     """Closed-form character of the twisted module, any integer weight."""
     if n <= 0:
         return _lowest_weight_char(-n, 2)
-    terms = {}
-    for k in range(n):
-        outer = QPolynomial.q_power(k * k) * q_binomial(n - 1, k, 2)
-        for s in range(n - k):
-            x = n - k - 2 * s
-            inner = q_binomial(n - k - 1, s, 2)
-            _add(terms, x, outer * QPolynomial.q_power(2 * s) * inner)
-            _add(terms, x - 1, outer * QPolynomial.q_power(2 * n - 1) * inner)
-    return XPolynomial(terms)
+    return _highest_weight_char(n, 2)
 
 
 def pbw_character(n, twisted=False):

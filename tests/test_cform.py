@@ -85,3 +85,46 @@ def test_ctable_dump():
     rows = ctable("A2", 2, 2)
     assert len(rows) == 10
     assert dict((k, v) for k, v in rows)[(0, 1, 0)] == qp({1: 1})
+
+
+def _dict_product_E_spec(family, n, spec):
+    # E_spec as a sum of QPolynomial products of the closed-form tables.
+    closed = c_closed if family == "A2" else cdag_closed
+    terms = {}
+
+    def put(x, c):
+        terms[x] = terms.get(x, qp({})) + c
+
+    q = lambda e: qp({e: 1})  # noqa: E731
+    if family == "A2" and n < 0:
+        for k22, k12, k11 in _triples(-n):
+            if spec == "t0":
+                put(k22 - k11, closed(2, k22, k12, k11))
+            else:
+                put(k11 - k22, closed(1, k22, k12, k11))
+    elif family == "A2" and spec == "t0":
+        for k22, k12, k11 in _triples(n):
+            c = q(2 * n - 1) * closed(2, k22 - 1, k12, k11) + closed(1, k22, k12 - 1, k11)
+            put(k11 - k22 + 1, c)
+    elif family == "A2":
+        for k in _triples(n - 1):
+            put(k[2] - k[0] + 1, closed(2, *k))
+    elif n < 0:
+        for k in _triples(-n):
+            put(k[2] - k[0], closed(2 if spec == "t0" else 1, *k))
+    elif spec == "t0":
+        for k in _triples(n - 1):
+            put(k[2] - k[0] + 1, closed(1, *k))
+    else:
+        for k in _triples(n - 1):
+            put(k[2] - k[0] + 1, closed(2, *k) + closed(1, *k))
+    return XPolynomial(terms)
+
+
+def test_packed_E_spec_equals_dict_product_sum():
+    # |n| = 21 has digits of 8 bytes (2 * 3^21 > 2^32); smaller |n| of 1, 2 and 4.
+    for family in ("A2", "A2dagger"):
+        for spec in ("t0", "tinf"):
+            for n in list(range(-12, 0)) + list(range(1, 13)) + [-21, 21]:
+                assert E_spec(family, n, spec) == _dict_product_E_spec(family, n, spec), (
+                    family, n, spec)

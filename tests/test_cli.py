@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -187,3 +188,75 @@ def test_json_round_trip_deterministic(capsys):
     )
     assert first == second
     json.loads(first)
+
+
+def test_size_limits_exit_three_fast(capsys):
+    for argv in (
+        ("walks", "--n", "14"),
+        ("basis", "--kind", "untwisted_neg", "--n", "14"),
+    ):
+        start = time.perf_counter()
+        code = cli.run(list(argv))
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, sort_keys",
+    [
+        (("epoly", "--family", "A2", "--n", "-2", "--spec", "full"), True),
+        (("epoly", "--family", "A2dagger", "--n", "3", "--spec", "t0"), True),
+        (("ctable", "--family", "A2dagger", "--r", "1", "--max-n", "3"), False),
+        (("weylchar", "--module", "W", "--n", "3"), True),
+        (("weylchar", "--module", "W", "--n", "0"), True),
+        (("basis", "--kind", "twisted_pos", "--n", "2"), False),
+        (("limitchar", "--kind", "twisted", "--qmax", "3", "--xmax", "2"), True),
+        (("limitchar", "--kind", "untwisted", "--qmax", "3", "--xmax", "2", "--approx", "6"), True),
+        (("fusion", "--n", "2", "--points", "1,2", "--twisted"), True),
+        (("walks", "--n", "-1"), False),
+        (("verify", "--suite", "all", "--max-n", "2"), True),
+    ],
+)
+def test_json_output_is_stdlib_indent_2(capsys, argv, sort_keys):
+    json_argv = argv if argv[0] == "ctable" else argv + ("--format", "json")
+    code, out = run_cli(capsys, *json_argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=sort_keys) + "\n"
+
+
+def _expand(obj):
+    # The plain JSON value a cli._Rows stands for.
+    if isinstance(obj, cli._Rows):
+        return [
+            {k: (str(v) if fmt == '"%d"' else v) for (k, fmt), v in zip(obj.fields, row)}
+            for row in obj.values
+        ]
+    if isinstance(obj, dict):
+        return {k: _expand(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_expand(v) for v in obj]
+    return obj
+
+
+def test_dumps_matches_stdlib():
+    rows = cli._Rows(cli._COEFF_Q_X, [(3, 0, -1), (-12345678901234567890, 2, 4)])
+    unsorted = cli._Rows((("q", "%d"), ("coeff", '"%d"')), [(1, 7), (-2, 0)])
+    cases = [
+        [],
+        {},
+        {"a": [], "b": {}, "c": [[], {}]},
+        cli._Rows(cli._COEFF_Q_X, []),
+        {"terms": cli._Rows(cli._COEFF_Q_X, [])},
+        [True, False, None, 0, -7, 2**70],
+        {"quote\"back\\slash": "tab\t new\nline é ☃ \U0001d11e", "z": "", "a": "\x00\x1f"},
+        rows,
+        {"outer": [{"x": 1, "num": rows, "den": unsorted}, {"inner": {"deep": [rows]}}]},
+        {"z": 1, "a": {"y": unsorted, "b": (1, "2")}},
+    ]
+    for obj in cases:
+        for sort_keys in (False, True):
+            expected = json.dumps(_expand(obj), indent=2, sort_keys=sort_keys)
+            assert cli._dumps(obj, sort_keys) == expected

@@ -69,6 +69,30 @@ def test_lowest_weight_recurrence_equals_closed_form_sum():
         assert ch_W_sigma(-m) == _closed_form_sum(m, 2)
 
 
+def _dict_product_highest_weight(n, b):
+    # The double sum of the paper at weight n >= 1, binomials in base q^b.
+    terms = {}
+
+    def put(x, c):
+        terms[x] = terms.get(x, qp({})) + c
+
+    for k in range(n):
+        outer = qp({k * (k + 1) // 2 if b == 1 else k * k: 1}) * q_binomial(n - 1, k, b)
+        for s in range(n - k):
+            inner = outer * q_binomial(n - k - 1, s, b)
+            put(n - k - 2 * s, qp({b * s: 1}) * inner)
+            if b == 2:
+                put(n - k - 2 * s - 1, qp({2 * n - 1: 1}) * inner)
+    return XPolynomial(terms)
+
+
+def test_packed_highest_weight_equals_dict_product_sum():
+    # n = 40 has digits wider than 8 bytes (3^40 > 2^63).
+    for n in list(range(1, 13)) + [29, 40]:
+        assert ch_W(n) == _dict_product_highest_weight(n, 1)
+        assert ch_W_sigma(n) == _dict_product_highest_weight(n, 2)
+
+
 def test_characters_match_basis_enumeration():
     for n in range(7):
         assert character_from_basis("untwisted_neg", n) == ch_W(-n)
