@@ -231,8 +231,10 @@ def pbw_character_specialized(n, twisted=False):
     scale = 1 if twisted else 2
     terms = {}
     for w, t, p in pbw_character(n, twisted):
-        _add(terms, w, QPolynomial.q_power(scale * (t + p)))
-    return XPolynomial(terms)
+        by_q = terms.setdefault(w, {})
+        e = scale * (t + p)
+        by_q[e] = by_q.get(e, 0) + 1
+    return XPolynomial.from_q_terms(terms)
 
 
 LIMIT_KINDS = ("untwisted", "twisted", "classical_even", "classical_odd")

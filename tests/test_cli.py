@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from macweyl import cli, verify
+from macweyl import cli, ramyip, verify
 
 
 def run_cli(capsys, *argv):
@@ -164,7 +164,7 @@ def test_epoly_route_mismatch_exit_two(capsys, monkeypatch):
 def test_capacity_limit_exit_three(capsys):
     for argv in (
         ("fusion", "--n", "6", "--points", "1,2,3,4,5,6"),
-        ("epoly", "--family", "A2", "--n", "7", "--spec", "t0"),
+        ("epoly", "--family", "A2", "--n", str(ramyip.DEFAULT_BOUND + 1), "--spec", "t0"),
     ):
         code = cli.run(list(argv))
         captured = capsys.readouterr()
@@ -194,6 +194,7 @@ def test_size_limits_exit_three_fast(capsys):
     for argv in (
         ("walks", "--n", "14"),
         ("basis", "--kind", "untwisted_neg", "--n", "14"),
+        ("epoly", "--family", "A2", "--n", str(-ramyip.SUM_BOUND - 1), "--spec", "full"),
     ):
         start = time.perf_counter()
         code = cli.run(list(argv))

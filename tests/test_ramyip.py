@@ -5,13 +5,31 @@ import pytest
 from macweyl.cform import E_spec
 from macweyl.qcomb import q_multinomial
 from macweyl.ramyip import (
+    DEFAULT_BOUND,
+    SUM_BOUND,
+    _STAT_SETS,
     BoundExceeded,
+    _exact_route,
+    _prefactor_v,
+    _statistic_route,
+    _steps,
+    _t0_shift,
     ramyip_sum,
     ramyip_terms,
     specialize,
 )
-from macweyl.ring import QPolynomial, XPolynomial
-from macweyl.walks import enumerate_walks, qb_filter, surviving, traverse
+from macweyl.ring import QPolynomial, XPolynomial, rf_eval_v0, rf_limit_v_infinity
+from macweyl.walks import (
+    FAMILIES,
+    SPECS,
+    AlcoveWalk,
+    beta_degree,
+    enumerate_walks,
+    qb_filter,
+    surviving,
+    traverse,
+    walk_word,
+)
 from macweyl.weylchar import ch_W_sigma
 
 
@@ -73,9 +91,56 @@ def test_both_routes_agree_everywhere():
     # specialize() raises RouteMismatch internally if the exact-arithmetic
     # and statistic routes ever diverge
     for family in ("A2", "A2dagger"):
-        for n in [m for m in range(-6, 7) if m != 0]:
+        for n in [m for m in range(-10, 11) if m != 0]:
             for spec in ("t0", "tinf"):
                 specialize(family, n, spec)
+
+
+def _walk_statistics(n):
+    """{(family, spec): specialization} summed walk by walk, each walk
+    traversed once: the reference for both dynamic programs."""
+    counts = {(family, spec): {} for family in FAMILIES for spec in SPECS}
+    for walk in enumerate_walks(n):
+        stats = traverse(walk)
+        for (family, spec), terms in counts.items():
+            if not surviving(stats, family, spec):
+                continue
+            qe = 0
+            for name in _STAT_SETS[(family, spec)]:
+                qe += sum(beta_degree(j, walk.length) for j in getattr(stats, name))
+            by_q = terms.setdefault(stats.final.wt, {})
+            by_q[qe] = by_q.get(qe, 0) + 1
+    return {key: XPolynomial.from_q_terms(terms) for key, terms in counts.items()}
+
+
+def test_dynamic_programs_equal_walk_enumeration():
+    for n in [m for m in range(-8, 9) if m != 0]:
+        for (family, spec), want in _walk_statistics(n).items():
+            assert _statistic_route(family, n, spec) == want, (family, n, spec)
+            assert _exact_route(family, n, spec) == want, (family, n, spec)
+
+
+def test_window_route_equals_limit_of_full_sum():
+    for family in FAMILIES:
+        for n in [m for m in range(-7, 8) if m != 0]:
+            full = ramyip_sum(family, n)
+            t0 = {x: rf_eval_v0(rf) for x, rf in full.terms.items()}
+            tinf = {x: rf_limit_v_infinity(rf.substitute_q_inverse())
+                    for x, rf in full.terms.items()}
+            assert _exact_route(family, n, "t0") == XPolynomial(t0)
+            assert _exact_route(family, n, "tinf") == XPolynomial(tinf)
+
+
+def test_walk_route_reaches_closed_form_at_bound():
+    assert specialize("A2", -16, "t0") == E_spec("A2", -16, "t0")
+
+
+def test_t0_shift_is_minus_all_crossing_prefactor():
+    for family in FAMILIES:
+        for n in [m for m in range(-16, 17) if m != 0]:
+            steps = _steps(n)
+            crossing = traverse(AlcoveWalk(walk_word(n), (1,) * len(steps)))
+            assert _t0_shift(family, n, steps) == -_prefactor_v(n, crossing.final)
 
 
 # Exact rational (q, v) points at which no step binomial 1 - q^a v^b vanishes.
@@ -100,11 +165,15 @@ def test_transfer_sum_equals_walk_enumeration():
             t0 = [surviving(traverse(t.walk), family, "t0") for t in terms]
             shift = -min(_valuation(t) for t, keep in zip(terms, t0) if keep)
             for q, v in POINTS:
+                at = {}  # a walk's factors repeat across walks: evaluate each once
                 want = {}
                 for t in terms:
                     value = v**t.v_exponent
                     for f in t.factors:
-                        value *= _at(f, q, v)
+                        key = (f.num, f.den)
+                        if key not in at:
+                            at[key] = _at(f, q, v)
+                        value *= at[key]
                     want[t.x_exponent] = want.get(t.x_exponent, 0) + value
                 for normalize, extra in ((False, 0), (True, shift)):
                     full = ramyip_sum(family, n, normalize=normalize)
@@ -159,6 +228,8 @@ def test_character_agreement_positive_n():
 
 def test_bound_exceeded():
     with pytest.raises(BoundExceeded):
-        specialize("A2", -7, "t0")
+        specialize("A2", -(DEFAULT_BOUND + 1), "t0")
+    with pytest.raises(BoundExceeded):
+        ramyip_sum("A2", SUM_BOUND + 1)
     with pytest.raises(BoundExceeded):
         ramyip_sum("A2", 9, bound=6)
