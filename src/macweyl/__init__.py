@@ -25,8 +25,8 @@ from macweyl.weylchar import (
     pbw_character_specialized,
     limit_char,
     approximant,
-    verify_section4,
 )
 from macweyl.fusion import build_rep, fusion_character
+from macweyl.verify import verify_section4
 
 __version__ = "0.1.0"

@@ -282,8 +282,6 @@ def fusion_character(n, points, twisted=False):
             "filtration stabilized at dimension %d < %d" % (found, total_dim)
         )
 
-    terms = {}
-    for (deg, w), mult in char.items():
-        c = QPolynomial.monomial(mult, deg)
-        terms[w] = terms[w] + c if w in terms else c
-    return XPolynomial(terms)
+    return XPolynomial.from_pairs(
+        (w, QPolynomial.monomial(mult, deg)) for (deg, w), mult in char.items()
+    )

@@ -1,8 +1,8 @@
 """Gaussian binomials, q-multinomials and truncated q-series products.
 
-Truncated series carry an explicit q-bound; mixing two bounds truncates to
-the smaller one, so a coefficient is never silently reported beyond the
-degree to which it was actually computed.
+A truncated series is a plain XPolynomial cut to 0 <= q-exponent <= q_bound
+and |x-exponent| <= x_bound; every coefficient it keeps is exact, so none is
+reported beyond the degree to which it was actually computed.
 """
 
 from functools import lru_cache
@@ -59,38 +59,8 @@ def q_multinomial(k1, k2, k3, base_exponent=2):
     return q_binomial(n, k1, base_exponent) * q_binomial(n - k1, k2, base_exponent)
 
 
-class TruncatedSeries:
-    """An XPolynomial known to be correct only up to an attached q-bound."""
-
-    __slots__ = ("poly", "q_bound")
-
-    def __init__(self, poly, q_bound):
-        self.poly = _truncate_q(poly, q_bound)
-        self.q_bound = q_bound
-
-    def __add__(self, other):
-        bound = min(self.q_bound, other.q_bound)
-        return TruncatedSeries(self.poly + other.poly, bound)
-
-    def __mul__(self, other):
-        bound = min(self.q_bound, other.q_bound)
-        return TruncatedSeries(self.poly * other.poly, bound)
-
-    def truncate_x(self, bound):
-        return TruncatedSeries(self.poly.truncate_x(bound), self.q_bound)
-
-    def __eq__(self, other):
-        bound = min(self.q_bound, other.q_bound)
-        return _truncate_q(self.poly, bound) == _truncate_q(other.poly, bound)
-
-
 def _truncate_q(poly, q_bound):
-    out = {}
-    for e, c in poly.terms.items():
-        t = c.truncate_above(q_bound).truncate_below(0)
-        if not t.is_zero():
-            out[e] = t
-    return XPolynomial(out)
+    return poly.map_coeffs(lambda c: c.truncate_above(q_bound).truncate_below(0))
 
 
 def _max_picks(exponents, q_bound):
@@ -109,16 +79,12 @@ def _one_side_product(exponents, x_step, q_bound, x_cap):
     """Expand prod (1 + q^e x^x_step) over the given exponents, truncated."""
     poly = XPolynomial.constant(QPolynomial.one())
     for e in exponents:
-        extra = {}
-        for xe, c in poly.terms.items():
-            xe2 = xe + x_step
-            if abs(xe2) > x_cap:
-                continue
-            t = (QPolynomial.q_power(e) * c).truncate_above(q_bound)
-            if t.is_zero():
-                continue
-            extra[xe2] = extra[xe2] + t if xe2 in extra else t
-        poly = poly + XPolynomial(extra)
+        q_e = QPolynomial.q_power(e)
+        poly = poly + XPolynomial({
+            xe + x_step: (q_e * c).truncate_above(q_bound)
+            for xe, c in poly.terms.items()
+            if abs(xe + x_step) <= x_cap
+        })
     return poly
 
 
@@ -145,18 +111,13 @@ def _theta_sum(parity, q_bound, x_bound):
     # with i > q_bound do not change it below q^(q_bound + 1).
     ps = inv_pochhammer_truncated(q_bound, q_bound)
     terms = {}
-    candidates = set()
     for k in range(-(q_bound + x_bound + 2), q_bound + x_bound + 3):
         if parity == "even":
             xe, qe = 2 * k, k * k
         else:
             xe, qe = 2 * k + 1, k * (k + 1)
         if abs(xe) <= x_bound and qe <= q_bound:
-            candidates.add((xe, qe))
-    for xe, qe in candidates:
-        t = (QPolynomial.q_power(qe) * ps).truncate_above(q_bound)
-        if not t.is_zero():
-            terms[xe] = terms[xe] + t if xe in terms else t
+            terms[xe] = (QPolynomial.q_power(qe) * ps).truncate_above(q_bound)
     return XPolynomial(terms)
 
 

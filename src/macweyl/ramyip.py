@@ -222,12 +222,13 @@ def _steps(n):
 
 def _numerators(family, n, steps, shift, window=None):
     """{x: numerator over D of the sum, times v^shift}, from _transfer."""
-    by_x = {}
-    for lo, num in _transfer(family, steps, window).items():
-        final = AlcoveElement.from_interval(lo)
-        num = num.shift(v_exp=_prefactor_v(n, final) + shift)
-        by_x[final.wt] = by_x[final.wt] + num if final.wt in by_x else num
-    return by_x
+    finals = (
+        (AlcoveElement.from_interval(lo), num)
+        for lo, num in _transfer(family, steps, window).items()
+    )
+    return XPolynomial.from_pairs(
+        (final.wt, num.shift(v_exp=_prefactor_v(n, final) + shift)) for final, num in finals
+    ).terms
 
 
 @lru_cache(maxsize=None)
@@ -313,11 +314,9 @@ def _exact_route(family, n, spec):
     out = {}
     for x, num in _numerators(family, n, steps, shift, window).items():
         if t0:
-            val = rf_eval_v0(RationalFunction(num))
+            out[x] = rf_eval_v0(RationalFunction(num))
         else:
-            val = rf_limit_v_infinity(RationalFunction(num, lead).substitute_q_inverse())
-        if not val.is_zero():
-            out[x] = val
+            out[x] = rf_limit_v_infinity(RationalFunction(num, lead).substitute_q_inverse())
     return XPolynomial(out)
 
 

@@ -4,15 +4,24 @@ Coefficients are Python integers throughout (arbitrary precision, no floats);
 exponents may be negative in every variable.  Values are never mutated after
 construction, so they can be shared freely between threads.
 
-Three coefficient rings are provided:
+Every polynomial class is built on one private core, ``_Laurent``: a sparse
+dict ``terms`` from exponent (an int, or a tuple for several variables) to a
+nonzero coefficient, where a coefficient is an int or a ring element and is
+zero exactly when it is falsy.  The core holds the zero-stripping
+constructor, ``from_pairs`` (the sum of (exponent, coefficient) pairs that
+may repeat an exponent), ``zero``/``one``, equality and hashing with ints
+read as constants, addition, negation, subtraction, powers, ``sorted_terms``
+and the sign-and-term rendering loop.  Each subclass adds its product, its
+per-variable methods and the text of one term:
 
-* ``QPolynomial``   -- Z[q, q^-1], sparse dict from exponent to coefficient.
+* ``QPolynomial``   -- Z[q, q^-1], keys are q-exponents.
 * ``BiPolynomial``  -- Z[q^±1, v^±1], keys are (q-exponent, v-exponent).
-* ``RationalFunction`` -- quotient num/den of two BiPolynomials.  No gcd
-  reduction is performed; equality is decided by cross-multiplication.
+* ``XPolynomial``   -- Laurent polynomial in x whose coefficients live in any
+  of the rings here (anything with truth value, ``+`` and ``*`` works); it
+  renders its own text, with each coefficient in brackets.
 
-``XPolynomial`` is a Laurent polynomial in x whose coefficients live in any
-of the rings above (anything with ``is_zero``, ``+``, ``*`` works).
+``RationalFunction`` is a quotient num/den of two BiPolynomials.  No gcd
+reduction is performed; equality is decided by cross-multiplication.
 
 ``QPolynomial`` products are computed three ways, by operand size.  A zero
 or one-term operand shifts and scales the other's terms; a product of fewer
@@ -73,17 +82,17 @@ class DivergesAtInfinity(RingError):
     pass
 
 
-def _strip_zeros(terms):
-    return {e: c for e, c in terms.items() if c != 0}
-
-
-class QPolynomial:
-    """Integer-coefficient Laurent polynomial in one variable q."""
+class _Laurent:
+    """The sparse Laurent-polynomial core of QPolynomial, BiPolynomial and
+    XPolynomial; see the module docstring."""
 
     __slots__ = ("terms",)
 
+    # The exponent of a constant: the key an int coerces to.
+    _ORIGIN = 0
+
     def __init__(self, terms=None):
-        self.terms = _strip_zeros(terms or {})
+        self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     @classmethod
     def _nonzero(cls, terms):
@@ -91,6 +100,90 @@ class QPolynomial:
         p = cls.__new__(cls)
         p.terms = terms
         return p
+
+    @staticmethod
+    def _accumulate(out, pairs):
+        for e, c in pairs:
+            out[e] = out[e] + c if e in out else c
+        return out
+
+    @classmethod
+    def from_pairs(cls, pairs):
+        """The sum of the (exponent, coefficient) pairs, which may repeat an
+        exponent; a coefficient that sums to zero is dropped."""
+        return cls(cls._accumulate({}, pairs))
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({cls._ORIGIN: 1})
+
+    def _coerce(self, other):
+        return type(self)({self._ORIGIN: other}) if isinstance(other, int) else other
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.terms.items())))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return type(self)(self._accumulate(dict(self.terms), other.terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._nonzero({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        out = self.one()
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+    def render(self):
+        """Compact canonical text, terms in ascending exponent order."""
+        if not self.terms:
+            return "0"
+        parts = []
+        for e, c in self.sorted_terms():
+            sign = "-" if c < 0 else "+" if parts else ""
+            parts.append(sign + self._term_str(abs(c), e))
+        return "".join(parts)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self.render())
+
+
+class QPolynomial(_Laurent):
+    """Integer-coefficient Laurent polynomial in one variable q."""
+
+    __slots__ = ()
 
     @classmethod
     def from_packed(cls, value, width):
@@ -100,54 +193,12 @@ class QPolynomial:
         return cls._nonzero({i: c for i, c in enumerate(_bytes_to_digits(raw, width)) if c})
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
     def monomial(cls, coeff, exp=0):
         return cls({exp: coeff})
 
     @classmethod
     def q_power(cls, exp):
         return cls({exp: 1})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = QPolynomial.monomial(other)
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = QPolynomial.monomial(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return QPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QPolynomial._nonzero({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = QPolynomial.monomial(other)
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -174,18 +225,6 @@ class QPolynomial:
         return QPolynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = QPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def min_exp(self):
         return min(self.terms) if self.terms else None
@@ -242,25 +281,12 @@ class QPolynomial:
                     del rem[e2]
         return QPolynomial({e + s_shift - o_shift: c for e, c in quot.items()})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def render(self):
-        """Compact canonical text, terms in ascending q-exponent."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            body = _q_term_str(abs(c), e)
-            sign = "-" if c < 0 else "+"
-            if not parts:
-                parts.append(body if sign == "+" else "-" + body)
-            else:
-                parts.append(sign + body)
-        return "".join(parts)
-
-    def __repr__(self):
-        return "QPolynomial(%s)" % self.render()
+    @staticmethod
+    def _term_str(c, e):
+        if e == 0:
+            return str(c)
+        qs = "q" if e == 1 else "q^%d" % e
+        return qs if c == 1 else "%d*%s" % (c, qs)
 
 
 def _kronecker_mul(a, b):
@@ -328,35 +354,17 @@ def _bytes_to_digits(raw, width):
     ]
 
 
-def _q_term_str(c, e, var="q"):
-    if e == 0:
-        return str(c)
-    vs = var if e == 1 else "%s^%d" % (var, e)
-    if c == 1:
-        return vs
-    return "%d*%s" % (c, vs)
-
-
 def substitute_q_inverse(p):
     """q -> q^-1: negate every exponent (an involution)."""
-    return QPolynomial({-e: c for e, c in p.terms.items()})
+    return p.scale_exponents(-1)
 
 
-class BiPolynomial:
+class BiPolynomial(_Laurent):
     """Integer-coefficient Laurent polynomial in q and v; keys (qe, ve)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = _strip_zeros(terms or {})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({(0, 0): 1})
+    _ORIGIN = (0, 0)
 
     @classmethod
     def monomial(cls, coeff, q_exp=0, v_exp=0):
@@ -365,40 +373,6 @@ class BiPolynomial:
     @classmethod
     def from_q(cls, p, v_exp=0):
         return cls({(e, v_exp): c for e, c in p.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = BiPolynomial.monomial(other)
-        if not isinstance(other, BiPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = BiPolynomial.monomial(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return BiPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPolynomial({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = BiPolynomial.monomial(other)
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -411,18 +385,6 @@ class BiPolynomial:
         return BiPolynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = BiPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def substitute_q_inverse(self):
         return BiPolynomial({(-qe, ve): c for (qe, ve), c in self.terms.items()})
@@ -477,37 +439,19 @@ class BiPolynomial:
                 out[(qe, v)] = c
         return BiPolynomial(out)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (qe, ve), c in self.sorted_terms():
-            body = _qv_term_str(abs(c), qe, ve)
-            sign = "-" if c < 0 else "+"
-            if not parts:
-                parts.append(body if sign == "+" else "-" + body)
-            else:
-                parts.append(sign + body)
-        return "".join(parts)
-
-    def __repr__(self):
-        return "BiPolynomial(%s)" % self.render()
-
-
-def _qv_term_str(c, qe, ve):
-    pieces = []
-    if qe != 0:
-        pieces.append("q" if qe == 1 else "q^%d" % qe)
-    if ve != 0:
-        pieces.append("v" if ve == 1 else "v^%d" % ve)
-    if not pieces:
-        return str(c)
-    if c == 1:
-        return "*".join(pieces)
-    return "*".join([str(c)] + pieces)
+    @staticmethod
+    def _term_str(c, key):
+        qe, ve = key
+        pieces = []
+        if qe != 0:
+            pieces.append("q" if qe == 1 else "q^%d" % qe)
+        if ve != 0:
+            pieces.append("v" if ve == 1 else "v^%d" % ve)
+        if not pieces:
+            return str(c)
+        if c == 1:
+            return "*".join(pieces)
+        return "*".join([str(c)] + pieces)
 
 
 class RationalFunction:
@@ -537,6 +481,9 @@ class RationalFunction:
 
     def is_zero(self):
         return self.num.is_zero()
+
+    def __bool__(self):
+        return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -633,17 +580,10 @@ def rf_limit_v_infinity(r):
     return r.num.coeff_of_v(dn).divide_exact(r.den.coeff_of_v(dd))
 
 
-class XPolynomial:
+class XPolynomial(_Laurent):
     """Laurent polynomial in x over an arbitrary coefficient ring."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {e: c for e, c in (terms or {}).items() if not c.is_zero()}
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def constant(cls, coeff):
@@ -654,43 +594,12 @@ class XPolynomial:
         """Build from {x_exp: {q_exp: coeff}} nested dicts."""
         return cls({e: QPolynomial(t) for e, t in xq_terms.items()})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, XPolynomial):
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[e] == other.terms[e] for e in self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return XPolynomial(out)
-
-    def __neg__(self):
-        return XPolynomial({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                p = c1 * c2
-                out[e] = out[e] + p if e in out else p
-        return XPolynomial(out)
-
-    def scale(self, coeff):
-        """Multiply every coefficient by a fixed ring element."""
-        return XPolynomial({e: c * coeff for e, c in self.terms.items()})
+        return XPolynomial.from_pairs(
+            (e1 + e2, c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
 
     def x_shift(self, k):
         return XPolynomial({e + k: c for e, c in self.terms.items()})
@@ -711,9 +620,6 @@ class XPolynomial:
     def eval_at_ones(self):
         """Total coefficient mass: x = 1 and q = 1 (QPolynomial coefficients)."""
         return sum(c.eval_at_one() for c in self.terms.values())
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
 
     def render(self):
         """Canonical text: x-terms ascending, QPolynomial coeffs ascending in q."""
@@ -746,7 +652,4 @@ class XPolynomial:
             else:
                 text += " + " + chunk
         return text
-
-    def __repr__(self):
-        return "XPolynomial(%s)" % self.render()
 

@@ -1,8 +1,8 @@
 """Characters and bases of the Weyl modules for the osp(1|2) current
 superalgebra, twisted and untwisted, for negative and positive weights;
-PBW-graded characters; truncated limit characters; and the comparison
-harness that checks the character formulas against the specialized
-E-polynomials.
+PBW-graded characters; and truncated limit characters.  (The comparison
+of these characters with the specialized E-polynomials is
+verify.verify_section4.)
 
 Basis monomials apply e-generators (weight +2 each) and odd g-generators
 (weight +1 each) to a lowest- or highest-weight vector; the inequalities on
@@ -22,7 +22,6 @@ paper's double sum).
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-from macweyl import cform
 from macweyl.qcomb import euler_product_truncated, packed_q_binomial, q_binomial
 from macweyl.ring import QPolynomial, XPolynomial, check_size, packed_width
 
@@ -113,27 +112,16 @@ def enumerate_basis(kind, n):
 
 def character_from_basis(kind, n):
     """sum over basis monomials of q^(t-degree) x^(weight)."""
-    terms = {}
-    for m in enumerate_basis(kind, n):
-        c = QPolynomial.q_power(m.t_degree)
-        terms[m.weight] = terms[m.weight] + c if m.weight in terms else c
-    return XPolynomial(terms)
+    return XPolynomial.from_pairs(
+        (m.weight, QPolynomial.q_power(m.t_degree)) for m in enumerate_basis(kind, n)
+    )
 
 
 def ch_D(n):
     """Character of the classical module of lowest weight -n (dimension 2^n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    terms = {}
-    for k in range(n + 1):
-        _add(terms, -n + 2 * k, q_binomial(n, k))
-    return XPolynomial(terms)
-
-
-def _add(terms, x, coeff):
-    if coeff.is_zero():
-        return
-    terms[x] = terms[x] + coeff if x in terms else coeff
+    return XPolynomial({-n + 2 * k: q_binomial(n, k) for k in range(n + 1)})
 
 
 def _lowest_weight_char(m, b):
@@ -261,6 +249,8 @@ def approximant(kind, n, q_bound, x_bound):
     q-power that pins its top-degree stratum at zero; coefficients of
     q-degree at most floor((n-1)/2) are trusted.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if kind == "untwisted":
         poly, shift = ch_W(-n), n * (n - 1) // 2
     elif kind == "twisted":
@@ -271,16 +261,12 @@ def approximant(kind, n, q_bound, x_bound):
         poly, shift = ch_D(n), (n // 2) * ((n + 1) // 2)
     else:
         raise ValueError("unknown limit kind %r" % (kind,))
-    out = {}
-    for x, c in poly.terms.items():
-        if abs(x) > x_bound:
-            continue
-        c2 = c.scale_exponents(-1)
-        c2 = QPolynomial({e + shift: v for e, v in c2.terms.items()})
-        c2 = c2.truncate_above(q_bound).truncate_below(0)
-        if not c2.is_zero():
-            out[x] = c2
-    return XPolynomial(out)
+    q_shift = QPolynomial.q_power(shift)
+    return XPolynomial({
+        x: (q_shift * c.scale_exponents(-1)).truncate_above(q_bound).truncate_below(0)
+        for x, c in poly.terms.items()
+        if abs(x) <= x_bound
+    })
 
 
 def scale_q(poly, k):
@@ -288,57 +274,11 @@ def scale_q(poly, k):
     return poly.map_coeffs(lambda c: c.scale_exponents(k))
 
 
-def verify_section4(n_values, errata=None):
-    """Compare character formulas with the specialized E-polynomials.
+def __getattr__(name):
+    # verify_section4 is harness code and lives in verify; the old name stays
+    # importable from here.  verify imports this module, hence the late import.
+    if name == "verify_section4":
+        from macweyl import verify
 
-    For each n: (a) untwisted character at q^2 against the dagger t=0
-    polynomial; (b) twisted character against the plain t=0 polynomial;
-    (c) the PBW specializations against the t=infinity polynomials of the
-    opposite family.  Mismatches become report entries, never exceptions.
-    """
-    from macweyl import verify as _verify
-
-    if errata is None:
-        errata = _verify.load_errata()
-    entries = []
-    for n in n_values:
-        if n == 0:
-            continue
-        entries.append(
-            _verify.classify(
-                "ch_W_vs_E_A2dagger_t0",
-                n,
-                scale_q(ch_W(n), 2),
-                cform.E_spec("A2dagger", n, "t0"),
-                errata,
-            )
-        )
-        entries.append(
-            _verify.classify(
-                "ch_Wsigma_vs_E_A2_t0",
-                n,
-                ch_W_sigma(n),
-                cform.E_spec("A2", n, "t0"),
-                errata,
-            )
-        )
-        if n > 0:
-            entries.append(
-                _verify.classify(
-                    "pbw_untwisted_vs_E_A2dagger_tinf",
-                    n,
-                    pbw_character_specialized(n, twisted=False),
-                    cform.E_spec("A2dagger", -n, "tinf"),
-                    errata,
-                )
-            )
-            entries.append(
-                _verify.classify(
-                    "pbw_twisted_vs_E_A2_tinf",
-                    n,
-                    pbw_character_specialized(n, twisted=True),
-                    cform.E_spec("A2", -n, "tinf"),
-                    errata,
-                )
-            )
-    return entries
+        return verify.verify_section4
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -128,6 +128,15 @@ def test_limitchar_cli(capsys):
     assert out.strip() == "x^-1 + 2 + x"
 
 
+def test_limitchar_negative_approx_is_usage_error(capsys):
+    for kind, n in (("untwisted", "-2"), ("twisted", "-3"), ("classical_odd", "-1")):
+        code, out = run_cli(
+            capsys, "limitchar", "--kind", kind, "--qmax", "3", "--xmax", "3", "--approx", n
+        )
+        assert code == 1
+        assert out == ""
+
+
 def test_verify_exit_zero_with_known_errata(capsys):
     code, out = run_cli(
         capsys, "verify", "--suite", "section4", "--max-n", "1", "--format", "json"

@@ -1,7 +1,6 @@
 from itertools import permutations
 
 from macweyl.qcomb import (
-    TruncatedSeries,
     euler_product_truncated,
     q_binomial,
     q_multinomial,
@@ -104,12 +103,3 @@ def test_wedge_examples():
 
 def test_wedge_identity_to_12_12():
     assert wedge_lhs_truncated(12, 12) == euler_product_truncated("single_plus", 12, 12)
-
-
-def test_truncated_series_takes_minimum_bound():
-    a = TruncatedSeries(euler_product_truncated("single_plus", 6, 3), 6)
-    b = TruncatedSeries(euler_product_truncated("single_plus", 3, 3), 3)
-    prod = a * b
-    assert prod.q_bound == 3
-    for c in prod.poly.terms.values():
-        assert c.max_exp() <= 3

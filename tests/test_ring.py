@@ -176,6 +176,29 @@ def test_render_canonical():
     assert qp({0: 1, 2: -1}).render() == "1-q^2"
 
 
+def test_laurent_core_builder_zero_and_repr():
+    pairs = [(1, 2), (0, 5), (1, -2), (3, 1), (3, 1)]
+    assert QPolynomial.from_pairs(pairs).terms == {0: 5, 3: 2}
+    bi_pairs = [((0, 1), 1), ((1, 0), 4), ((0, 1), -1), ((1, 0), 1)]
+    assert BiPolynomial.from_pairs(bi_pairs).terms == {(1, 0): 5}
+    x_pairs = [(0, qp({1: 1})), (2, qp({0: 3})), (0, qp({1: -1})), (2, qp({1: 1}))]
+    assert XPolynomial.from_pairs(x_pairs).terms == {2: qp({0: 3, 1: 1})}
+    bx_pairs = [(-1, bp({(0, 1): 2})), (-1, bp({(0, 1): -2})), (4, bp({(1, 1): 1}))]
+    assert XPolynomial.from_pairs(bx_pairs).terms == {4: bp({(1, 1): 1})}
+    assert QPolynomial.from_pairs([]).is_zero()
+
+    assert XPolynomial({0: RationalFunction.zero()}).is_zero()
+
+    assert repr(qp({-2: -3, 0: 1, 1: 1, 4: -1})) == "QPolynomial(-3*q^-2+1+q-q^4)"
+    bi = bp({(0, 0): 1, (1, 0): -2, (0, 1): 1, (-1, 3): 5, (2, -1): -1})
+    assert repr(bi) == "BiPolynomial(5*q^-1*v^3+1+v-2*q-q^2*v^-1)"
+    x = XPolynomial({-1: qp({0: -1}), 0: qp({2: 1, 0: 1}), 2: qp({3: -2})})
+    assert repr(x) == "XPolynomial(-x^-1 + (1+q^2) - 2*q^3*x^2)"
+    rf = RationalFunction(bp({(0, 1): 1}), bp({(0, 0): 1, (1, 2): -1}))
+    xr = XPolynomial({0: rf, 1: RationalFunction(-1)})
+    assert repr(xr) == "XPolynomial((v)/(1-q*v^2) - x)"
+
+
 def test_xpolynomial_mirror_and_mass():
     poly = XPolynomial({-1: qp({0: 1}), 0: qp({1: 1}), 1: qp({0: 2})})
     assert poly.mirror_x() == XPolynomial({1: qp({0: 1}), 0: qp({1: 1}), -1: qp({0: 2})})
