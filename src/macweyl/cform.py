@@ -139,6 +139,8 @@ def E_spec(family, n, spec):
 
 def ctable(family, r, max_n):
     """All table values with index sum <= max_n, as (key, value) pairs."""
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative, got %d" % max_n)
     closed = c_closed if family == "A2" else cdag_closed
     out = []
     for total in range(max_n + 1):

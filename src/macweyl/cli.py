@@ -6,8 +6,8 @@ canonical term ordering, JSON follows the schemas documented in the README
 and is byte for byte what json.dumps(obj, indent=2) prints, with sorted keys
 where the subcommand sorts them; polynomial term lists go through a per-row
 %-template instead of the stdlib's pure-Python indenting encoder.
-Exit codes: 0 success, 1 usage error, 2 verification mismatch outside the
-frozen errata table (including disagreeing specialization routes in epoly),
+Exit codes: 0 success, 1 usage error, 2 verification mismatch that no
+errata rule explains (including disagreeing specialization routes in epoly),
 3 an input beyond the size a route is configured to compute.
 """
 

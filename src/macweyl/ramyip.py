@@ -232,13 +232,13 @@ def _numerators(family, n, steps, shift, window=None):
 
 
 @lru_cache(maxsize=None)
-def _assembled_sum(family, n, normalize, bound):
+def _assembled_sum(family, n, normalize):
     if family not in FAMILIES:
         raise ValueError("unknown family %r" % (family,))
     if n == 0:
         return XPolynomial.constant(RationalFunction.one())
-    if abs(n) > bound:
-        raise BoundExceeded("|n| exceeds the configured bound %d" % bound)
+    if abs(n) > SUM_BOUND:
+        raise BoundExceeded("|n| exceeds the configured bound %d" % SUM_BOUND)
 
     steps = _steps(n)
     shift = _t0_shift(family, n, steps) if normalize else 0
@@ -248,9 +248,9 @@ def _assembled_sum(family, n, normalize, bound):
     })
 
 
-def ramyip_sum(family, n, normalize=True, bound=SUM_BOUND):
+def ramyip_sum(family, n, normalize=True):
     """The full E-polynomial as an XPolynomial over RationalFunction."""
-    return _assembled_sum(family, n, bool(normalize), bound)
+    return _assembled_sum(family, n, bool(normalize))
 
 
 # Per (family, spec): which folding sets feed the q-statistic of a
@@ -320,7 +320,7 @@ def _exact_route(family, n, spec):
     return XPolynomial(out)
 
 
-def specialize(family, n, spec, bound=DEFAULT_BOUND):
+def specialize(family, n, spec):
     """Exact t=0 or t=infinity specialization of the walk sum.
 
     Raises RouteMismatch when the rational-arithmetic limit and the
@@ -331,8 +331,8 @@ def specialize(family, n, spec, bound=DEFAULT_BOUND):
         raise ValueError("unknown family %r" % (family,))
     if n == 0:
         return XPolynomial.constant(QPolynomial.one())
-    if abs(n) > bound:
-        raise BoundExceeded("|n| exceeds the configured bound %d" % bound)
+    if abs(n) > DEFAULT_BOUND:
+        raise BoundExceeded("|n| exceeds the configured bound %d" % DEFAULT_BOUND)
     stat = _statistic_route(family, n, spec)
     exact = _exact_route(family, n, spec)
     if stat != exact:

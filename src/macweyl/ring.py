@@ -627,7 +627,7 @@ class XPolynomial(_Laurent):
             return "0"
         chunks = []
         for e, c in self.sorted_terms():
-            cs = c.render()
+            cs = str(c) if isinstance(c, int) else c.render()
             multi = len(getattr(c, "terms", {})) > 1
             if isinstance(c, RationalFunction) and c.den != BiPolynomial.one():
                 cs = "(%s)/(%s)" % (c.num.render(), c.den.render())

@@ -6,14 +6,13 @@ the outcome:
 * EQUAL          -- identical, no transform.
 * EQUAL_UP_TO    -- identical after an x -> x^-1 mirror and/or a global
                     q-power shift; the transform is recorded.
-* KNOWN_ERRATUM  -- the difference matches an entry of the frozen errata
-                    table exactly.
+* KNOWN_ERRATUM  -- an errata rule explains the difference exactly.
 * MISMATCH       -- anything else.
 
-The errata table and the conventions table (which transform each identity
-route is expected to need) ship as JSON files next to this module; both were
-generated by derive_conventions()/derive_errata() at build time and then
-frozen.
+The errata table (which rule explains each printed identity that fails) and
+the conventions table (which transform each identity route is expected to
+need) ship as JSON files next to this module; both were generated by
+derive_conventions()/derive_errata() at build time and then frozen.
 """
 
 import json
@@ -39,12 +38,8 @@ def _data_text(name):
 
 
 def load_errata():
-    """Frozen errata table: {(identity, n): diff as {(x, q): coeff}}."""
-    table = {}
-    for entry in json.loads(_data_text("errata.json")):
-        diff = {(t["x"], t["q"]): int(t["coeff"]) for t in entry["diff"]}
-        table[(entry["identity"], entry["n"])] = diff
-    return table
+    """Frozen errata table: {identity: name of its rule in ERRATA_RULES}."""
+    return {e["identity"]: e["rule"] for e in json.loads(_data_text("errata.json"))}
 
 
 def load_conventions():
@@ -56,14 +51,6 @@ def _diff_terms(poly):
     for x, c in poly.sorted_terms():
         for q, v in c.sorted_terms():
             out.append({"x": x, "q": q, "coeff": str(v)})
-    return out
-
-
-def _diff_key(poly):
-    out = {}
-    for x, c in poly.terms.items():
-        for q, v in c.terms.items():
-            out[(x, q)] = v
     return out
 
 
@@ -97,14 +84,37 @@ def compare(lhs, rhs):
     return "MISMATCH", {}
 
 
+def pbw_degree_doubled(n, lhs, rhs):
+    """lhs grades the twisted PBW basis of weight -n by q^(t+p) x^w, as
+    printed, and rhs grades the same basis by q^(t+2p) x^-w."""
+    printed, doubled = {}, {}
+    for w, t, p in weylchar.pbw_character(n, True):
+        for terms, x, e in ((printed, w, t + p), (doubled, -w, t + 2 * p)):
+            by_q = terms.setdefault(x, {})
+            by_q[e] = by_q.get(e, 0) + 1
+    return (lhs, rhs) == (XPolynomial.from_q_terms(printed), XPolynomial.from_q_terms(doubled))
+
+
+def c1_dagger_reflected(n, lhs, rhs):
+    """rhs - lhs = C1 - sigma C1, sigma: x^e -> x^(1-e), C1 the c1-dagger
+    terms that the printed formula puts at x^(k11-k22+1)."""
+    c1 = XPolynomial.from_pairs(
+        (k11 - k22 + 1, cform.cdag_closed(1, k22, k21, k11))
+        for k22, k21, k11 in cform._triples(n - 1))
+    return n > 0 and rhs - lhs == c1 - c1.mirror_x().x_shift(1)
+
+
+ERRATA_RULES = {"pbw_degree_doubled": pbw_degree_doubled,
+                "c1_dagger_reflected": c1_dagger_reflected}
+
+
 def classify(identity, n, lhs, rhs, errata):
     status, transform = compare(lhs, rhs)
     entry = {"identity": identity, "n": n, "status": status, "transform": transform, "diff": []}
     if status == "MISMATCH":
-        diff = lhs - rhs
-        entry["diff"] = _diff_terms(diff)
-        known = errata.get((identity, n))
-        if known is not None and known == _diff_key(diff):
+        entry["diff"] = _diff_terms(lhs - rhs)
+        rule = ERRATA_RULES.get(errata.get(identity))
+        if rule is not None and rule(n, lhs, rhs):
             entry["status"] = "KNOWN_ERRATUM"
     return entry
 
@@ -166,43 +176,21 @@ def verify_section4(n_values, errata=None):
     for n in n_values:
         if n == 0:
             continue
-        entries.append(
-            classify(
-                "ch_W_vs_E_A2dagger_t0",
-                n,
-                weylchar.scale_q(weylchar.ch_W(n), 2),
-                cform.E_spec("A2dagger", n, "t0"),
-                errata,
-            )
-        )
-        entries.append(
-            classify(
-                "ch_Wsigma_vs_E_A2_t0",
-                n,
-                weylchar.ch_W_sigma(n),
-                cform.E_spec("A2", n, "t0"),
-                errata,
-            )
-        )
+        pairs = [
+            ("ch_W_vs_E_A2dagger_t0",
+             weylchar.scale_q(weylchar.ch_W(n), 2), cform.E_spec("A2dagger", n, "t0")),
+            ("ch_Wsigma_vs_E_A2_t0", weylchar.ch_W_sigma(n), cform.E_spec("A2", n, "t0")),
+        ]
         if n > 0:
-            entries.append(
-                classify(
-                    "pbw_untwisted_vs_E_A2dagger_tinf",
-                    n,
-                    weylchar.pbw_character_specialized(n, twisted=False),
-                    cform.E_spec("A2dagger", -n, "tinf"),
-                    errata,
-                )
-            )
-            entries.append(
-                classify(
-                    "pbw_twisted_vs_E_A2_tinf",
-                    n,
-                    weylchar.pbw_character_specialized(n, twisted=True),
-                    cform.E_spec("A2", -n, "tinf"),
-                    errata,
-                )
-            )
+            pairs += [
+                ("pbw_untwisted_vs_E_A2dagger_tinf",
+                 weylchar.pbw_character_specialized(n, twisted=False),
+                 cform.E_spec("A2dagger", -n, "tinf")),
+                ("pbw_twisted_vs_E_A2_tinf",
+                 weylchar.pbw_character_specialized(n, twisted=True),
+                 cform.E_spec("A2", -n, "tinf")),
+            ]
+        entries += [classify(identity, n, lhs, rhs, errata) for identity, lhs, rhs in pairs]
     return entries
 
 
@@ -384,29 +372,21 @@ def derive_conventions(max_n=3):
 
 
 def derive_errata(max_n=4):
-    """Exact difference polynomials for the identities that genuinely fail."""
+    """For each printed identity that fails at some 0 < n <= max_n, the
+    rule of ERRATA_RULES that explains it at every such n."""
+    printed = {
+        "pbw_twisted_vs_E_A2_tinf": lambda n: (
+            weylchar.pbw_character_specialized(n, twisted=True), cform.E_spec("A2", -n, "tinf")),
+        "walkroute_vs_cform_A2dagger_tinf": lambda n: (
+            ramyip.specialize("A2dagger", n, "tinf"), cform.E_spec("A2dagger", n, "tinf")),
+    }
     entries = []
-    for n in range(1, max_n + 1):
-        lhs = weylchar.pbw_character_specialized(n, twisted=True)
-        rhs = cform.E_spec("A2", -n, "tinf")
-        if lhs != rhs:
-            entries.append(
-                {
-                    "identity": "pbw_twisted_vs_E_A2_tinf",
-                    "n": n,
-                    "diff": _diff_terms(lhs - rhs),
-                }
-            )
-        lhs = ramyip.specialize("A2dagger", n, "tinf")
-        rhs = cform.E_spec("A2dagger", n, "tinf")
-        if lhs != rhs:
-            entries.append(
-                {
-                    "identity": "walkroute_vs_cform_A2dagger_tinf",
-                    "n": n,
-                    "diff": _diff_terms(lhs - rhs),
-                }
-            )
+    for identity, sides in printed.items():
+        fails = [(n, *sides(n)) for n in range(1, max_n + 1)]
+        fails = [f for f in fails if compare(f[1], f[2])[0] == "MISMATCH"]
+        rules = [name for name, rule in ERRATA_RULES.items() if all(rule(*f) for f in fails)]
+        if fails and rules:
+            entries.append({"identity": identity, "rule": rules[0]})
     return entries
 
 

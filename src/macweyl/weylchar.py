@@ -239,6 +239,8 @@ def limit_char(kind, q_bound, x_bound):
     """Truncated product/theta form of the stable limit character."""
     if kind not in LIMIT_KINDS:
         raise ValueError("unknown limit kind %r" % (kind,))
+    if q_bound < 0 or x_bound < 0:
+        raise ValueError("truncation bounds must be nonnegative")
     return euler_product_truncated(_LIMIT_FACTOR[kind], q_bound, x_bound)
 
 
@@ -251,6 +253,8 @@ def approximant(kind, n, q_bound, x_bound):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if q_bound < 0 or x_bound < 0:
+        raise ValueError("truncation bounds must be nonnegative")
     if kind == "untwisted":
         poly, shift = ch_W(-n), n * (n - 1) // 2
     elif kind == "twisted":

@@ -129,11 +129,19 @@ def test_limitchar_cli(capsys):
 
 
 def test_limitchar_negative_approx_is_usage_error(capsys):
-    for kind, n in (("untwisted", "-2"), ("twisted", "-3"), ("classical_odd", "-1")):
-        code, out = run_cli(
-            capsys, "limitchar", "--kind", kind, "--qmax", "3", "--xmax", "3", "--approx", n
-        )
-        assert code == 1
+    argvs = [
+        ("limitchar", "--kind", kind, "--qmax", "3", "--xmax", "3", "--approx", n)
+        for kind, n in (("untwisted", "-2"), ("twisted", "-3"), ("classical_odd", "-1"))
+    ]
+    argvs += [
+        ("limitchar", "--kind", "untwisted", "--qmax", "-1", "--xmax", "3"),
+        ("limitchar", "--kind", "untwisted", "--qmax", "3", "--xmax", "-2"),
+        ("limitchar", "--kind", "twisted", "--qmax", "-1", "--xmax", "3", "--approx", "4"),
+        ("ctable", "--family", "A2", "--r", "1", "--max-n", "-1"),
+    ]
+    for argv in argvs:
+        code, out = run_cli(capsys, *argv)
+        assert code == 1, argv
         assert out == ""
 
 

@@ -231,5 +231,3 @@ def test_bound_exceeded():
         specialize("A2", -(DEFAULT_BOUND + 1), "t0")
     with pytest.raises(BoundExceeded):
         ramyip_sum("A2", SUM_BOUND + 1)
-    with pytest.raises(BoundExceeded):
-        ramyip_sum("A2", 9, bound=6)

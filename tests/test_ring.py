@@ -197,6 +197,9 @@ def test_laurent_core_builder_zero_and_repr():
     rf = RationalFunction(bp({(0, 1): 1}), bp({(0, 0): 1, (1, 2): -1}))
     xr = XPolynomial({0: rf, 1: RationalFunction(-1)})
     assert repr(xr) == "XPolynomial((v)/(1-q*v^2) - x)"
+    assert XPolynomial.one().render() == "1"
+    assert (x ** 0).render() == "1"
+    assert (XPolynomial.zero() + 1).render() == "1"
 
 
 def test_xpolynomial_mirror_and_mass():

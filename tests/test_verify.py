@@ -1,7 +1,11 @@
 import json
 
-from macweyl import verify
+import pytest
+
+from macweyl import cform, ramyip, verify, weylchar
 from macweyl.ring import QPolynomial, XPolynomial
+
+DAGGER, PBW = "walkroute_vs_cform_A2dagger_tinf", "pbw_twisted_vs_E_A2_tinf"
 
 
 def qp(d):
@@ -22,14 +26,88 @@ def test_compare_transform_lattice():
     assert verify.compare(a, other)[0] == "MISMATCH"
 
 
-def test_classify_uses_errata():
+def test_classify_uses_errata(monkeypatch):
     lhs = XPolynomial({0: qp({0: 2})})
     rhs = XPolynomial({0: qp({0: 1})})
-    errata = {("demo", 1): {(0, 0): 1}}
+    monkeypatch.setitem(verify.ERRATA_RULES, "demo_rule", lambda n, lhs, rhs: n == 1)
+    errata = {"demo": "demo_rule"}
     entry = verify.classify("demo", 1, lhs, rhs, errata)
     assert entry["status"] == "KNOWN_ERRATUM"
-    entry = verify.classify("demo", 2, lhs, rhs, errata)
-    assert entry["status"] == "MISMATCH"
+    assert entry["diff"] == [{"x": 0, "q": 0, "coeff": "1"}]
+    assert verify.classify("demo", 2, lhs, rhs, errata)["status"] == "MISMATCH"
+    assert verify.classify("other", 1, lhs, rhs, errata)["status"] == "MISMATCH"
+
+
+def _bump(poly, x, q=0, coeff=1):
+    return poly + XPolynomial({x: qp({q: coeff})})
+
+
+def _top_plus_one(poly):
+    return _bump(poly, max(poly.terms))
+
+
+def _sigma_antisymmetric(poly):
+    # x^e - x^(1-e): keeps every pair sum under x^e -> x^(1-e)
+    top = max(poly.terms)
+    return _bump(_bump(poly, top), 1 - top, coeff=-1)
+
+
+def _plus_q(poly):
+    return _bump(poly, 0, 1)
+
+
+def test_errata_rules_hold_at_every_n_and_reject_mutants():
+    errata = verify.load_errata()
+
+    def status(identity, n, lhs, rhs):
+        return verify.classify(identity, n, lhs, rhs, errata)["status"]
+
+    for n in range(1, ramyip.DEFAULT_BOUND + 1):
+        walk = ramyip.specialize("A2dagger", n, "tinf")
+        printed = cform.E_spec("A2dagger", n, "tinf")
+        assert status(DAGGER, n, walk, printed) == "KNOWN_ERRATUM"
+        assert status(DAGGER, n, walk, _top_plus_one(printed)) == "MISMATCH"
+        assert status(DAGGER, n, walk, _sigma_antisymmetric(printed)) == "MISMATCH"
+    for n in range(1, 9):
+        pbw = weylchar.pbw_character_specialized(n, twisted=True)
+        printed = cform.E_spec("A2", -n, "tinf")
+        assert status(PBW, n, pbw, printed) == "KNOWN_ERRATUM"
+        assert status(PBW, n, _plus_q(pbw), printed) == "MISMATCH"
+        assert status(PBW, n, pbw, _plus_q(printed)) == "MISMATCH"
+    assert verify.run_suites("section4", 6)[1] == 0
+    assert verify.run_suites("routes", 6)[1] == 0
+
+
+def _dagger_tinf_pos(family, n, spec):
+    return (family, spec) == ("A2dagger", "tinf") and n > 0
+
+
+def _a2_tinf_neg(family, n, spec):
+    return (family, spec) == ("A2", "tinf") and n < 0
+
+
+@pytest.mark.parametrize(
+    "suite, module, name, hit, change",
+    [
+        ("routes", cform, "E_spec", _dagger_tinf_pos, _top_plus_one),
+        ("routes", cform, "E_spec", _dagger_tinf_pos, _sigma_antisymmetric),
+        ("section4", weylchar, "pbw_character_specialized", lambda n, twisted: twisted, _plus_q),
+        ("section4", cform, "E_spec", _a2_tinf_neg, _plus_q),
+    ],
+)
+def test_mutated_printed_identity_exits_two(monkeypatch, suite, module, name, hit, change):
+    original = getattr(module, name)
+
+    def mutated(*args, **kwargs):
+        poly = original(*args, **kwargs)
+        return change(poly) if hit(*args, **kwargs) else poly
+
+    monkeypatch.setattr(module, name, mutated)
+    entries, code = verify.run_suites(suite, 3)
+    assert code == 2
+    identity = DAGGER if suite == "routes" else PBW
+    mutated_entries = [e for e in entries if e["identity"] == identity and e["n"] > 0]
+    assert {e["status"] for e in mutated_entries} == {"MISMATCH"}
 
 
 def test_frozen_conventions_are_fresh():
@@ -37,11 +115,8 @@ def test_frozen_conventions_are_fresh():
 
 
 def test_frozen_errata_are_fresh():
-    derived = {(e["identity"], e["n"]): e["diff"] for e in verify.derive_errata(4)}
-    frozen = verify.load_errata()
-    assert set(derived) == set(frozen)
-    for key, diff in derived.items():
-        assert {(t["x"], t["q"]): int(t["coeff"]) for t in diff} == frozen[key]
+    assert verify.derive_errata(4) == json.loads(verify._data_text("errata.json"))
+    assert verify.load_errata() == {PBW: "pbw_degree_doubled", DAGGER: "c1_dagger_reflected"}
 
 
 def test_conventions_content():
