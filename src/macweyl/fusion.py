@@ -6,12 +6,18 @@ The three-dimensional module has basis vectors of weights -1, 0, +1 with
 parities even, odd, even.  Generator matrices are solved from the bracket
 relations; the relation checker is the only correctness gate for them.
 
-The filtration is computed in integers, over the raising currents only:
+The filtration is computed in integers, over the g+ currents only (and
+e(x)t^0 when twisted):
 
 * The cyclic vector (0,...,0) has the lowest weight, so f(x)t^k and
   g-(x)t^k kill it and h(x)t^k acts on it by a scalar.  Commuting currents
   keeps the t-degree, so by PBW F_d = U(n+[t])_{<=d} v: only e(x)t^k and
   g+(x)t^k need applying.
+* {g+, g+} = 2e (a checked relation) gives 2 e(x)t^k = {g+(x)t^a,
+  g+(x)t^(k-a)}, both products of degree k, with a = 0 untwisted and a = 1
+  twisted (k even, k >= 2).  So e(x)t^k adds nothing to U(n+[t])_{<=d} v
+  once the g+ currents are applied, except e(x)t^0 in the twisted case,
+  where every g+ degree is odd.
 * x(x)t^k acts as sum_i p_i^k x_i.  By Cayley-Hamilton for diag(p), or for
   diag(p^2) in the twisted case, x(x)t^k with k >= n (twisted: k >= 2n) acts
   as a combination of x(x)t^j with j < k of the same parity, so it adds
@@ -19,13 +25,21 @@ The filtration is computed in integers, over the raising currents only:
 * t -> Lt is a graded automorphism of both current algebras, so scaling every
   point by L, the lcm of their denominators, leaves the filtration unchanged
   (repeated points and repeated squares stay repeated).  The points are then
-  integers, and rows are reduced by fraction-free elimination.
+  integers.
+
+Vectors are dense integer lists over the tensor states of one weight, and a
+current is applied through a per-call table of (target, coefficient) pairs.
+Each weight space keeps its rows in fraction-free reduced echelon form (see
+_WeightSpace), so testing a candidate against r rows of length D costs
+r (D - r) multiplications, and nothing once the space is full.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import gcd, lcm
+from operator import mul
 
 from macweyl.ring import BoundExceeded, QPolynomial, XPolynomial
 
@@ -141,76 +155,56 @@ def _relation_gate():
     build_rep()
 
 
-_COLMAPS = {"e": _E, "f": _F, "h": _H, "g+": _GP, "g-": _GM}
-
-
-def _apply_current(vec, name, k, powers):
-    """Apply x tensor t^k to a sparse tensor vector {state-tuple: int};
-    powers[i][k] is the k-th power of the i-th (integer) point."""
-    colmap = _COLMAPS[name]
-    odd = _PARITY[name] == ODD
-    out = {}
-    for state, coeff in vec.items():
-        signed = coeff
-        for i, s in enumerate(state):
-            entries = colmap.get(s)
-            if entries:
-                z = signed * powers[i][k]
-                for row, val in entries:
-                    new = state[:i] + (row,) + state[i + 1 :]
-                    out[new] = out.get(new, 0) + val * z
-            if odd and _STATE_PARITY[s] == ODD:
-                signed = -signed
-    return {s: c for s, c in out.items() if c}
+_COLMAPS = {"e": _E, "g+": _GP}
+_RAISE = {"e": 2, "g+": 1}  # weight raised by the current
 
 
 class _WeightSpace:
-    """Fraction-free row echelon form of integer vectors of one fixed weight."""
+    """Fraction-free reduced echelon form of integer vectors over the states
+    of one weight: every row holds the common value d at its own pivot and 0
+    at every other pivot, so only the free (non-pivot) columns are stored."""
 
-    def __init__(self):
-        self.rows = []  # list of (pivot-state, {state: int}) with content 1
-
-    def reduce(self, vec):
-        """vec minus its projection on the rows, scaled to content 1."""
-        vec = dict(vec)
-        for pivot, row in self.rows:
-            c = vec.get(pivot)
-            if c:
-                a = row[pivot]
-                g = gcd(a, c)
-                a, c = a // g, c // g
-                if a != 1:
-                    for s in vec:
-                        vec[s] *= a
-                for s, v in row.items():
-                    x = vec.get(s, 0) - c * v
-                    if x:
-                        vec[s] = x
-                    else:
-                        del vec[s]
-        content = gcd(*vec.values())
-        if content > 1:
-            vec = {s: v // content for s, v in vec.items()}
-        return vec
+    def __init__(self, size):
+        self.d = 1
+        self.pivots = []
+        self.free = {f: [] for f in range(size)}  # free column -> entry per row
 
     def add(self, vec):
-        """Reduce and insert; returns True when the vector was new."""
-        vec = self.reduce(vec)
-        if not vec:
+        """Insert vec unless it lies in the span; returns True when it was new.
+
+        vec = sum_r (vec[p_r] / d) row_r holds exactly when every free column
+        f has d vec[f] == sum_r vec[p_r] row_r[f]; the residual d vec - sum_r
+        vec[p_r] row_r is zero on the pivots and is the new row."""
+        d, at_pivots = self.d, [vec[p] for p in self.pivots]
+        res = {f: d * vec[f] - sum(map(mul, at_pivots, col)) for f, col in self.free.items()}
+        p = next((f for f in res if res[f]), None)
+        if p is None:
             return False
-        self.rows.append((min(vec), vec))
+        # Clear column p from the old rows and scale the new row, so that
+        # every pivot holds d * res[p]; then divide out the common content.
+        a, col_p = res.pop(p), self.free.pop(p)
+        self.pivots.append(p)
+        self.d = g = d * a
+        for f, col in self.free.items():
+            u = res[f]
+            col[:] = [a * x - c * u for x, c in zip(col, col_p)] + [d * u]
+            if g != 1:
+                g = gcd(g, *col)
+        if g > 1:
+            self.d //= g
+            for col in self.free.values():
+                col[:] = [x // g for x in col]
         return True
 
 
 def _generators(n, twisted):
-    """The raising currents of degree below n (see the module docstring)."""
+    """The currents that are applied (see the module docstring)."""
     if twisted:
+        yield "e", 0
         for m in range(n):
-            yield "e", 2 * m
             yield "g+", 2 * m + 1
     else:
         for k in range(n):
-            yield "e", k
             yield "g+", k
 
 
@@ -224,8 +218,8 @@ def fusion_character(n, points, twisted=False):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > 5:
-        raise BoundExceeded("fusion oracle is limited to n <= 5")
+    if n > 6:
+        raise BoundExceeded("fusion oracle is limited to n <= 6")
     if len(points) != n:
         raise ValueError("need exactly n evaluation points")
     points = tuple(Fraction(p) for p in points)
@@ -234,48 +228,71 @@ def fusion_character(n, points, twisted=False):
     top = 2 * n if twisted else n
     powers = [[int(p * scale) ** k for k in range(top)] for p in points]
 
-    total_dim = 3 ** n
+    # The tensor states of each weight, and each state's index among them.
+    states = {}
+    for state in product(range(3), repeat=n):
+        states.setdefault(sum(state) - n, []).append(state)
+    index = {s: i for group in states.values() for i, s in enumerate(group)}
+    # (current, k, weight) -> per source index, the (target index, coefficient)
+    # pairs of x(x)t^k; each coefficient carries the Koszul sign, the matrix
+    # entry and powers[i][k].
     gens = list(_generators(n, twisted))
-    spaces = {}  # weight -> _WeightSpace
+    tables = {}
+    for name, k in gens:
+        colmap, odd = _COLMAPS[name], _PARITY[name] == ODD
+        for w, group in states.items():
+            table = []
+            for state in group:
+                pairs, sign = [], 1
+                for i, s in enumerate(state):
+                    for row, val in colmap.get(s, ()):
+                        coeff = sign * val * powers[i][k]
+                        if coeff:
+                            pairs.append((index[state[:i] + (row,) + state[i + 1 :]], coeff))
+                    if odd and _STATE_PARITY[s] == ODD:
+                        sign = -sign
+                table.append(pairs)
+            tables[name, k, w] = table
+
+    total_dim = 3 ** n
+    spaces = {w: _WeightSpace(len(group)) for w, group in states.items()}
     char = {}  # (degree, weight) -> multiplicity
-    pending = {0: [{(0,) * n: 1}]}
+    pending = {0: [(-n, [1])]}  # degree -> [(weight, dense vector)]
     found = 0
     degree = 0
     max_degree = 2 * n * n + 2 * n + 4
 
-    def weight_of(state):
-        return sum(_STATE_WEIGHT[s] for s in state)
-
     while pending and degree <= max_degree and found < total_dim:
         frontier = []
-        for vec in pending.pop(degree, []):
-            w = weight_of(next(iter(vec)))
-            space = spaces.setdefault(w, _WeightSpace())
-            if space.add(vec):
+        for w, vec in pending.pop(degree, []):
+            if spaces[w].add(vec):
                 char[(degree, w)] = char.get((degree, w), 0) + 1
                 found += 1
-                frontier.append(vec)
+                frontier.append((w, vec))
         # closure at this degree, then push to higher degrees
         idx = 0
         while idx < len(frontier):
-            vec = frontier[idx]
+            w, vec = frontier[idx]
             idx += 1
             for name, k in gens:
-                img = _apply_current(vec, name, k, powers)
-                if not img:
+                target = w + _RAISE[name]
+                if target not in spaces or not spaces[target].free:
+                    continue
+                img = [0] * len(states[target])
+                for c, pairs in zip(vec, tables[name, k, w]):
+                    if c:
+                        for t, a in pairs:
+                            img[t] += a * c
+                if not any(img):
                     continue
                 if k == 0:
-                    w = weight_of(next(iter(img)))
-                    space = spaces.setdefault(w, _WeightSpace())
-                    if space.add(img):
-                        char[(degree, w)] = char.get((degree, w), 0) + 1
+                    if spaces[target].add(img):
+                        char[(degree, target)] = char.get((degree, target), 0) + 1
                         found += 1
-                        frontier.append(img)
+                        frontier.append((target, img))
                 else:
-                    pending.setdefault(degree + k, []).append(img)
+                    pending.setdefault(degree + k, []).append((target, img))
         degree += 1
-        if found >= total_dim:
-            break
 
     if found < total_dim:
         raise NotCyclic(

@@ -225,7 +225,9 @@ def suite_duality(max_n, errata):
 
 
 _POINT_SETS = ([1, 2, 3, 4], [1, -2, 3, -4], [2, 3, 5, 7])
-_POINT_SET_5 = (1, -2, 3, -4, 5)  # distinct squares, so the twisted oracle is cyclic
+# Distinct squares, so the twisted oracle is cyclic.
+_POINT_SET_5 = (1, -2, 3, -4, 5)
+_POINT_SET_6 = (1, -2, 3, -4, 5, -6)
 
 
 def suite_fusion(max_n, errata):
@@ -244,13 +246,14 @@ def suite_fusion(max_n, errata):
     if max_n >= 4:
         lhs = fusion.fusion_character(4, _POINT_SETS[0], twisted=False)
         entries.append(classify("fusion_vs_ch_W", 4, lhs, weylchar.ch_W(-4), errata))
-    if max_n >= 5:
-        lhs = fusion.fusion_character(5, _POINT_SET_5, twisted=False)
-        entries.append(classify("fusion_vs_ch_W", 5, lhs, weylchar.ch_W(-5), errata))
-        lhs = fusion.fusion_character(5, _POINT_SET_5, twisted=True)
-        entries.append(
-            classify("fusion_vs_ch_W_sigma", 5, lhs, weylchar.ch_W_sigma(-5), errata)
-        )
+    for n, pts in ((5, _POINT_SET_5), (6, _POINT_SET_6)):
+        if max_n >= n:
+            lhs = fusion.fusion_character(n, pts, twisted=False)
+            entries.append(classify("fusion_vs_ch_W", n, lhs, weylchar.ch_W(-n), errata))
+            lhs = fusion.fusion_character(n, pts, twisted=True)
+            entries.append(
+                classify("fusion_vs_ch_W_sigma", n, lhs, weylchar.ch_W_sigma(-n), errata)
+            )
     try:
         fusion.fusion_character(2, [1, -1], twisted=True)
         entries.append(_equal_entry("fusion_equal_squares_rejected", 2, False))

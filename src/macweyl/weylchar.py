@@ -51,44 +51,45 @@ def enumerate_basis(kind, n):
     """All basis monomials of the given kind for parameter n."""
     if kind == "twisted_pos":
         return enumerate_basis("twisted_pos_1", n) + enumerate_basis("twisted_pos_2", n)
-    if kind not in KINDS:
+    return [BasisMonomial(kind, *m) for m in _basis_tuples(kind, n)]
+
+
+def _basis_tuples(kind, n):
+    """Yield (e_degrees, g_degrees, weight, t_degree, pbw_degree) for every
+    basis monomial of one kind (not the union "twisted_pos")."""
+    if kind not in KINDS or kind == "twisted_pos":
         raise ValueError("unknown basis kind %r" % (kind,))
     positive_kind = kind in ("untwisted_pos", "twisted_pos_1", "twisted_pos_2")
     if n < 0 or (positive_kind and n < 1):
         raise ValueError("n out of range for kind %s" % kind)
     check_size("basis", n)
 
-    out = []
-
-    def emit(e_degs, g_degs, weight, t_degree, pbw):
-        out.append(BasisMonomial(kind, tuple(e_degs), tuple(g_degs), weight, t_degree, pbw))
-
     if kind == "untwisted_neg":
         for k in range(n + 1):
             for bs in combinations(range(n), k):
                 for s in range(n - k + 1):
                     for a in combinations_with_replacement(range(n - k - s + 1), s):
-                        emit(a, bs, -n + k + 2 * s, sum(a) + sum(bs), k + s)
+                        yield (a, bs, -n + k + 2 * s, sum(a) + sum(bs), k + s)
     elif kind == "twisted_neg":
         for k in range(n + 1):
             for bs in combinations(range(1, 2 * n, 2), k):
                 for s in range(n - k + 1):
                     vals = range(0, 2 * (n - k - s) + 1, 2)
                     for a in combinations_with_replacement(vals, s):
-                        emit(a, bs, -n + k + 2 * s, sum(a) + sum(bs), s)
+                        yield (a, bs, -n + k + 2 * s, sum(a) + sum(bs), s)
     elif kind == "untwisted_pos":
         for k in range(n):
             for bs in combinations(range(1, n), k):
                 for s in range(n - k):
                     for a in combinations_with_replacement(range(1, n - k - s + 1), s):
-                        emit(a, bs, n - k - 2 * s, sum(a) + sum(bs), k + s)
+                        yield (a, bs, n - k - 2 * s, sum(a) + sum(bs), k + s)
     elif kind == "twisted_pos_1":
         for k in range(n):
             for bs in combinations(range(1, 2 * n - 2, 2), k):
                 for s in range(n - k):
                     vals = range(2, 2 * (n - s - k) + 1, 2)
                     for a in combinations_with_replacement(vals, s):
-                        emit(a, bs, n - k - 2 * s, sum(a) + sum(bs), s)
+                        yield (a, bs, n - k - 2 * s, sum(a) + sum(bs), s)
     elif kind == "twisted_pos_2":
         for k in range(1, n + 1):
             for bs in combinations(range(1, 2 * n - 2, 2), k - 1):
@@ -96,18 +97,17 @@ def enumerate_basis(kind, n):
                 for s in range(n - k + 1):
                     vals = range(0, 2 * (n - s - k) + 1, 2)
                     for a in combinations_with_replacement(vals, s):
-                        emit(a, full, n - k - 2 * s, sum(a) + sum(full), s)
+                        yield (a, full, n - k - 2 * s, sum(a) + sum(full), s)
     elif kind == "classical":
         for k in range(n + 1):
             for a in combinations_with_replacement(range(n - k + 1), k):
-                emit(a, (), -n + 2 * k, sum(a), k)
+                yield (a, (), -n + 2 * k, sum(a), k)
     else:  # limit: odd generators truncated below t-degree n, renormalized grading
         for k in range(n + 1):
             for cs in combinations(range(n), k):
                 for s in range(k + 1):
                     for a in combinations_with_replacement(range(k - s + 1), s):
-                        emit(a, cs, -k + 2 * s, sum(cs) - sum(a), 0)
-    return out
+                        yield (a, cs, -k + 2 * s, sum(cs) - sum(a), 0)
 
 
 def character_from_basis(kind, n):
@@ -202,12 +202,13 @@ def ch_W_sigma(n):
 def pbw_character(n, twisted=False):
     """Triple-graded data for the associated graded of the weight -n module.
 
-    Returns a list of (x_weight, t_degree, pbw_degree) triples, one per
-    basis monomial.  The filtration counts applications of the raising half
-    (e and g+ in the untwisted case, e alone in the twisted case).
+    Yields one (x_weight, t_degree, pbw_degree) triple per basis monomial.
+    The filtration counts applications of the raising half (e and g+ in the
+    untwisted case, e alone in the twisted case).
     """
     kind = "twisted_neg" if twisted else "untwisted_neg"
-    return [(m.weight, m.t_degree, m.pbw_degree) for m in enumerate_basis(kind, n)]
+    for _, _, w, t, p in _basis_tuples(kind, n):
+        yield w, t, p
 
 
 def pbw_character_specialized(n, twisted=False):

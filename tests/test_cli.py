@@ -180,7 +180,7 @@ def test_epoly_route_mismatch_exit_two(capsys, monkeypatch):
 
 def test_capacity_limit_exit_three(capsys):
     for argv in (
-        ("fusion", "--n", "6", "--points", "1,2,3,4,5,6"),
+        ("fusion", "--n", "7", "--points", "1,2,3,4,5,6,7"),
         ("epoly", "--family", "A2", "--n", str(ramyip.DEFAULT_BOUND + 1), "--spec", "t0"),
     ):
         code = cli.run(list(argv))

@@ -105,12 +105,18 @@ def test_rational_equal_squares_not_cyclic():
         fusion_character(2, [Fraction(1, 2), Fraction(-1, 2)], twisted=True)
 
 
-def test_n6_bound_exceeded_fast():
+def test_n6_matches_closed_form():
+    points = (1, -2, 3, -4, 5, -6)  # distinct squares
+    assert fusion_character(6, points) == ch_W(-6)
+    assert fusion_character(6, points, twisted=True) == ch_W_sigma(-6)
+
+
+def test_n7_bound_exceeded_fast():
     start = time.perf_counter()
     with pytest.raises(BoundExceeded):
-        fusion_character(6, [1, 2, 3, 4, 5, 6])
+        fusion_character(7, [1, 2, 3, 4, 5, 6, 7])
     with pytest.raises(BoundExceeded):
-        fusion_character(6, [1, 2, 3, 4, 5, 6], twisted=True)
+        fusion_character(7, [1, 2, 3, 4, 5, 6, 7], twisted=True)
     assert time.perf_counter() - start < 1.0
 
 

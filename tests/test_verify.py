@@ -166,3 +166,27 @@ def test_fusion_suite_reaches_n5():
     assert top == [("fusion_vs_ch_W", "EQUAL"), ("fusion_vs_ch_W_sigma", "EQUAL")]
     four, _ = verify.run_suites("fusion", 4)
     assert [e for e in entries if e["n"] != 5] == four
+
+
+def test_fusion_suite_adds_n6_at_max_n_6(monkeypatch):
+    # n = 6 is answered by the closed form (the oracle's own n = 6 test is in
+    # test_fusion.py), smaller n by the oracle.
+    calls, real = [], verify.fusion.fusion_character
+
+    def recording(n, points, twisted=False):
+        calls.append((n, tuple(points), twisted))
+        if n < 6:
+            return real(n, points, twisted)
+        return weylchar.ch_W_sigma(-n) if twisted else weylchar.ch_W(-n)
+
+    monkeypatch.setattr(verify.fusion, "fusion_character", recording)
+    entries, code = verify.run_suites("fusion", 6)
+    assert code == 0
+    six = [(e["identity"], e["status"]) for e in entries if e["n"] == 6]
+    assert six == [("fusion_vs_ch_W", "EQUAL"), ("fusion_vs_ch_W_sigma", "EQUAL")]
+    assert [c for c in calls if c[0] == 6] == [
+        (6, verify._POINT_SET_6, False), (6, verify._POINT_SET_6, True)]
+    assert len({p * p for p in verify._POINT_SET_6}) == 6
+    calls.clear()
+    verify.run_suites("fusion", 5)
+    assert max(c[0] for c in calls) == 5
