@@ -9,12 +9,16 @@ where the subcommand sorts them; polynomial term lists go through a per-row
 Exit codes: 0 success, 1 usage error, 2 verification mismatch that no
 errata rule explains (including disagreeing specialization routes in epoly),
 3 an input beyond the size a route is configured to compute.
+
+run() may be called any number of times in one process.  All calls share one
+parser, built on the first call; build_parser() returns a fresh one.
 """
 
 import argparse
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from macweyl import cform, fusion, ramyip, verify, walks, weylchar
@@ -385,9 +389,15 @@ def _join_points(argv):
     return out
 
 
+@cache
+def _parser():
+    # Building the argparse tree costs about a millisecond, more than many
+    # jobs compute; parse_args leaves the parser unchanged, so it is shared.
+    return build_parser()
+
+
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(_join_points(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_join_points(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except ramyip.RouteMismatch as exc:

@@ -57,7 +57,11 @@ class BoundExceeded(ValueError):
 # lists 2^l walks, l about 2|n|, and weylchar.enumerate_basis about 3^n
 # monomials; on a 2-core x86 VM |n| = 9 walks take 8-15 s and 0.5 GB and
 # n = 12 bases 14 s and 1.3 GB, and each step further costs 3-4x more.
-SIZE_LIMITS = {"walks": 9, "basis": 12}
+# The closed-form characters (weylchar.ch_W, ch_W_sigma, ch_D) grow about as
+# n^5 at positive weight: as a JSON job ch_W_sigma(64) takes 8 s and
+# ch_W_sigma(72) 15 s on that VM, so they stop at the closed-forms ladder's
+# top rung, |n| = 64.
+SIZE_LIMITS = {"walks": 9, "basis": 12, "characters": 64}
 
 
 def check_size(name, n):

@@ -121,6 +121,7 @@ def ch_D(n):
     """Character of the classical module of lowest weight -n (dimension 2^n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    check_size("characters", n)
     return XPolynomial({-n + 2 * k: q_binomial(n, k) for k in range(n + 1)})
 
 
@@ -187,6 +188,7 @@ def _highest_weight_char(n, b):
 
 def ch_W(n):
     """Closed-form character of the untwisted module, any integer weight."""
+    check_size("characters", n)
     if n <= 0:
         return _lowest_weight_char(-n, 1)
     return _highest_weight_char(n, 1)
@@ -194,6 +196,7 @@ def ch_W(n):
 
 def ch_W_sigma(n):
     """Closed-form character of the twisted module, any integer weight."""
+    check_size("characters", n)
     if n <= 0:
         return _lowest_weight_char(-n, 2)
     return _highest_weight_char(n, 2)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -212,6 +215,8 @@ def test_size_limits_exit_three_fast(capsys):
         ("walks", "--n", "14"),
         ("basis", "--kind", "untwisted_neg", "--n", "14"),
         ("epoly", "--family", "A2", "--n", str(-ramyip.SUM_BOUND - 1), "--spec", "full"),
+        ("weylchar", "--module", "W", "--n", "600", "--format", "json"),
+        ("limitchar", "--kind", "twisted", "--qmax", "3", "--xmax", "3", "--approx", "600"),
     ):
         start = time.perf_counter()
         code = cli.run(list(argv))
@@ -220,6 +225,63 @@ def test_size_limits_exit_three_fast(capsys):
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("error: ")
         assert elapsed < 1.0
+
+
+# Pairs of calls with and without an option, a usage error (exit 1) and a
+# capacity limit (exit 3): with one parser shared by every call, none may
+# leave anything behind for the next.
+_MIXED_SEQUENCE = (
+    ("epoly", "--family", "A2", "--n", "-2", "--spec", "full", "--no-normalize"),
+    ("epoly", "--family", "A2", "--n", "-2", "--spec", "full"),
+    ("limitchar", "--kind", "untwisted", "--qmax", "3", "--xmax", "2", "--approx", "6"),
+    ("limitchar", "--kind", "untwisted", "--qmax", "3", "--xmax", "2"),
+    ("walks", "--n", "-2", "--filter", "A2-t0"),
+    ("walks", "--n", "-2"),
+    ("epoly", "--family", "bogus", "--n", "1", "--spec", "t0"),
+    ("walks", "--n", "14"),
+    ("fusion", "--n", "2", "--points", "-1/2,3"),
+)
+
+
+def _run_in_fresh_process(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "macweyl.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_run_shares_one_parser_and_leaks_nothing(capsys, monkeypatch):
+    # Usage lines wrap at the terminal width; pin it for both processes.
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    codes = []
+    for argv in _MIXED_SEQUENCE:
+        try:
+            code = cli.run(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _run_in_fresh_process(argv), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 0, 0, 1, 3, 0]
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_fresh_parser():
+    parser = cli.build_parser()
+    assert parser is not cli.build_parser()
+    assert parser is not cli._parser()
+    assert cli._parser() is cli._parser()
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import pytest
 
 from macweyl.cform import E_spec
 from macweyl.qcomb import q_binomial
-from macweyl.ring import QPolynomial, XPolynomial
+from macweyl.ring import SIZE_LIMITS, BoundExceeded, QPolynomial, XPolynomial
 from macweyl.weylchar import (
     approximant,
     ch_D,
@@ -138,6 +138,19 @@ def test_ch_W_sigma_examples():
             -1: qp({3: 1}),
         }
     )
+
+
+def test_characters_stop_at_size_limit():
+    limit = SIZE_LIMITS["characters"]
+    # The closed-forms ladder's top rung stays in range.
+    assert ch_W_sigma(-64).eval_at_ones() == 3**64
+    for fn, n in ((ch_W, limit + 1), (ch_W, -limit - 1), (ch_W_sigma, limit + 1),
+                  (ch_W_sigma, -limit - 1), (ch_D, limit + 1)):
+        with pytest.raises(BoundExceeded):
+            fn(n)
+    for kind in ("untwisted", "twisted", "classical_odd"):
+        with pytest.raises(BoundExceeded):
+            approximant(kind, 2 * limit + 1, 3, 3)
 
 
 def test_symmetry_of_negative_characters():
