@@ -21,7 +21,7 @@ one back.
 from functools import lru_cache
 
 from macweyl.qcomb import packed_q_binomial, q_multinomial
-from macweyl.ring import QPolynomial, XPolynomial, packed_width
+from macweyl.ring import QPolynomial, XPolynomial, check_size, packed_width
 from macweyl.walks import FAMILIES, normalize_spec
 
 
@@ -141,6 +141,7 @@ def ctable(family, r, max_n):
     """All table values with index sum <= max_n, as (key, value) pairs."""
     if max_n < 0:
         raise ValueError("max_n must be nonnegative, got %d" % max_n)
+    check_size("ctable", max_n)
     closed = c_closed if family == "A2" else cdag_closed
     out = []
     for total in range(max_n + 1):

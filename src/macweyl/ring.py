@@ -53,15 +53,19 @@ class BoundExceeded(ValueError):
     """An input lies beyond the size a route is configured to compute."""
 
 
-# Largest |n| each exhaustive enumeration accepts.  walks.enumerate_walks
-# lists 2^l walks, l about 2|n|, and weylchar.enumerate_basis about 3^n
-# monomials; on a 2-core x86 VM |n| = 9 walks take 8-15 s and 0.5 GB and
-# n = 12 bases 14 s and 1.3 GB, and each step further costs 3-4x more.
-# The closed-form characters (weylchar.ch_W, ch_W_sigma, ch_D) grow about as
-# n^5 at positive weight: as a JSON job ch_W_sigma(64) takes 8 s and
-# ch_W_sigma(72) 15 s on that VM, so they stop at the closed-forms ladder's
-# top rung, |n| = 64.
-SIZE_LIMITS = {"walks": 9, "basis": 12, "characters": 64}
+# Largest |n| each route accepts, so that an accepted input finishes in
+# seconds, not minutes, on a 2-core x86 VM.  walks.enumerate_walks lists 2^l
+# walks, l about 2|n|, and weylchar.enumerate_basis about 3^n monomials:
+# |n| = 9 walks take 8-15 s and 0.5 GB and n = 12 bases 14 s and 1.3 GB, and
+# each step further costs 3-4x more.  The closed-form characters (weylchar.ch_W,
+# ch_W_sigma, ch_D) stop at the closed-forms ladder's top rung, |n| = 64,
+# where a JSON job takes under a second at either sign; past it the negative
+# weights are bound by memory (about 700 MB of output at n = -128).  The table
+# inputs are bounded by a max_n: cform.ctable at 32 (2.8 s, 370 MB), and the
+# verify suites named here (verify.run_suites) at recurrences 28 (3.0 s) and
+# duality 32 (1.6-2.4 s; 36 takes 5.3 s and 48 36 s).
+SIZE_LIMITS = {"walks": 9, "basis": 12, "characters": 64,
+               "ctable": 32, "recurrences": 28, "duality": 32}
 
 
 def check_size(name, n):

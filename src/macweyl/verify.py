@@ -19,7 +19,7 @@ import json
 from importlib import resources
 
 from macweyl import cform, fusion, qcomb, ramyip, walks, weylchar
-from macweyl.ring import QPolynomial, XPolynomial
+from macweyl.ring import SIZE_LIMITS, QPolynomial, XPolynomial, check_size
 
 SUITES = (
     "dimensions",
@@ -324,13 +324,18 @@ def run_suites(suite, max_n, errata=None):
     """Run one suite or all of them; returns (entries, exit_code)."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1, got %d" % max_n)
-    if errata is None:
-        errata = load_errata()
     names = SUITES if suite == "all" else (suite,)
-    entries = []
     for name in names:
         if name not in _SUITE_FN:
             raise ValueError("unknown suite %r" % (name,))
+        # A suite named in SIZE_LIMITS is bounded there, checked before any
+        # suite runs.
+        if name in SIZE_LIMITS:
+            check_size(name, max_n)
+    if errata is None:
+        errata = load_errata()
+    entries = []
+    for name in names:
         entries.extend(_SUITE_FN[name](max_n, errata))
     exit_code = 2 if any(e["status"] == "MISMATCH" for e in entries) else 0
     return entries, exit_code

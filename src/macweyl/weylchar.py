@@ -8,21 +8,51 @@ Basis monomials apply e-generators (weight +2 each) and odd g-generators
 (weight +1 each) to a lowest- or highest-weight vector; the inequalities on
 the generator t-degrees depend on the module family ("kind").
 
-The closed-form characters ch_W and ch_W_sigma keep each x-coefficient as one
-packed integer whose base-2^(8 w) digit i is its q^i coefficient, so a
-q-shift is an integer shift and a sum of terms an integer sum.  All terms are
-nonnegative and a character of weight n totals 3^|n| (n <= 0) or
-b * 3^(n-1) (n > 0; b = 1 untwisted, 2 twisted) at q = x = 1, and w is
-chosen with that total below 2^(8 w - 1), so no digit of any partial result
-spills into the next and each reads back exactly; see _lowest_weight_char
-(n <= 0, a three-term recurrence) and _highest_weight_char (n > 0, the
-paper's double sum).
+The closed-form characters ch_W (b = 1) and ch_W_sigma (b = 2) are the
+paper's double sums of Gaussian binomials in base Q = q^b.  They are not
+summed term by term: every case is one three-term recurrence, computed by
+_packed_recurrence from G_0 = 1, G_(-1) = 0 and
+
+    G_j = (x + q^c / x + q^(b j + e)) G_(j-1) - q^c (1 - q^(b (j-1))) G_(j-2).
+
+Each recurrence comes from the q-binomial theorem (Andrews, The Theory of
+Partitions, ch. 3).  In each case G_N sums, over k + s + r = N, the
+trinomial [N; k, s, r] = [N, k] [N-k, s] times a q-power and x^(r-s).
+Summing over k, s and r apart by Euler's identities gives, with A = q^(b+e),
+
+    Phi(t) = sum_N G_N t^N / (Q;Q)_N
+           = (-A t; Q)_inf / ((t x; Q)_inf (q^c t / x; Q)_inf).
+
+So (1 - t x)(1 - q^c t / x) Phi(t) = (1 + A t) Phi(Q t).  The coefficient
+of t^N, times (Q;Q)_N and divided by 1 - Q^N, is the recurrence above.
+
+* n <= 0, (c, e) = (0, -1): ch(-m) = G_m with q-power
+  q^(b k(k-1)/2 + (b-1) k) and x^(s-r) = x^(-m+k+2s).  The sum is symmetric
+  in s and r, so x^(s-r) may be read as x^(r-s).  Here A = q^(b-1), q^c = 1.
+* ch_W(n), n >= 1, (c, e) = (1, 0): ch_W(n) = x G_(n-1) with q-power
+  q^(k(k+1)/2) q^s and x^(N-k-2s) = x^(r-s).  Here A = q and q^c = q:
+  Phi(t) = (-q t; q)_inf / ((t x; q)_inf (q t / x; q)_inf).
+* ch_W_sigma(n), n >= 1, (c, e) = (2, -1): the paper's sum is, binomials in
+  q^2, sum_{k,s} q^(k^2) [n-1, k] [n-k-1, s]
+  (q^(2s) x^(n-k-2s) + q^(2n-1) x^(n-k-2s-1)).  Its first half is x G_(n-1)
+  with A = q and q^c = Q = q^2.  Its second half is q^(2n-1)
+  ch_W_sigma(-(n-1)): the n <= 0 sum at m = n-1, mirrored in x, and that
+  character is x-symmetric.
+
+Each x-coefficient is kept as one packed integer whose base-2^(8 w) digit i
+is its q^i coefficient, so a q-shift is an integer shift and the recurrence
+is integer shifts and adds; no polynomial product is formed.  Integer
+arithmetic is exact, so only the final digits must read back: every G_j has
+nonnegative coefficients, and a character of weight n totals 3^|n| (n <= 0)
+or b * 3^(n-1) (n > 0) at q = x = 1.  w is chosen with 3^|n| (n <= 0) or
+b * 3^n (n > 0) below 2^(8 w - 1), so every coefficient of the result is one
+digit, and QPolynomial.from_packed reads it back exactly.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-from macweyl.qcomb import euler_product_truncated, packed_q_binomial, q_binomial
+from macweyl.qcomb import euler_product_truncated, q_binomial
 from macweyl.ring import QPolynomial, XPolynomial, check_size, packed_width
 
 KINDS = (
@@ -125,81 +155,57 @@ def ch_D(n):
     return XPolynomial({-n + 2 * k: q_binomial(n, k) for k in range(n + 1)})
 
 
-def _lowest_weight_char(m, b):
-    """ch_W(-m) (b = 1) or ch_W_sigma(-m) (b = 2) by a three-term recurrence.
+def _packed_recurrence(m, b, c, e, width):
+    """The x-coefficients of G_m as packed integers: {x: value} whose
+    base-2^(8 width) digit i is the q^i coefficient, where G_0 = 1,
+    G_(-1) = 0 and
 
-    The closed forms sum_{k,s} q^(b k(k-1)/2 + (b-1)k) [m,k] [m-k,s]
-    x^(-m+k+2s), binomials in base Q = q^b, have by the q-binomial theorem
-    the generating function sum_m F_m t^m / (Q;Q)_m
-    = (-q^(b-1) t; Q)_inf / ((t x; Q)_inf (t/x; Q)_inf); comparing it at t
-    and Q t gives
+        G_j = (x + q^c / x + q^(b j + e)) G_(j-1) - q^c (1 - q^(b (j-1))) G_(j-2).
 
-        F_m = (x + 1/x + q^(b m - 1)) F_(m-1) - (1 - q^(b (m-1))) F_(m-2),
-
-    with F_0 = 1.  So no polynomial product is needed.  Each x-coefficient is
-    kept as one integer whose base-2^(8 w) digit i is its q^i coefficient:
-    multiplying by q^e is a shift and the recurrence is integer shifts and
-    adds.  Every coefficient of F_j is nonnegative and at most F_j(1, 1) = 3^j,
-    and w is chosen with 3^m < 2^(8 w - 1), so each F_j's integers have valid
-    digits and read back exactly, whatever the order of the additions.
+    Multiplying by q^k is a shift by 8 width k bits, so each step is integer
+    shifts and adds; see the module docstring for the cases and for why the
+    digits read back exactly.
     """
-    width = packed_width(3**m)
     bits = 8 * width
+    cross = bits * c
     prev, cur = {}, {0: 1}
     for j in range(1, m + 1):
-        up, down = bits * (b * j - 1), bits * b * (j - 1)
+        up, down = bits * (b * j + e), bits * b * (j - 1)
         nxt = {}
         for x in range(-j, j + 1):
-            p = prev.get(x, 0)
-            nxt[x] = (cur.get(x - 1, 0) + cur.get(x + 1, 0) + (cur.get(x, 0) << up)
-                      + (p << down) - p)
+            p = prev.get(x, 0) << cross
+            nxt[x] = (cur.get(x - 1, 0) + (cur.get(x + 1, 0) << cross)
+                      + (cur.get(x, 0) << up) + (p << down) - p)
         prev, cur = cur, nxt
-    return XPolynomial({x: QPolynomial.from_packed(v, width) for x, v in cur.items()})
+    return cur
 
 
-def _highest_weight_char(n, b):
-    """ch_W(n) (b = 1) or ch_W_sigma(n) (b = 2) for n >= 1, by the paper's
-    double sum over 0 <= k < n, 0 <= s < n - k, binomials in base Q = q^b:
-
-        b = 1: q^(k(k+1)/2) [n-1, k] q^s [n-k-1, s] x^(n-k-2s),
-        b = 2: q^(k^2) [n-1, k] [n-k-1, s] (q^(2s) x^(n-k-2s) + q^(2n-1) x^(n-k-2s-1)).
-
-    Each x-coefficient is summed as one packed integer, as in
-    _lowest_weight_char: a term is the product of two packed binomials
-    (qcomb.packed_q_binomial) shifted by its q-power.  Every term has
-    nonnegative coefficients and the sum is b * 3^(n-1) at q = x = 1, so with
-    b * 3^n < 2^(8 w - 1) no digit of a product or partial sum overflows and
-    each reads back exactly.
-    """
-    width = packed_width(b * 3**n)
-    bits = 8 * width
-    sums = {}
-    for k in range(n):
-        outer = packed_q_binomial(n - 1, k, b, width) << bits * (
-            k * (k + 1) // 2 if b == 1 else k * k)
-        for s in range(n - k):
-            x = n - k - 2 * s
-            term = outer * packed_q_binomial(n - k - 1, s, b, width)
-            sums[x] = sums.get(x, 0) + (term << bits * b * s)
-            if b == 2:
-                sums[x - 1] = sums.get(x - 1, 0) + (term << bits * (2 * n - 1))
+def _character(n, b):
+    """ch_W(n) (b = 1) or ch_W_sigma(n) (b = 2) at any integer weight n."""
+    if n <= 0:
+        width = packed_width(3**-n)
+        sums = _packed_recurrence(-n, b, 0, -1, width)
+    else:
+        width = packed_width(b * 3**n)
+        # (c, e) = (1, 0) untwisted, (2, -1) twisted; the module docstring.
+        sums = {x + 1: v for x, v in _packed_recurrence(n - 1, b, b, 1 - b, width).items()}
+        if b == 2:
+            shift = 8 * width * (2 * n - 1)
+            for x, v in _packed_recurrence(n - 1, 2, 0, -1, width).items():
+                sums[x] = sums.get(x, 0) + (v << shift)
     return XPolynomial({x: QPolynomial.from_packed(v, width) for x, v in sums.items()})
 
 
 def ch_W(n):
     """Closed-form character of the untwisted module, any integer weight."""
     check_size("characters", n)
-    if n <= 0:
-        return _lowest_weight_char(-n, 1)
-    return _highest_weight_char(n, 1)
+    return _character(n, 1)
 
 
 def ch_W_sigma(n):
     """Closed-form character of the twisted module, any integer weight."""
     check_size("characters", n)
-    if n <= 0:
-        return _lowest_weight_char(-n, 2)
-    return _highest_weight_char(n, 2)
+    return _character(n, 2)
 
 
 def pbw_character(n, twisted=False):

@@ -87,8 +87,8 @@ def _dict_product_highest_weight(n, b):
 
 
 def test_packed_highest_weight_equals_dict_product_sum():
-    # n = 40 has digits wider than 8 bytes (3^40 > 2^63).
-    for n in list(range(1, 13)) + [29, 40]:
+    # packed_width(2 * 3^n) is 8 bytes up to n = 39 and wider from n = 40.
+    for n in list(range(1, 17)) + [39, 40]:
         assert ch_W(n) == _dict_product_highest_weight(n, 1)
         assert ch_W_sigma(n) == _dict_product_highest_weight(n, 2)
 
@@ -142,8 +142,10 @@ def test_ch_W_sigma_examples():
 
 def test_characters_stop_at_size_limit():
     limit = SIZE_LIMITS["characters"]
-    # The closed-forms ladder's top rung stays in range.
+    # The closed-forms ladder's top rung and both signs stay in range.
     assert ch_W_sigma(-64).eval_at_ones() == 3**64
+    assert ch_W(64).eval_at_ones() == 3**63
+    assert ch_W_sigma(64).eval_at_ones() == 2 * 3**63
     for fn, n in ((ch_W, limit + 1), (ch_W, -limit - 1), (ch_W_sigma, limit + 1),
                   (ch_W_sigma, -limit - 1), (ch_D, limit + 1)):
         with pytest.raises(BoundExceeded):
