@@ -26,12 +26,20 @@ e(x)t^0 when twisted):
   point by L, the lcm of their denominators, leaves the filtration unchanged
   (repeated points and repeated squares stay repeated).  The points are then
   integers.
+* Only the weights w <= 0 are built.  e, f, h (x) t^0 lie in both current
+  algebras and keep the degree, so each F_d, and each F_d / F_(d-1), is a
+  finite-dimensional sl2-module, whose character is symmetric under
+  w -> -w: the multiplicity at (d, w) equals the one at (d, -w).  Every
+  applied current raises the weight, so a vector of weight w <= 0 is reached
+  only through weights below w, and F_d restricted to w <= 0 is computed
+  exactly without the rest.  The cyclic submodule is sl2-stable too, so it
+  is all of V once it fills every V_w with w <= 0.
 
-Vectors are dense integer lists over the tensor states of one weight, and a
-current is applied through a per-call table of (target, coefficient) pairs.
-Each weight space keeps its rows in fraction-free reduced echelon form (see
-_WeightSpace), so testing a candidate against r rows of length D costs
-r (D - r) multiplications, and nothing once the space is full.
+Vectors are dense integer lists over the tensor states of one weight w <= 0,
+and a current is applied through a per-call table of (target, coefficient)
+pairs.  Each weight space keeps its rows in fraction-free reduced echelon
+form (see _WeightSpace), so testing a candidate against r rows of length D
+costs r (D - r) multiplications, and nothing once the space is full.
 """
 
 from dataclasses import dataclass
@@ -64,20 +72,19 @@ _GM = {2: [(1, 1)], 1: [(0, -1)]}
 
 _PARITY = {"e": EVEN, "f": EVEN, "h": EVEN, "g+": ODD, "g-": ODD}
 _STATE_PARITY = (EVEN, ODD, EVEN)
-_STATE_WEIGHT = (-1, 0, 1)
 
 
 @dataclass(frozen=True)
 class SuperRep:
-    matrices: dict  # name -> dense 3x3 list of Fraction rows
+    matrices: dict  # name -> dense 3x3 list of int rows
     parities: tuple
 
 
 def _dense(colmap):
-    m = [[Fraction(0)] * 3 for _ in range(3)]
+    m = [[0] * 3 for _ in range(3)]
     for col, entries in colmap.items():
         for row, val in entries:
-            m[row][col] = Fraction(val)
+            m[row][col] = val
     return m
 
 
@@ -141,7 +148,7 @@ def check_relations(rep):
         got = _bracket(
             rep.matrices[left], _PARITY[left], rep.matrices[right], _PARITY[right]
         )
-        want = _matscale(rep.matrices[expected], Fraction(scale))
+        want = _matscale(rep.matrices[expected], scale)
         if got != want:
             raise RelationViolation(
                 "bracket [%s, %s] != %d*%s" % (left, right, scale, expected)
@@ -228,19 +235,23 @@ def fusion_character(n, points, twisted=False):
     top = 2 * n if twisted else n
     powers = [[int(p * scale) ** k for k in range(top)] for p in points]
 
-    # The tensor states of each weight, and each state's index among them.
+    # The tensor states of each weight w <= 0, and each state's index among them.
     states = {}
     for state in product(range(3), repeat=n):
-        states.setdefault(sum(state) - n, []).append(state)
+        w = sum(state) - n
+        if w <= 0:
+            states.setdefault(w, []).append(state)
     index = {s: i for group in states.values() for i, s in enumerate(group)}
     # (current, k, weight) -> per source index, the (target index, coefficient)
     # pairs of x(x)t^k; each coefficient carries the Koszul sign, the matrix
-    # entry and powers[i][k].
+    # entry and powers[i][k].  A current whose target weight is > 0 has none.
     gens = list(_generators(n, twisted))
     tables = {}
     for name, k in gens:
         colmap, odd = _COLMAPS[name], _PARITY[name] == ODD
         for w, group in states.items():
+            if w + _RAISE[name] > 0:
+                continue
             table = []
             for state in group:
                 pairs, sign = [], 1
@@ -254,15 +265,15 @@ def fusion_character(n, points, twisted=False):
                 table.append(pairs)
             tables[name, k, w] = table
 
-    total_dim = 3 ** n
+    low_dim = sum(map(len, states.values()))  # dimension of the weights w <= 0
     spaces = {w: _WeightSpace(len(group)) for w, group in states.items()}
-    char = {}  # (degree, weight) -> multiplicity
+    char = {}  # (degree, weight <= 0) -> multiplicity
     pending = {0: [(-n, [1])]}  # degree -> [(weight, dense vector)]
     found = 0
     degree = 0
     max_degree = 2 * n * n + 2 * n + 4
 
-    while pending and degree <= max_degree and found < total_dim:
+    while pending and degree <= max_degree and found < low_dim:
         frontier = []
         for w, vec in pending.pop(degree, []):
             if spaces[w].add(vec):
@@ -276,7 +287,7 @@ def fusion_character(n, points, twisted=False):
             idx += 1
             for name, k in gens:
                 target = w + _RAISE[name]
-                if target not in spaces or not spaces[target].free:
+                if target > 0 or not spaces[target].free:
                     continue
                 img = [0] * len(states[target])
                 for c, pairs in zip(vec, tables[name, k, w]):
@@ -294,11 +305,14 @@ def fusion_character(n, points, twisted=False):
                     pending.setdefault(degree + k, []).append((target, img))
         degree += 1
 
-    if found < total_dim:
+    if found < low_dim:
+        dim = sum(len(space.pivots) * (2 if w else 1) for w, space in spaces.items())
         raise NotCyclic(
-            "filtration stabilized at dimension %d < %d" % (found, total_dim)
+            "filtration stabilized at dimension %d < %d" % (dim, 3 ** n)
         )
 
     return XPolynomial.from_pairs(
-        (w, QPolynomial.monomial(mult, deg)) for (deg, w), mult in char.items()
+        (sign * w, QPolynomial.monomial(mult, deg))
+        for (deg, w), mult in char.items()
+        for sign in ((1, -1) if w else (1,))
     )

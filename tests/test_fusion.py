@@ -1,5 +1,7 @@
 import time
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
@@ -10,10 +12,13 @@ from macweyl.fusion import (
     RelationViolation,
     SuperRep,
     _bracket,
+    _generators,
+    _WeightSpace,
     build_rep,
     check_relations,
     fusion_character,
 )
+from macweyl.ring import QPolynomial, XPolynomial
 from macweyl.weylchar import ch_W, ch_W_sigma
 
 POINT_SETS = ([1, 2, 3], [1, -2, 3], [Fraction(1, 2), 2, 5])
@@ -136,3 +141,75 @@ def test_relation_gate_runs_once_per_process(monkeypatch):
     finally:
         fusion._relation_gate.cache_clear()
     assert len(calls) == 1
+
+
+def _all_weights_character(n, points, twisted=False):
+    """The literal filtration over every weight, w > 0 included: the oracle's
+    loop without the sl2 symmetry, acting with the dense matrices of
+    build_rep.  Returns the character of the cyclic submodule it reaches."""
+    matrices = build_rep().matrices
+    scale = lcm(*(Fraction(p).denominator for p in points))
+    points = [int(Fraction(p) * scale) for p in points]
+    states = {}
+    for state in product(range(3), repeat=n):
+        states.setdefault(sum(state) - n, []).append(state)
+    index = {s: i for group in states.values() for i, s in enumerate(group)}
+    spaces = {w: _WeightSpace(len(group)) for w, group in states.items()}
+
+    def apply(name, k, w, vec):
+        m, raise_by = matrices[name], 2 if name == "e" else 1
+        img = [0] * len(states[w + raise_by])
+        for c, state in zip(vec, states[w]):
+            sign = 1
+            for i, s in enumerate(state):
+                for row in range(3):
+                    if m[row][s]:
+                        target = index[state[:i] + (row,) + state[i + 1 :]]
+                        img[target] += sign * m[row][s] * points[i] ** k * c
+                if name == "g+" and s == 1:  # Koszul sign past an odd vector
+                    sign = -sign
+        return w + raise_by, img
+
+    char, pending, degree = {}, {0: [(-n, [1])]}, 0
+    while pending:
+        queue = pending.pop(degree, [])
+        for w, vec in queue:  # grows with the degree-0 images
+            if not spaces[w].add(vec):
+                continue
+            char[degree, w] = char.get((degree, w), 0) + 1
+            for name, k in _generators(n, twisted):
+                if w + (2 if name == "e" else 1) in spaces:
+                    (queue if k == 0 else pending.setdefault(degree + k, [])).append(
+                        apply(name, k, w, vec)
+                    )
+        degree += 1
+    return XPolynomial.from_pairs(
+        (w, QPolynomial.monomial(mult, deg)) for (deg, w), mult in char.items()
+    )
+
+
+@pytest.mark.parametrize("twisted", (False, True))
+def test_oracle_equals_all_weights_filtration(twisted):
+    # The oracle builds only w <= 0 and mirrors; the literal filtration
+    # over every weight must give the same graded character.
+    for points in (POINT_SETS[1], MIXED_POINTS[:4]):
+        for n in range(1, len(points) + 1):
+            assert fusion_character(n, points[:n], twisted=twisted) == (
+                _all_weights_character(n, points[:n], twisted)
+            )
+
+
+def test_not_cyclic_message_counts_every_weight():
+    # The oracle fills only w <= 0, but reports the full dimensions.
+    cases = (
+        (3, [1, 1, 2], False, "15 < 27"),
+        (3, [1, -1, 2], True, "15 < 27"),
+        (4, [1, 1, 2, 3], False, "45 < 81"),
+        (4, [1, 1, 1, 2], False, "21 < 81"),
+    )
+    for n, points, twisted, dims in cases:
+        with pytest.raises(NotCyclic) as err:
+            fusion_character(n, points, twisted=twisted)
+        assert str(err.value) == "filtration stabilized at dimension " + dims
+        found = _all_weights_character(n, points, twisted).eval_at_ones()
+        assert found == int(dims.split()[0])
