@@ -9,7 +9,6 @@ from macweyl.ring import (
     BiPolynomial,
     RationalFunction,
     XPolynomial,
-    substitute_q_inverse,
     rf_eval_v0,
     rf_limit_v_infinity,
 )

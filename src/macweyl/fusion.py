@@ -274,17 +274,12 @@ def fusion_character(n, points, twisted=False):
     max_degree = 2 * n * n + 2 * n + 4
 
     while pending and degree <= max_degree and found < low_dim:
-        frontier = []
-        for w, vec in pending.pop(degree, []):
-            if spaces[w].add(vec):
-                char[(degree, w)] = char.get((degree, w), 0) + 1
-                found += 1
-                frontier.append((w, vec))
-        # closure at this degree, then push to higher degrees
-        idx = 0
-        while idx < len(frontier):
-            w, vec = frontier[idx]
-            idx += 1
+        queue = pending.pop(degree, [])
+        for w, vec in queue:  # grows with the images of the degree-0 currents
+            if not spaces[w].add(vec):
+                continue
+            char[(degree, w)] = char.get((degree, w), 0) + 1
+            found += 1
             for name, k in gens:
                 target = w + _RAISE[name]
                 if target > 0 or not spaces[target].free:
@@ -294,15 +289,8 @@ def fusion_character(n, points, twisted=False):
                     if c:
                         for t, a in pairs:
                             img[t] += a * c
-                if not any(img):
-                    continue
-                if k == 0:
-                    if spaces[target].add(img):
-                        char[(degree, target)] = char.get((degree, target), 0) + 1
-                        found += 1
-                        frontier.append((target, img))
-                else:
-                    pending.setdefault(degree + k, []).append((target, img))
+                if any(img):
+                    (queue if k == 0 else pending.setdefault(degree + k, [])).append((target, img))
         degree += 1
 
     if found < low_dim:

@@ -98,11 +98,11 @@ def _pair_product(exponents, q_bound, x_bound):
 
 def inv_pochhammer_truncated(k, q_bound):
     """1 / ((1-q)(1-q^2)...(1-q^k)), truncated to q-degree q_bound."""
-    out = QPolynomial.one()
+    coeffs = [1] + [0] * q_bound
     for i in range(1, k + 1):
-        geo = QPolynomial({i * j: 1 for j in range(0, q_bound // i + 1)})
-        out = (out * geo).truncate_above(q_bound)
-    return out
+        for e in range(i, q_bound + 1):  # dividing by 1 - q^i adds the coefficient i below
+            coeffs[e] += coeffs[e - i]
+    return QPolynomial(dict(enumerate(coeffs[: q_bound + 1])))
 
 
 def _theta_sum(parity, q_bound, x_bound):
@@ -119,15 +119,6 @@ def _theta_sum(parity, q_bound, x_bound):
         if abs(xe) <= x_bound and qe <= q_bound:
             terms[xe] = (QPolynomial.q_power(qe) * ps).truncate_above(q_bound)
     return XPolynomial(terms)
-
-
-FACTOR_KINDS = (
-    "untwisted_pair",
-    "twisted_pair",
-    "single_plus",
-    "classical_theta_even",
-    "classical_theta_odd",
-)
 
 
 def euler_product_truncated(factor_kind, q_bound, x_bound):

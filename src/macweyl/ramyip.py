@@ -48,7 +48,6 @@ a value if they disagree.  Both cost a polynomial in n.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from macweyl.ring import (
     BiPolynomial,
@@ -231,12 +230,12 @@ def _numerators(family, n, steps, shift, window=None):
     ).terms
 
 
-@lru_cache(maxsize=None)
-def _assembled_sum(family, n, normalize):
+def ramyip_sum(family, n, normalize=True):
+    """The full E-polynomial as an XPolynomial over RationalFunction."""
     if family not in FAMILIES:
         raise ValueError("unknown family %r" % (family,))
     if n == 0:
-        return XPolynomial.constant(RationalFunction.one())
+        return XPolynomial.constant(RationalFunction(1))
     if abs(n) > SUM_BOUND:
         raise BoundExceeded("|n| exceeds the configured bound %d" % SUM_BOUND)
 
@@ -246,11 +245,6 @@ def _assembled_sum(family, n, normalize):
     return XPolynomial({
         x: _cancel(num, dens) for x, num in _numerators(family, n, steps, shift).items()
     })
-
-
-def ramyip_sum(family, n, normalize=True):
-    """The full E-polynomial as an XPolynomial over RationalFunction."""
-    return _assembled_sum(family, n, bool(normalize))
 
 
 # Per (family, spec): which folding sets feed the q-statistic of a

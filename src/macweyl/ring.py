@@ -10,17 +10,18 @@ nonzero coefficient, where a coefficient is an int or a ring element and is
 zero exactly when it is falsy.  The core holds the zero-stripping
 constructor, ``from_pairs`` (the sum of (exponent, coefficient) pairs that
 may repeat an exponent), ``zero``/``one``, equality and hashing with ints
-read as constants, addition, negation, subtraction, powers, ``sorted_terms``
-and the sign-and-term rendering loop.  Each subclass adds its product, its
+read as constants, addition, negation, subtraction, ``sorted_terms`` and the
+sign-and-term rendering loop.  Each subclass adds its product, its
 per-variable methods and the text of one term:
 
 * ``QPolynomial``   -- Z[q, q^-1], keys are q-exponents.
 * ``BiPolynomial``  -- Z[q^±1, v^±1], keys are (q-exponent, v-exponent).
-* ``XPolynomial``   -- Laurent polynomial in x whose coefficients live in any
-  of the rings here (anything with truth value, ``+`` and ``*`` works); it
-  renders its own text, with each coefficient in brackets.
+* ``XPolynomial``   -- Laurent polynomial in x over any of the rings here,
+  or holding RationalFunction values to render; it renders its own text,
+  with each coefficient in brackets.
 
-``RationalFunction`` is a quotient num/den of two BiPolynomials.  No gcd
+``RationalFunction`` is a quotient num/den of two BiPolynomials, a value
+that is rendered, compared and specialized but not computed with.  No gcd
 reduction is performed; equality is decided by cross-multiplication.
 
 ``QPolynomial`` products are computed three ways, by operand size.  A zero
@@ -159,18 +160,6 @@ class _Laurent:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = self.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 
@@ -236,12 +225,6 @@ class QPolynomial(_Laurent):
 
     def min_exp(self):
         return min(self.terms) if self.terms else None
-
-    def max_exp(self):
-        return max(self.terms) if self.terms else None
-
-    def coefficient(self, exp):
-        return self.terms.get(exp, 0)
 
     def scale_exponents(self, k):
         """Substitute q -> q^k (k nonzero; k = -1 is the inversion)."""
@@ -362,11 +345,6 @@ def _bytes_to_digits(raw, width):
     ]
 
 
-def substitute_q_inverse(p):
-    """q -> q^-1: negate every exponent (an involution)."""
-    return p.scale_exponents(-1)
-
-
 class BiPolynomial(_Laurent):
     """Integer-coefficient Laurent polynomial in q and v; keys (qe, ve)."""
 
@@ -377,10 +355,6 @@ class BiPolynomial(_Laurent):
     @classmethod
     def monomial(cls, coeff, q_exp=0, v_exp=0):
         return cls({(q_exp, v_exp): coeff})
-
-    @classmethod
-    def from_q(cls, p, v_exp=0):
-        return cls({(e, v_exp): c for e, c in p.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -479,17 +453,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def zero(cls):
-        return cls(BiPolynomial.zero())
-
-    @classmethod
-    def one(cls):
-        return cls(BiPolynomial.one())
-
-    def is_zero(self):
-        return self.num.is_zero()
-
     def __bool__(self):
         return bool(self.num)
 
@@ -499,32 +462,6 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction(other)
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, BiPolynomial)):
-            return RationalFunction(self.num * other, self.den)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def substitute_q_inverse(self):
         return RationalFunction(
@@ -622,9 +559,6 @@ class XPolynomial(_Laurent):
     def truncate_x(self, bound):
         return XPolynomial({e: c for e, c in self.terms.items() if abs(e) <= bound})
 
-    def coefficient(self, e):
-        return self.terms.get(e)
-
     def eval_at_ones(self):
         """Total coefficient mass: x = 1 and q = 1 (QPolynomial coefficients)."""
         return sum(c.eval_at_one() for c in self.terms.values())
@@ -635,14 +569,10 @@ class XPolynomial(_Laurent):
             return "0"
         chunks = []
         for e, c in self.sorted_terms():
+            if isinstance(c, RationalFunction) and c.den == BiPolynomial.one():
+                c = c.num  # a rational function over 1 is wrapped like its numerator
             cs = str(c) if isinstance(c, int) else c.render()
-            multi = len(getattr(c, "terms", {})) > 1
-            if isinstance(c, RationalFunction) and c.den != BiPolynomial.one():
-                cs = "(%s)/(%s)" % (c.num.render(), c.den.render())
-                multi = False
-                wrapped = cs
-            else:
-                wrapped = "(%s)" % cs if multi else cs
+            wrapped = "(%s)" % cs if len(getattr(c, "terms", {})) > 1 else cs
             if e == 0:
                 chunks.append(wrapped)
                 continue

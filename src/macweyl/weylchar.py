@@ -286,13 +286,3 @@ def approximant(kind, n, q_bound, x_bound):
 def scale_q(poly, k):
     """Substitute q -> q^k in every coefficient of an XPolynomial."""
     return poly.map_coeffs(lambda c: c.scale_exponents(k))
-
-
-def __getattr__(name):
-    # verify_section4 is harness code and lives in verify; the old name stays
-    # importable from here.  verify imports this module, hence the late import.
-    if name == "verify_section4":
-        from macweyl import verify
-
-        return verify.verify_section4
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -52,6 +52,15 @@ def test_epoly_full_json(capsys):
         assert "num" in t and "den" in t
 
 
+def test_epoly_full_n0_json(capsys):
+    code, out = run_cli(
+        capsys, "epoly", "--family", "A2", "--n", "0", "--spec", "full", "--format", "json",
+    )
+    assert code == 0
+    one = [{"coeff": "1", "q": 0, "v": 0}]
+    assert json.loads(out)["terms"] == [{"x": 0, "num": one, "den": one}]
+
+
 def test_walks_json(capsys):
     code, out = run_cli(capsys, "walks", "--n", "-1", "--format", "json")
     doc = json.loads(out)

@@ -2,6 +2,7 @@ from itertools import permutations
 
 from macweyl.qcomb import (
     euler_product_truncated,
+    inv_pochhammer_truncated,
     q_binomial,
     q_multinomial,
     wedge_lhs_truncated,
@@ -60,7 +61,7 @@ def test_q_binomial_symmetry_and_pascal():
 def test_q_binomial_base_and_degree():
     for base in (1, 2):
         p = q_binomial(5, 2, base)
-        assert p.max_exp() == 2 * 3 * base
+        assert max(p.terms) == 2 * 3 * base
         assert all(c > 0 for c in p.terms.values())
 
 
@@ -103,3 +104,16 @@ def test_wedge_examples():
 
 def test_wedge_identity_to_12_12():
     assert wedge_lhs_truncated(12, 12) == euler_product_truncated("single_plus", 12, 12)
+
+
+def brute_partitions(m, k):
+    # independent oracle: partitions of m into parts of size at most k
+    if m == 0:
+        return 1
+    return sum(brute_partitions(m - part, part) for part in range(1, min(k, m) + 1))
+
+
+def test_inv_pochhammer_counts_partitions_with_bounded_parts():
+    for k in (0, 1, 5, 30):
+        want = QPolynomial({m: brute_partitions(m, k) for m in range(31)})
+        assert inv_pochhammer_truncated(k, 30) == want

@@ -18,7 +18,13 @@ from macweyl.ramyip import (
     ramyip_terms,
     specialize,
 )
-from macweyl.ring import QPolynomial, XPolynomial, rf_eval_v0, rf_limit_v_infinity
+from macweyl.ring import (
+    QPolynomial,
+    RationalFunction,
+    XPolynomial,
+    rf_eval_v0,
+    rf_limit_v_infinity,
+)
 from macweyl.walks import (
     FAMILIES,
     SPECS,
@@ -67,6 +73,12 @@ def test_normalized_all_crossing_coefficient():
     assert full.terms[-1] == 1
     full = ramyip_sum("A2dagger", -1)
     assert full.terms[-1] == 1
+
+
+def test_full_sum_at_n0_is_one():
+    for family in ("A2", "A2dagger"):
+        for normalize in (True, False):
+            assert ramyip_sum(family, 0, normalize) == XPolynomial.constant(RationalFunction(1))
 
 
 def test_unnormalized_sum_keeps_literal_prefactor():
