@@ -5,11 +5,14 @@ Each table exists twice: once by unrolling its defining recurrence (with
 memoization) and once in closed form as a q-power times a base-q^2
 trinomial.  The two must agree; the test suite checks this exhaustively.
 
-E_spec sums the closed forms on packed integers: each x-coefficient is one
+The closed forms are computed on packed integers: a polynomial is one
 nonnegative integer whose base-2^(8 w) digit i is its q^i coefficient.  A
 table entry q^shift * (k22 + k + k11; k22, k, k11)_(q^2) is the product of
-two packed base-q^2 binomials, shifted left by `shift` digits, so every term
-costs one integer multiply, one shift and one add.  This is exact: every
+two packed base-q^2 binomials, shifted left by `shift` digits.  c_closed and
+cdag_closed read one entry back, its digits below 3^(k22 + k + k11), the
+trinomial's value at q = 1.  E_spec sums entries into one packed integer per
+x-coefficient, so every term costs one integer multiply, one shift and one
+add.  This is exact: every
 table entry has nonnegative coefficients, and at q = 1 the trinomials over
 all triples of total t add up to 3^t, so the entries of one E_spec(n) total
 3^|n|, 3^(|n|-1) or 2 * 3^(|n|-1) at q = x = 1.  With 2 * 3^|n| < 2^(8 w - 1)
@@ -20,7 +23,7 @@ one back.
 
 from functools import lru_cache
 
-from macweyl.qcomb import packed_q_binomial, q_multinomial
+from macweyl.qcomb import packed_q_binomial
 from macweyl.ring import QPolynomial, XPolynomial, check_size, packed_width
 from macweyl.walks import FAMILIES, normalize_spec
 
@@ -47,10 +50,26 @@ def _shift(family, r, k22, kmid):
     return kmid * (kmid - 1) + (2 * k22 + 2 * kmid if r == 1 else 0)
 
 
+def _packed_entry(family, r, k22, kmid, k11, width, q_shift=0):
+    """q^q_shift times table entry r of family at (k22, kmid, k11), packed at
+    `width` bytes a digit: q^shift * (k22 + kmid + k11; k22, kmid, k11)_(q^2)
+    is the product of two packed base-q^2 binomials, shifted left by `shift`
+    digits.  0 when an index is negative."""
+    if k22 < 0 or kmid < 0 or k11 < 0:
+        return 0
+    total = k22 + kmid + k11
+    trinomial = (packed_q_binomial(total, k22, 2, width)
+                 * packed_q_binomial(total - k22, kmid, 2, width))
+    return trinomial << 8 * width * (_shift(family, r, k22, kmid) + q_shift)
+
+
+def _closed(family, r, k22, kmid, k11):
+    width = packed_width(3 ** max(k22 + kmid + k11, 0))
+    return QPolynomial.from_packed(_packed_entry(family, r, k22, kmid, k11, width), width)
+
+
 def c_closed(r, k22, k12, k11):
-    if k22 < 0 or k12 < 0 or k11 < 0:
-        return QPolynomial.zero()
-    return QPolynomial.q_power(_shift("A2", r, k22, k12)) * q_multinomial(k22, k12, k11, 2)
+    return _closed("A2", r, k22, k12, k11)
 
 
 @lru_cache(maxsize=None)
@@ -68,9 +87,7 @@ def cdag_rec(r, k22, k21, k11):
 
 
 def cdag_closed(r, k22, k21, k11):
-    if k22 < 0 or k21 < 0 or k11 < 0:
-        return QPolynomial.zero()
-    return QPolynomial.q_power(_shift("A2dagger", r, k22, k21)) * q_multinomial(k22, k21, k11, 2)
+    return _closed("A2dagger", r, k22, k21, k11)
 
 
 def _triples(total):
@@ -92,18 +109,12 @@ def E_spec(family, n, spec):
         return XPolynomial.constant(QPolynomial.one())
 
     width = packed_width(2 * 3 ** abs(n))
-    bits = 8 * width
     sums = {}
 
     def put(x_exp, r, k22, kmid, k11, q_shift=0):
         # x^x_exp q^q_shift times table entry r at (k22, kmid, k11), if any.
-        if k22 < 0 or kmid < 0:
-            return
-        total = k22 + kmid + k11
-        trinomial = (packed_q_binomial(total, k22, 2, width)
-                     * packed_q_binomial(total - k22, kmid, 2, width))
-        shift = _shift(family, r, k22, kmid) + q_shift
-        sums[x_exp] = sums.get(x_exp, 0) + (trinomial << bits * shift)
+        entry = _packed_entry(family, r, k22, kmid, k11, width, q_shift)
+        sums[x_exp] = sums.get(x_exp, 0) + entry
 
     if family == "A2":
         if n < 0 and spec == "t0":
@@ -142,9 +153,8 @@ def ctable(family, r, max_n):
     if max_n < 0:
         raise ValueError("max_n must be nonnegative, got %d" % max_n)
     check_size("ctable", max_n)
-    closed = c_closed if family == "A2" else cdag_closed
     out = []
     for total in range(max_n + 1):
         for key in _triples(total):
-            out.append((key, closed(r, *key)))
+            out.append((key, _closed(family, r, *key)))
     return out

@@ -1,4 +1,4 @@
-"""Gaussian binomials, q-multinomials and truncated q-series products.
+"""Gaussian binomials, q-multinomials, truncated q-series products and theta sums.
 
 A truncated series is a plain XPolynomial cut to 0 <= q-exponent <= q_bound
 and |x-exponent| <= x_bound; every coefficient it keeps is exact, so none is
@@ -6,6 +6,7 @@ reported beyond the degree to which it was actually computed.
 """
 
 from functools import lru_cache
+from math import isqrt
 
 from macweyl.ring import QPolynomial, XPolynomial
 
@@ -59,41 +60,17 @@ def q_multinomial(k1, k2, k3, base_exponent=2):
     return q_binomial(n, k1, base_exponent) * q_binomial(n - k1, k2, base_exponent)
 
 
-def _truncate_q(poly, q_bound):
-    return poly.map_coeffs(lambda c: c.truncate_above(q_bound).truncate_below(0))
-
-
-def _max_picks(exponents, q_bound):
-    # Largest number of distinct factors whose smallest q-costs fit the bound.
-    total = 0
-    picks = 0
-    for e in exponents:
-        total += e
-        if total > q_bound:
-            break
-        picks += 1
-    return picks
-
-
-def _one_side_product(exponents, x_step, q_bound, x_cap):
-    """Expand prod (1 + q^e x^x_step) over the given exponents, truncated."""
+def _one_side_product(exponents, q_bound, x_bound):
+    """Expand prod (1 + q^e x) over the given exponents e >= 0, truncated."""
     poly = XPolynomial.constant(QPolynomial.one())
     for e in exponents:
         q_e = QPolynomial.q_power(e)
         poly = poly + XPolynomial({
-            xe + x_step: (q_e * c).truncate_above(q_bound)
+            xe + 1: (q_e * c).truncate_above(q_bound)
             for xe, c in poly.terms.items()
-            if abs(xe + x_step) <= x_cap
+            if xe + 1 <= x_bound
         })
     return poly
-
-
-def _pair_product(exponents, q_bound, x_bound):
-    exps = [e for e in exponents if e <= q_bound]
-    slack = _max_picks(exps, q_bound)
-    plus = _one_side_product(exps, +1, q_bound, x_bound + slack)
-    minus = _one_side_product(exps, -1, q_bound, x_bound + slack)
-    return _truncate_q((plus * minus).truncate_x(x_bound), q_bound)
 
 
 def inv_pochhammer_truncated(k, q_bound):
@@ -105,45 +82,56 @@ def inv_pochhammer_truncated(k, q_bound):
     return QPolynomial(dict(enumerate(coeffs[: q_bound + 1])))
 
 
-def _theta_sum(parity, q_bound, x_bound):
-    # sum over k of x^(2k) q^(k^2) (even) or x^(2k+1) q^(k(k+1)) (odd),
-    # multiplied by the partition series 1 / prod_{i>=1} (1 - q^i); factors
-    # with i > q_bound do not change it below q^(q_bound + 1).
-    ps = inv_pochhammer_truncated(q_bound, q_bound)
-    terms = {}
-    for k in range(-(q_bound + x_bound + 2), q_bound + x_bound + 3):
-        if parity == "even":
-            xe, qe = 2 * k, k * k
-        else:
-            xe, qe = 2 * k + 1, k * (k + 1)
-        if abs(xe) <= x_bound and qe <= q_bound:
-            terms[xe] = (QPolynomial.q_power(qe) * ps).truncate_above(q_bound)
-    return XPolynomial(terms)
+# Factor kind -> (b, theta): x^e has the exponents theta(e) in its theta
+# coefficient; see euler_product_truncated.
+_THETAS = {
+    "untwisted_pair": (1, lambda e: (e * (e - 1) // 2, e * (e + 1) // 2)),
+    "twisted_pair": (2, lambda e: (e * e,)),
+    "classical_theta_even": (1, lambda e: () if e % 2 else (e * e // 4,)),
+    "classical_theta_odd": (1, lambda e: (e * e // 4,) if e % 2 else ()),
+}
+
+
+def _theta_sum(factor_kind, q_bound, x_bound):
+    # sum_e x^e theta_e(q) / (q^b; q^b)_inf.  The factors 1 - q^(b i) with
+    # b i > q_bound do not change it below q^(q_bound + 1), and every theta
+    # exponent is at least (|e| - 1)^2 / 4, so no |e| > 2 isqrt(q_bound) + 2
+    # has a term within the bound.
+    b, theta = _THETAS[factor_kind]
+    ps = inv_pochhammer_truncated(q_bound // b, q_bound // b).scale_exponents(b)
+    reach = min(x_bound, 2 * isqrt(q_bound) + 2)
+    return XPolynomial({
+        e: QPolynomial.from_pairs(
+            (t + i, c) for t in theta(e) for i, c in ps.terms.items() if t + i <= q_bound
+        )
+        for e in range(-reach, reach + 1)
+    })
 
 
 def euler_product_truncated(factor_kind, q_bound, x_bound):
     """Truncated expansion of the named infinite product / theta quotient.
 
+    single_plus:    prod (1+q^i x), i >= 0, expanded factor by factor.
     untwisted_pair: prod (1+q^i x)(1+q^i x^-1), i >= 0.
     twisted_pair:   prod (1+q^(2i+1) x)(1+q^(2i+1) x^-1), i >= 0.
-    single_plus:    prod (1+q^i x), i >= 0.
-    classical_theta_even / _odd: theta-style sums divided by the eta-type
-    product, expanded through the partition series.
+    classical_theta_even / _odd: sum_k x^(2k) q^(k^2), resp.
+    sum_k x^(2k+1) q^(k(k+1)), divided by (q; q)_inf.
+
+    The two pair products are expanded as theta quotients too, by Jacobi's
+    triple product (Andrews, The Theory of Partitions, ch. 2):
+
+        prod (1+q^i x)(1+q^i x^-1)
+            = sum_e x^e (q^(e(e-1)/2) + q^(e(e+1)/2)) / (q; q)_inf,
+        prod (1+q^(2i+1) x)(1+q^(2i+1) x^-1)
+            = sum_e x^e q^(e^2) / (q^2; q^2)_inf.
 
     Result is exact for every retained coefficient: 0 <= q-exp <= q_bound and
     |x-exp| <= x_bound.
     """
     if factor_kind == "single_plus":
-        exps = range(0, q_bound + 1)
-        return _truncate_q(_one_side_product(exps, +1, q_bound, x_bound), q_bound)
-    if factor_kind == "untwisted_pair":
-        return _pair_product(range(0, q_bound + 1), q_bound, x_bound)
-    if factor_kind == "twisted_pair":
-        return _pair_product(range(1, q_bound + 1, 2), q_bound, x_bound)
-    if factor_kind == "classical_theta_even":
-        return _theta_sum("even", q_bound, x_bound)
-    if factor_kind == "classical_theta_odd":
-        return _theta_sum("odd", q_bound, x_bound)
+        return _one_side_product(range(0, q_bound + 1), q_bound, x_bound)
+    if factor_kind in _THETAS:
+        return _theta_sum(factor_kind, q_bound, x_bound)
     raise ValueError("unknown factor kind: %r" % (factor_kind,))
 
 

@@ -24,30 +24,18 @@ per-variable methods and the text of one term:
 that is rendered, compared and specialized but not computed with.  No gcd
 reduction is performed; equality is decided by cross-multiplication.
 
-``QPolynomial`` products are computed three ways, by operand size.  A zero
-or one-term operand shifts and scales the other's terms; a product of fewer
-than ``_SCHOOLBOOK_PAIRS`` term pairs (or one too sparse to pack) runs the
-schoolbook double loop; anything larger goes through Kronecker substitution
-(``_kronecker_mul``): each operand becomes one integer whose base-2^(8w)
-digits are its coefficients, the two integers are multiplied once, and the
-product's digits are read back as coefficients.  No product coefficient
-exceeds min(len a, len b) * max|a| * max|b| in absolute value, and w is
-chosen so that this bound stays below 2^(8w-1), half the digit base; so
-each digit of the integer product is exactly one coefficient, read as a
-signed digit, and no carry between digits is lost.  There is no modular
-reduction and the result is exact.  ``packed_width`` picks such a digit
-width for a given coefficient bound and ``QPolynomial.from_packed`` reads a
-nonnegative packed integer back, for callers that do their own integer
-arithmetic on packed coefficients (``weylchar`` characters, ``cform.E_spec``).
+A ``QPolynomial`` product shifts and scales the other operand's terms when
+one operand is an int, zero or a single term, and runs the schoolbook double
+loop otherwise.  Callers with large products work on packed integers
+instead: ``packed_width`` picks a digit width w that keeps a coefficient
+bound below 2^(8w-1), and ``QPolynomial.from_packed`` reads a nonnegative
+integer whose base-2^(8w) digits are coefficients back as a polynomial
+(``weylchar`` characters, the ``cform`` tables and ``E_spec``).
 """
 
 from __future__ import annotations
 
-from math import gcd
-from struct import pack, unpack
-
-# A product of fewer term pairs than this keeps the schoolbook loop.
-_SCHOOLBOOK_PAIRS = 256
+from struct import unpack
 
 
 class BoundExceeded(ValueError):
@@ -64,9 +52,12 @@ class BoundExceeded(ValueError):
 # weights are bound by memory (about 700 MB of output at n = -128).  The table
 # inputs are bounded by a max_n: cform.ctable at 32 (2.8 s, 370 MB), and the
 # verify suites named here (verify.run_suites) at recurrences 28 (3.0 s) and
-# duality 32 (1.6-2.4 s; 36 takes 5.3 s and 48 36 s).
+# duality 32 (1.6-2.4 s; 36 takes 5.3 s and 48 36 s).  weylchar.limit_char
+# grows as qmax^2, the partition series it expands: at qmax 4096 a kind takes
+# 0.5-1.1 s at xmax 8 (8192: 1.3-4.3 s), and 2.1 s and 50 MB of JSON at any
+# xmax, as a theta sum reaches no |x-exponent| past 2 isqrt(qmax) + 2.
 SIZE_LIMITS = {"walks": 9, "basis": 12, "characters": 64,
-               "ctable": 32, "recurrences": 28, "duality": 32}
+               "ctable": 32, "recurrences": 28, "duality": 32, "limitchar": 4096}
 
 
 def check_size(name, n):
@@ -210,10 +201,6 @@ class QPolynomial(_Laurent):
         if len(b) == 1:
             ((e0, c0),) = b.items()
             return QPolynomial._nonzero({e + e0: c * c0 for e, c in a.items()})
-        if len(a) * len(b) >= _SCHOOLBOOK_PAIRS:
-            out = _kronecker_mul(a, b)
-            if out is not None:
-                return QPolynomial._nonzero(out)
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -280,59 +267,15 @@ class QPolynomial(_Laurent):
         return qs if c == 1 else "%d*%s" % (c, qs)
 
 
-def _kronecker_mul(a, b):
-    """Product of two coefficient dicts {exponent: int} by Kronecker
-    substitution, or None when the product is too sparse to pack (more
-    output slots than term pairs, where the schoolbook loop does less work).
-
-    Exponents are packed on the grid low + step*i, step the gcd of every
-    exponent offset.  Digits are `width`-byte two's-complement chunks; XOR
-    with `half` (2^(8*width-1) in every chunk) turns them into offset-binary
-    chunks c + 2^(8*width-1), which are nonnegative, so an operand is that
-    integer minus `half`, and adding `half` to the product gives chunks that
-    carry into each other nowhere.
-    """
-    a_low, b_low = min(a), min(b)
-    step = gcd(*(e - a_low for e in a), *(e - b_low for e in b))
-    a_len = (max(a) - a_low) // step + 1
-    b_len = (max(b) - b_low) // step + 1
-    size = a_len + b_len - 1
-    if size > len(a) * len(b):
-        return None
-    width = packed_width(
-        min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    )
-    half = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-
-    def packed(terms, low, length):
-        dense = [0] * length
-        for e, c in terms.items():
-            dense[(e - low) // step] = c
-        return (int.from_bytes(_digits_to_bytes(dense, width), "little") ^ half) - half
-
-    packed_a = packed(a, a_low, a_len)
-    packed_b = packed_a if b is a else packed(b, b_low, b_len)
-    raw = ((packed_a * packed_b + half) ^ half).to_bytes(width * size, "little")
-    low = a_low + b_low
-    return {low + i * step: c for i, c in enumerate(_bytes_to_digits(raw, width)) if c}
-
-
-# struct codes of the signed little-endian digit widths packed in one call.
+# struct codes of the signed little-endian digit widths read in one call.
 _STRUCT_CODES = {1: "<%db", 2: "<%dh", 4: "<%di", 8: "<%dq"}
 
 
 def packed_width(bound):
     """Digit width w in bytes with bound < 2^(8*w-1), rounded up to a width
-    that struct packs in one call where there is one."""
+    that struct unpacks in one call where there is one."""
     width = (bound.bit_length() + 8) // 8
     return next((w for w in _STRUCT_CODES if width <= w), width)
-
-
-def _digits_to_bytes(digits, width):
-    code = _STRUCT_CODES.get(width)
-    if code:
-        return pack(code % len(digits), *digits)
-    return b"".join([c.to_bytes(width, "little", signed=True) for c in digits])
 
 
 def _bytes_to_digits(raw, width):
@@ -539,13 +482,6 @@ class XPolynomial(_Laurent):
         """Build from {x_exp: {q_exp: coeff}} nested dicts."""
         return cls({e: QPolynomial(t) for e, t in xq_terms.items()})
 
-    def __mul__(self, other):
-        return XPolynomial.from_pairs(
-            (e1 + e2, c1 * c2)
-            for e1, c1 in self.terms.items()
-            for e2, c2 in other.terms.items()
-        )
-
     def x_shift(self, k):
         return XPolynomial({e + k: c for e, c in self.terms.items()})
 
@@ -555,9 +491,6 @@ class XPolynomial(_Laurent):
 
     def map_coeffs(self, fn):
         return XPolynomial({e: fn(c) for e, c in self.terms.items()})
-
-    def truncate_x(self, bound):
-        return XPolynomial({e: c for e, c in self.terms.items() if abs(e) <= bound})
 
     def eval_at_ones(self):
         """Total coefficient mass: x = 1 and q = 1 (QPolynomial coefficients)."""

@@ -332,6 +332,9 @@ def run_suites(suite, max_n, errata=None):
         # suite runs.
         if name in SIZE_LIMITS:
             check_size(name, max_n)
+    # So is section4, by the basis enumeration of its PBW side.
+    if "section4" in names:
+        check_size("basis", max_n)
     if errata is None:
         errata = load_errata()
     entries = []

@@ -251,6 +251,7 @@ def limit_char(kind, q_bound, x_bound):
         raise ValueError("unknown limit kind %r" % (kind,))
     if q_bound < 0 or x_bound < 0:
         raise ValueError("truncation bounds must be nonnegative")
+    check_size("limitchar", q_bound)
     return euler_product_truncated(_LIMIT_FACTOR[kind], q_bound, x_bound)
 
 

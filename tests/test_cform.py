@@ -1,4 +1,5 @@
-from macweyl.cform import E_spec, _triples, c_closed, c_rec, cdag_closed, cdag_rec, ctable
+from macweyl.cform import E_spec, _shift, _triples, c_closed, c_rec, cdag_closed, cdag_rec, ctable
+from macweyl.qcomb import q_multinomial
 from macweyl.ring import QPolynomial, XPolynomial
 
 
@@ -88,8 +89,11 @@ def test_ctable_dump():
 
 
 def _dict_product_E_spec(family, n, spec):
-    # E_spec as a sum of QPolynomial products of the closed-form tables.
-    closed = c_closed if family == "A2" else cdag_closed
+    # E_spec as a sum of QPolynomial products of the closed-form tables, each
+    # table entry a dict product too.
+    def closed(r, k22, kmid, k11):
+        return QPolynomial.q_power(_shift(family, r, k22, kmid)) * q_multinomial(k22, kmid, k11, 2)
+
     terms = {}
 
     def put(x, c):

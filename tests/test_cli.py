@@ -227,9 +227,12 @@ def test_size_limits_exit_three_fast(capsys):
         ("epoly", "--family", "A2", "--n", str(-ramyip.SUM_BOUND - 1), "--spec", "full"),
         ("weylchar", "--module", "W", "--n", "600", "--format", "json"),
         ("limitchar", "--kind", "twisted", "--qmax", "3", "--xmax", "3", "--approx", "600"),
+        ("limitchar", "--kind", "untwisted", "--qmax", str(SIZE_LIMITS["limitchar"] + 1),
+         "--xmax", "4"),
         ("ctable", "--family", "A2", "--r", "2", "--max-n", str(SIZE_LIMITS["ctable"] + 1)),
         ("verify", "--suite", "recurrences", "--max-n", str(SIZE_LIMITS["recurrences"] + 1)),
         ("verify", "--suite", "duality", "--max-n", str(SIZE_LIMITS["duality"] + 1)),
+        ("verify", "--suite", "section4", "--max-n", str(SIZE_LIMITS["basis"] + 1)),
         ("verify", "--suite", "all", "--max-n", "600", "--format", "json"),
     ):
         start = time.perf_counter()

@@ -1,9 +1,12 @@
+import time
+
 import pytest
 
 from macweyl.cform import E_spec
 from macweyl.qcomb import q_binomial
 from macweyl.ring import SIZE_LIMITS, BoundExceeded, QPolynomial, XPolynomial
 from macweyl.weylchar import (
+    LIMIT_KINDS,
     approximant,
     ch_D,
     ch_W,
@@ -224,6 +227,40 @@ def test_limit_char_examples():
         {-1: qp({0: 1}), 0: qp({0: 2}), 1: qp({0: 1})}
     )
     assert limit_char("twisted", 0, 5) == XPolynomial({0: qp({0: 1})})
+
+
+def _literal_pair_product(exponents, q_bound):
+    # prod (1 + q^i x)(1 + q^i / x) over the exponents, one factor at a time,
+    # truncated in q only: a later factor may bring a far x-exponent back.
+    poly = XPolynomial.constant(qp({0: 1}))
+    for i in exponents:
+        for step in (1, -1):
+            poly = XPolynomial.from_pairs(
+                [(x, c) for x, c in poly.terms.items()]
+                + [(x + step, (QPolynomial.q_power(i) * c).truncate_above(q_bound))
+                   for x, c in poly.terms.items()]
+            )
+    return poly
+
+
+def test_theta_forms_equal_literal_pair_products():
+    for q_bound in range(25):
+        for kind, exponents in (
+            ("untwisted", range(0, q_bound + 1)),
+            ("twisted", range(1, q_bound + 1, 2)),
+        ):
+            product = _literal_pair_product(exponents, q_bound)
+            for x_bound in range(9):
+                expected = XPolynomial(
+                    {x: c for x, c in product.terms.items() if abs(x) <= x_bound})
+                assert limit_char(kind, q_bound, x_bound) == expected, (kind, q_bound, x_bound)
+
+
+def test_limit_char_stops_at_the_q_bound_not_the_x_bound():
+    start = time.perf_counter()
+    for kind in LIMIT_KINDS:
+        assert limit_char(kind, 3, 10**9) == limit_char(kind, 3, 64)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_approximant_stabilization():
