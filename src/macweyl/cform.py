@@ -150,6 +150,10 @@ def E_spec(family, n, spec):
 
 def ctable(family, r, max_n):
     """All table values with index sum <= max_n, as (key, value) pairs."""
+    if family not in FAMILIES:
+        raise ValueError("unknown family %r" % (family,))
+    if r not in (1, 2):
+        raise ValueError("r must be 1 or 2, got %r" % (r,))
     if max_n < 0:
         raise ValueError("max_n must be nonnegative, got %d" % max_n)
     check_size("ctable", max_n)

@@ -210,9 +210,6 @@ class QPolynomial(_Laurent):
 
     __rmul__ = __mul__
 
-    def min_exp(self):
-        return min(self.terms) if self.terms else None
-
     def scale_exponents(self, k):
         """Substitute q -> q^k (k nonzero; k = -1 is the inversion)."""
         if k == 0:
@@ -235,8 +232,8 @@ class QPolynomial(_Laurent):
         if self.is_zero():
             return QPolynomial.zero()
         # Shift both operands so they are honest polynomials, divide, shift back.
-        s_shift = self.min_exp()
-        o_shift = other.min_exp()
+        s_shift = min(self.terms)
+        o_shift = min(other.terms)
         num = {e - s_shift: c for e, c in self.terms.items()}
         den = {e - o_shift: c for e, c in other.terms.items()}
         ddeg = max(den)

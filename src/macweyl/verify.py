@@ -4,15 +4,18 @@ Every suite compares two independently computed polynomials and classifies
 the outcome:
 
 * EQUAL          -- identical, no transform.
-* EQUAL_UP_TO    -- identical after an x -> x^-1 mirror and/or a global
-                    q-power shift; the transform is recorded.
+* EQUAL_UP_TO    -- identical after the x -> x^-1 mirror, where the
+                    conventions table names it; the transform is recorded.
 * KNOWN_ERRATUM  -- an errata rule explains the difference exactly.
 * MISMATCH       -- anything else.
 
 The errata table (which rule explains each printed identity that fails) and
-the conventions table (which transform each identity route is expected to
-need) ship as JSON files next to this module; both were generated by
-derive_conventions()/derive_errata() at build time and then frozen.
+the conventions table (which transform each identity route needs) ship as
+JSON files next to this module; both were generated by
+derive_conventions()/derive_errata() at build time and then frozen.  The
+conventions table is the only source of a transform: the routes suite reads
+routes:<family>:<neg|pos>:<spec>, the section-4 PBW comparisons read
+pbw:untwisted / pbw:twisted, and every other identity compares exactly.
 """
 
 import json
@@ -20,17 +23,6 @@ from importlib import resources
 
 from macweyl import cform, fusion, qcomb, ramyip, walks, weylchar
 from macweyl.ring import SIZE_LIMITS, QPolynomial, XPolynomial, check_size
-
-SUITES = (
-    "dimensions",
-    "recurrences",
-    "section4",
-    "routes",
-    "duality",
-    "fusion",
-    "limits",
-    "walks",
-)
 
 
 def _data_text(name):
@@ -54,33 +46,13 @@ def _diff_terms(poly):
     return out
 
 
-def _global_q_shift(lhs, rhs):
-    # candidate k with lhs == q^k * rhs, from minimal exponents
-    lmin = min((c.min_exp() for c in lhs.terms.values()), default=None)
-    rmin = min((c.min_exp() for c in rhs.terms.values()), default=None)
-    if lmin is None or rmin is None:
-        return None
-    return lmin - rmin
-
-
-def _shift_q(poly, k):
-    q_shift = QPolynomial.q_power(k)
-    return poly.map_coeffs(lambda c: q_shift * c)
-
-
-def compare(lhs, rhs):
-    """(status, transform) for the transform lattice tried in order."""
+def compare(lhs, rhs, mirror):
+    """(status, transform): lhs == rhs, or lhs == rhs.mirror_x() when the
+    conventions table allows the mirror for this identity."""
     if lhs == rhs:
         return "EQUAL", {}
-    mirrored = rhs.mirror_x()
-    if lhs == mirrored:
+    if mirror and lhs == rhs.mirror_x():
         return "EQUAL_UP_TO", {"x_mirror": True}
-    k = _global_q_shift(lhs, rhs)
-    if k is not None and k != 0 and lhs == _shift_q(rhs, k):
-        return "EQUAL_UP_TO", {"q_shift": k}
-    k = _global_q_shift(lhs, mirrored)
-    if k is not None and k != 0 and lhs == _shift_q(mirrored, k):
-        return "EQUAL_UP_TO", {"x_mirror": True, "q_shift": k}
     return "MISMATCH", {}
 
 
@@ -108,8 +80,8 @@ ERRATA_RULES = {"pbw_degree_doubled": pbw_degree_doubled,
                 "c1_dagger_reflected": c1_dagger_reflected}
 
 
-def classify(identity, n, lhs, rhs, errata):
-    status, transform = compare(lhs, rhs)
+def classify(identity, n, lhs, rhs, errata, mirror=False):
+    status, transform = compare(lhs, rhs, mirror)
     entry = {"identity": identity, "n": n, "status": status, "transform": transform, "diff": []}
     if status == "MISMATCH":
         entry["diff"] = _diff_terms(lhs - rhs)
@@ -129,7 +101,7 @@ def _equal_entry(identity, n, ok, detail=None):
     }
 
 
-def suite_dimensions(max_n, errata):
+def suite_dimensions(max_n, errata, conventions):
     entries = []
     for n in range(0, min(max_n, 7) + 1):
         ok = len(weylchar.enumerate_basis("untwisted_neg", n)) == 3**n
@@ -146,7 +118,7 @@ def suite_dimensions(max_n, errata):
     return entries
 
 
-def suite_recurrences(max_n, errata):
+def suite_recurrences(max_n, errata, conventions):
     bound = max(max_n, 8)
     ok_c = ok_d = True
     for total in range(bound + 1):
@@ -162,57 +134,62 @@ def suite_recurrences(max_n, errata):
     ]
 
 
-def verify_section4(n_values, errata=None):
+def verify_section4(n_values, errata=None, conventions=None):
     """Compare character formulas with the specialized E-polynomials.
 
     For each n: (a) untwisted character at q^2 against the dagger t=0
     polynomial; (b) twisted character against the plain t=0 polynomial;
     (c) the PBW specializations against the t=infinity polynomials of the
-    opposite family.  Mismatches become report entries, never exceptions.
+    opposite family, mirrored in x where the conventions table says so.
+    Mismatches become report entries, never exceptions.
     """
     if errata is None:
         errata = load_errata()
+    if conventions is None:
+        conventions = load_conventions()
     entries = []
     for n in n_values:
         if n == 0:
             continue
         pairs = [
             ("ch_W_vs_E_A2dagger_t0",
-             weylchar.scale_q(weylchar.ch_W(n), 2), cform.E_spec("A2dagger", n, "t0")),
-            ("ch_Wsigma_vs_E_A2_t0", weylchar.ch_W_sigma(n), cform.E_spec("A2", n, "t0")),
+             weylchar.scale_q(weylchar.ch_W(n), 2), cform.E_spec("A2dagger", n, "t0"), False),
+            ("ch_Wsigma_vs_E_A2_t0", weylchar.ch_W_sigma(n), cform.E_spec("A2", n, "t0"), False),
         ]
         if n > 0:
             pairs += [
                 ("pbw_untwisted_vs_E_A2dagger_tinf",
                  weylchar.pbw_character_specialized(n, twisted=False),
-                 cform.E_spec("A2dagger", -n, "tinf")),
+                 cform.E_spec("A2dagger", -n, "tinf"),
+                 "x_mirror" in conventions["pbw:untwisted"]),
                 ("pbw_twisted_vs_E_A2_tinf",
                  weylchar.pbw_character_specialized(n, twisted=True),
-                 cform.E_spec("A2", -n, "tinf")),
+                 cform.E_spec("A2", -n, "tinf"),
+                 "x_mirror" in conventions["pbw:twisted"]),
             ]
-        entries += [classify(identity, n, lhs, rhs, errata) for identity, lhs, rhs in pairs]
+        entries += [classify(identity, n, lhs, rhs, errata, mirror)
+                    for identity, lhs, rhs, mirror in pairs]
     return entries
 
 
-def suite_section4(max_n, errata):
-    ns = [n for n in range(-max_n, max_n + 1) if n != 0]
-    return verify_section4(ns, errata)
+def suite_section4(max_n, errata, conventions):
+    return verify_section4(range(-max_n, max_n + 1), errata, conventions)
 
 
-def suite_routes(max_n, errata):
+def suite_routes(max_n, errata, conventions):
     entries = []
     for family in walks.FAMILIES:
         for n in [m for m in range(-max_n, max_n + 1) if m != 0]:
             for spec in ("t0", "tinf"):
                 lhs = ramyip.specialize(family, n, spec)
                 rhs = cform.E_spec(family, n, spec)
-                entries.append(
-                    classify("walkroute_vs_cform_%s_%s" % (family, spec), n, lhs, rhs, errata)
-                )
+                key = "routes:%s:%s:%s" % (family, "neg" if n < 0 else "pos", spec)
+                entries.append(classify("walkroute_vs_cform_%s_%s" % (family, spec), n, lhs, rhs,
+                                        errata, "x_mirror" in conventions[key]))
     return entries
 
 
-def suite_duality(max_n, errata):
+def suite_duality(max_n, errata, conventions):
     entries = []
     for n in range(0, max(max_n, 6) + 1):
         lhs = cform.E_spec("A2dagger", n + 1, "t0")
@@ -224,36 +201,31 @@ def suite_duality(max_n, errata):
     return entries
 
 
-_POINT_SETS = ([1, 2, 3, 4], [1, -2, 3, -4], [2, 3, 5, 7])
-# Distinct squares, so the twisted oracle is cyclic.
-_POINT_SET_5 = (1, -2, 3, -4, 5)
-_POINT_SET_6 = (1, -2, 3, -4, 5, -6)
+# (n, points, twisted values), in report order.  Twisted points have
+# distinct squares, so the twisted oracle is cyclic.
+_FUSION_CASES = [
+    (n, points[:n], (False, True))
+    for n in (1, 2, 3)
+    for points in ((1, 2, 3, 4), (1, -2, 3, -4), (2, 3, 5, 7))
+] + [
+    (4, (1, 2, 3, 4), (False,)),
+    (5, (1, -2, 3, -4, 5), (False, True)),
+    (6, (1, -2, 3, -4, 5, -6), (False, True)),
+]
 
 
-def suite_fusion(max_n, errata):
+def suite_fusion(max_n, errata, conventions):
     entries = []
-    top = min(max_n, 3)
-    for n in range(1, top + 1):
-        for pts in _POINT_SETS:
-            lhs = fusion.fusion_character(n, pts[:n], twisted=False)
-            entries.append(
-                classify("fusion_vs_ch_W", n, lhs, weylchar.ch_W(-n), errata)
-            )
-            lhs = fusion.fusion_character(n, pts[:n], twisted=True)
-            entries.append(
-                classify("fusion_vs_ch_W_sigma", n, lhs, weylchar.ch_W_sigma(-n), errata)
-            )
-    if max_n >= 4:
-        lhs = fusion.fusion_character(4, _POINT_SETS[0], twisted=False)
-        entries.append(classify("fusion_vs_ch_W", 4, lhs, weylchar.ch_W(-4), errata))
-    for n, pts in ((5, _POINT_SET_5), (6, _POINT_SET_6)):
-        if max_n >= n:
-            lhs = fusion.fusion_character(n, pts, twisted=False)
-            entries.append(classify("fusion_vs_ch_W", n, lhs, weylchar.ch_W(-n), errata))
-            lhs = fusion.fusion_character(n, pts, twisted=True)
-            entries.append(
-                classify("fusion_vs_ch_W_sigma", n, lhs, weylchar.ch_W_sigma(-n), errata)
-            )
+    for n, points, twisted_values in _FUSION_CASES:
+        if n > max_n:
+            break
+        for twisted in twisted_values:
+            lhs = fusion.fusion_character(n, points, twisted)
+            if twisted:
+                identity, rhs = "fusion_vs_ch_W_sigma", weylchar.ch_W_sigma(-n)
+            else:
+                identity, rhs = "fusion_vs_ch_W", weylchar.ch_W(-n)
+            entries.append(classify(identity, n, lhs, rhs, errata))
     try:
         fusion.fusion_character(2, [1, -1], twisted=True)
         entries.append(_equal_entry("fusion_equal_squares_rejected", 2, False))
@@ -262,7 +234,7 @@ def suite_fusion(max_n, errata):
     return entries
 
 
-def suite_limits(max_n, errata):
+def suite_limits(max_n, errata, conventions):
     entries = []
     for kind, n, d in (
         ("untwisted", 6, 2),
@@ -282,29 +254,21 @@ def suite_limits(max_n, errata):
     return entries
 
 
-def suite_walks(max_n, errata):
+def suite_walks(max_n, errata, conventions):
     """Reports which ascent-statistic variant matches the exact route."""
     entries = []
     for n in range(1, max_n + 1):
         exact = ramyip.specialize("A2", -n, "tinf")
+        hwords = [walks.to_hword(w, -1)
+                  for w in walks.qb_filter(walks.enumerate_walks(-n), "A2", "tinf")]
         for name, fn in (("literal", walks.legprime), ("shifted", walks.legprime_shifted)):
-            hwords = (
-                walks.to_hword(w, -1)
-                for w in walks.qb_filter(walks.enumerate_walks(-n), "A2", "tinf")
-            )
             stat = XPolynomial.from_pairs(
                 (walks.x_weight(h), QPolynomial.q_power(fn(h))) for h in hwords
             )
             matches = stat == exact
-            entries.append(
-                {
-                    "identity": "legprime_%s_matches_tinf_route" % name,
-                    "n": n,
-                    "status": "EQUAL" if matches == (name == "shifted") else "MISMATCH",
-                    "transform": {"variant_matches": matches},
-                    "diff": [],
-                }
-            )
+            entries.append(_equal_entry("legprime_%s_matches_tinf_route" % name, n,
+                                        matches == (name == "shifted"),
+                                        {"variant_matches": matches}))
     return entries
 
 
@@ -318,6 +282,7 @@ _SUITE_FN = {
     "limits": suite_limits,
     "walks": suite_walks,
 }
+SUITES = tuple(_SUITE_FN)
 
 
 def run_suites(suite, max_n, errata=None):
@@ -337,9 +302,10 @@ def run_suites(suite, max_n, errata=None):
         check_size("basis", max_n)
     if errata is None:
         errata = load_errata()
+    conventions = load_conventions()
     entries = []
     for name in names:
-        entries.extend(_SUITE_FN[name](max_n, errata))
+        entries.extend(_SUITE_FN[name](max_n, errata, conventions))
     exit_code = 2 if any(e["status"] == "MISMATCH" for e in entries) else 0
     return entries, exit_code
 
@@ -349,13 +315,10 @@ def run_suites(suite, max_n, errata=None):
 
 
 def _outcome(lhs, rhs):
-    """Conventions-table name of the transform compare(lhs, rhs) finds."""
-    status, transform = compare(lhs, rhs)
-    if status == "EQUAL":
+    """Conventions-table name of the transform that makes lhs equal rhs."""
+    if lhs == rhs:
         return "identity"
-    if status == "EQUAL_UP_TO":
-        return "x_mirror" if transform == {"x_mirror": True} else "q_shift"
-    return "erratum"
+    return "x_mirror" if lhs == rhs.mirror_x() else "erratum"
 
 
 def derive_conventions(max_n=3):
@@ -394,7 +357,7 @@ def derive_errata(max_n=4):
     entries = []
     for identity, sides in printed.items():
         fails = [(n, *sides(n)) for n in range(1, max_n + 1)]
-        fails = [f for f in fails if compare(f[1], f[2])[0] == "MISMATCH"]
+        fails = [f for f in fails if f[1] != f[2]]
         rules = [name for name, rule in ERRATA_RULES.items() if all(rule(*f) for f in fails)]
         if fails and rules:
             entries.append({"identity": identity, "rule": rules[0]})

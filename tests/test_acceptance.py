@@ -84,11 +84,13 @@ def test_criterion_5_duality():
 
 
 def test_criterion_6_pbw_untwisted():
-    ok = True
+    mirror = "x_mirror" in verify.load_conventions()["pbw:untwisted"]
+    ok = mirror
     for n in range(1, 5):
         status, transform = verify.compare(
             weylchar.pbw_character_specialized(n, twisted=False),
             cform.E_spec("A2dagger", -n, "tinf"),
+            mirror,
         )
         ok = ok and (
             status == "EQUAL"

@@ -1,3 +1,5 @@
+import pytest
+
 from macweyl.cform import E_spec, _shift, _triples, c_closed, c_rec, cdag_closed, cdag_rec, ctable
 from macweyl.qcomb import q_multinomial
 from macweyl.ring import QPolynomial, XPolynomial
@@ -86,6 +88,12 @@ def test_ctable_dump():
     rows = ctable("A2", 2, 2)
     assert len(rows) == 10
     assert dict((k, v) for k, v in rows)[(0, 1, 0)] == qp({1: 1})
+
+
+@pytest.mark.parametrize("family, r", [("bogus", 2), ("A2", 0), ("A2dagger", 3)])
+def test_ctable_rejects_unknown_family_and_r(family, r):
+    with pytest.raises(ValueError):
+        ctable(family, r, 2)
 
 
 def _dict_product_E_spec(family, n, spec):

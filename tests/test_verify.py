@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from macweyl import cform, ramyip, verify, weylchar
+from macweyl import cform, cli, ramyip, verify, weylchar
 from macweyl.ring import QPolynomial, XPolynomial
 
 DAGGER, PBW = "walkroute_vs_cform_A2dagger_tinf", "pbw_twisted_vs_E_A2_tinf"
@@ -14,16 +14,18 @@ def qp(d):
 
 def test_compare_transform_lattice():
     a = XPolynomial({-1: qp({0: 1}), 1: qp({2: 1})})
-    assert verify.compare(a, a) == ("EQUAL", {})
-    assert verify.compare(a, a.mirror_x()) == ("EQUAL_UP_TO", {"x_mirror": True})
+    for mirror in (False, True):
+        assert verify.compare(a, a, mirror) == ("EQUAL", {})
+    # The mirror counts only where the conventions table allows it.
+    assert verify.compare(a, a.mirror_x(), True) == ("EQUAL_UP_TO", {"x_mirror": True})
+    assert verify.compare(a, a.mirror_x(), False) == ("MISMATCH", {})
+    # No q-shift is ever searched for.
     shifted = XPolynomial({-1: qp({3: 1}), 1: qp({5: 1})})
-    assert verify.compare(shifted, a) == ("EQUAL_UP_TO", {"q_shift": 3})
-    assert verify.compare(shifted, a.mirror_x()) == (
-        "EQUAL_UP_TO",
-        {"x_mirror": True, "q_shift": 3},
-    )
+    for mirror in (False, True):
+        assert verify.compare(shifted, a, mirror) == ("MISMATCH", {})
+        assert verify.compare(shifted, a.mirror_x(), mirror) == ("MISMATCH", {})
     other = XPolynomial({0: qp({0: 5})})
-    assert verify.compare(a, other)[0] == "MISMATCH"
+    assert verify.compare(a, other, True)[0] == "MISMATCH"
 
 
 def test_classify_uses_errata(monkeypatch):
@@ -110,6 +112,34 @@ def test_mutated_printed_identity_exits_two(monkeypatch, suite, module, name, hi
     assert {e["status"] for e in mutated_entries} == {"MISMATCH"}
 
 
+def _times_q(poly):
+    return poly.map_coeffs(lambda c: QPolynomial.q_power(1) * c)
+
+
+@pytest.mark.parametrize("change", [_times_q, XPolynomial.mirror_x])
+def test_changed_t0_closed_form_exits_two(monkeypatch, capsys, change):
+    # Neither a q-shift nor an x-mirror of a side whose convention is the
+    # identity may pass.
+    original = cform.E_spec
+
+    def mutated(family, n, spec):
+        poly = original(family, n, spec)
+        return change(poly) if n > 0 and spec == "t0" else poly
+
+    monkeypatch.setattr(cform, "E_spec", mutated)
+    assert cli.run(["verify", "--suite", "all", "--max-n", "4"]) == 2
+    assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_routes_read_the_conventions_table(monkeypatch):
+    conventions = dict(verify.load_conventions(), **{"routes:A2:neg:tinf": ["identity"]})
+    monkeypatch.setattr(verify, "load_conventions", lambda: conventions)
+    entries, code = verify.run_suites("routes", 2)
+    assert code == 2
+    mismatched = {(e["identity"], e["n"]) for e in entries if e["status"] == "MISMATCH"}
+    assert mismatched == {("walkroute_vs_cform_A2_tinf", -1), ("walkroute_vs_cform_A2_tinf", -2)}
+
+
 def test_frozen_conventions_are_fresh():
     assert verify.derive_conventions(3) == verify.load_conventions()
 
@@ -184,9 +214,9 @@ def test_fusion_suite_adds_n6_at_max_n_6(monkeypatch):
     assert code == 0
     six = [(e["identity"], e["status"]) for e in entries if e["n"] == 6]
     assert six == [("fusion_vs_ch_W", "EQUAL"), ("fusion_vs_ch_W_sigma", "EQUAL")]
-    assert [c for c in calls if c[0] == 6] == [
-        (6, verify._POINT_SET_6, False), (6, verify._POINT_SET_6, True)]
-    assert len({p * p for p in verify._POINT_SET_6}) == 6
+    ((_, points, _),) = [case for case in verify._FUSION_CASES if case[0] == 6]
+    assert [c for c in calls if c[0] == 6] == [(6, points, False), (6, points, True)]
+    assert len({p * p for p in points}) == 6
     calls.clear()
     verify.run_suites("fusion", 5)
     assert max(c[0] for c in calls) == 5
