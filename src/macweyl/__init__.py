@@ -4,14 +4,7 @@ polynomials of types A2(2) and A2(2)-dagger, computed by independent routes
 (alcove walks, coefficient tables, character formulas, fusion products) and
 cross-verified."""
 
-from macweyl.ring import (
-    QPolynomial,
-    BiPolynomial,
-    RationalFunction,
-    XPolynomial,
-    rf_eval_v0,
-    rf_limit_v_infinity,
-)
+from macweyl.ring import QPolynomial, BiPolynomial, RationalFunction, XPolynomial
 from macweyl.qcomb import q_binomial, q_multinomial, euler_product_truncated, wedge_lhs_truncated
 from macweyl.walks import AlcoveWalk, enumerate_walks, traverse, to_hword, qb_filter
 from macweyl.ramyip import ramyip_sum, specialize

@@ -7,8 +7,9 @@ and is byte for byte what json.dumps(obj, indent=2) prints, with sorted keys
 where the subcommand sorts them; polynomial term lists go through a per-row
 %-template instead of the stdlib's pure-Python indenting encoder.
 Exit codes: 0 success, 1 usage error, 2 verification mismatch that no
-errata rule explains (including disagreeing specialization routes in epoly),
-3 an input beyond the size a route is configured to compute.
+errata rule explains (including disagreeing specialization routes in epoly,
+and a limit that diverges on the exact route), 3 an input beyond the size a
+route is configured to compute.
 
 run() may be called any number of times in one process.  All calls share one
 parser, built on the first call; build_parser() returns a fresh one.

@@ -41,13 +41,12 @@ a value if they disagree.  Both cost a polynomial in n.
   A term at v^e after step j therefore reaches only v-exponents between
   e + (the least changes still ahead) and e + (the greatest ones).  The
   transfer is linear, so dropping a term whose whole range lies above 0
-  (t = 0) or below deg_v D (t = infinity) changes no coefficient the limit
-  reads, and the divergence checks of rf_eval_v0 / rf_limit_v_infinity see
-  the same terms as on the full sum.  Cancelling common binomials does not
-  change the function, so these are the limits of ramyip_sum as well.
+  (t = 0) or below deg_v D (t = infinity) changes no coefficient at v <= 0
+  (at v >= deg_v D): neither the slice the limit reads nor a term that makes
+  it diverge.  Cancelling common binomials does not change the function, so
+  these are the limits of ramyip_sum as well.  The statistic route is always
+  finite, so a divergent limit raises RouteDiverges, a RouteMismatch.
 """
-
-from dataclasses import dataclass
 
 from macweyl.ring import (
     BiPolynomial,
@@ -56,8 +55,6 @@ from macweyl.ring import (
     QPolynomial,
     RationalFunction,
     XPolynomial,
-    rf_eval_v0,
-    rf_limit_v_infinity,
 )
 from macweyl.walks import (
     CUT_SIGN,
@@ -66,9 +63,7 @@ from macweyl.walks import (
     S1,
     AlcoveElement,
     beta_degree,
-    enumerate_walks,
     normalize_spec,
-    traverse,
     walk_word,
     wall_side,
 )
@@ -86,6 +81,15 @@ class RouteMismatch(ArithmeticError):
         super().__init__(
             "specialization routes disagree for (%s, n=%d, %s): %s vs %s"
             % (family, n, spec, exact_route.render(), stat_route.render())
+        )
+
+
+class RouteDiverges(RouteMismatch):
+    """The exact route's limit diverges; the statistic route never does."""
+
+    def __init__(self, family, n, spec, reason):
+        ArithmeticError.__init__(
+            self, "exact route diverges for (%s, n=%d, %s): %s" % (family, n, spec, reason)
         )
 
 
@@ -304,13 +308,21 @@ def _exact_route(family, n, spec):
         factors = _step_factors(family, letter, deg).values()
         reach += min(f.v_min() for f in factors) if t0 else max(f.v_max() for f in factors)
     window.reverse()
-    lead = BiPolynomial.monomial((-1) ** len(dens), sum(a for a, _ in dens), deg_d)
+    # N_x / D at v = 0 is the v^0 slice of N_x; at v = infinity it is the
+    # v^deg_d slice over D's top term (-1)^l q^(sum a) v^deg_d, read at q^-1.
+    sign, q_top = (-1) ** len(dens), sum(a for a, _ in dens)
     out = {}
     for x, num in _numerators(family, n, steps, shift, window).items():
         if t0:
-            out[x] = rf_eval_v0(RationalFunction(num))
+            if num.v_min() < 0:
+                raise RouteDiverges(family, n, spec, "value diverges at v=0")
+            out[x] = QPolynomial({qe: c for (qe, ve), c in num.terms.items() if ve == 0})
         else:
-            out[x] = rf_limit_v_infinity(RationalFunction(num, lead).substitute_q_inverse())
+            if num.v_max() > deg_d:
+                raise RouteDiverges(family, n, spec, "numerator v-degree exceeds denominator")
+            out[x] = QPolynomial(
+                {q_top - qe: sign * c for (qe, ve), c in num.terms.items() if ve == deg_d}
+            )
     return XPolynomial(out)
 
 
@@ -318,7 +330,8 @@ def specialize(family, n, spec):
     """Exact t=0 or t=infinity specialization of the walk sum.
 
     Raises RouteMismatch when the rational-arithmetic limit and the
-    folding-statistic sum disagree (this doubles as the errata detector).
+    folding-statistic sum disagree (this doubles as the errata detector),
+    and its subclass RouteDiverges when the limit does not exist.
     """
     spec = normalize_spec(spec)
     if family not in FAMILIES:
@@ -332,31 +345,3 @@ def specialize(family, n, spec):
     if stat != exact:
         raise RouteMismatch(family, n, spec, exact, stat)
     return stat
-
-
-@dataclass(frozen=True)
-class RamYipTerm:
-    """One walk's term: v^v_exponent times the product of `factors`."""
-
-    walk: object
-    v_exponent: int
-    factors: tuple  # one RationalFunction per folding, in step order
-    x_exponent: int
-
-
-def ramyip_terms(family, n):
-    """One RamYipTerm per enumerated walk, with the raw (unnormalized) prefactor."""
-    if n == 0:
-        return []
-    out = []
-    for walk in enumerate_walks(n):
-        stats = traverse(walk)
-        factors = []
-        for j in stats.folds:
-            letter, deg = walk.word[j - 1], beta_degree(j, walk.length)
-            factors.append(RationalFunction(
-                _fold_numerator(family, letter, stats.arrows[j - 1], deg),
-                _binomial(*_den_exponents(letter, deg)),
-            ))
-        out.append(RamYipTerm(walk, _prefactor_v(n, stats.final), tuple(factors), stats.final.wt))
-    return out

@@ -21,8 +21,8 @@ per-variable methods and the text of one term:
   with each coefficient in brackets.
 
 ``RationalFunction`` is a quotient num/den of two BiPolynomials, a value
-that is rendered, compared and specialized but not computed with.  No gcd
-reduction is performed; equality is decided by cross-multiplication.
+that is rendered and compared but not computed with.  No gcd reduction is
+performed; equality is decided by cross-multiplication.
 
 A ``QPolynomial`` product shifts and scales the other operand's terms when
 one operand is an int, zero or a single term, and runs the schoolbook double
@@ -66,20 +66,8 @@ def check_size(name, n):
         raise BoundExceeded("%s is limited to |n| <= %d" % (name, SIZE_LIMITS[name]))
 
 
-class RingError(ArithmeticError):
-    pass
-
-
-class DenominatorVanishesAtZero(RingError):
-    pass
-
-
-class NotPolynomial(RingError):
-    pass
-
-
-class DivergesAtInfinity(RingError):
-    pass
+class NotPolynomial(ArithmeticError):
+    """An exact division leaves a remainder."""
 
 
 class _Laurent:
@@ -225,37 +213,6 @@ class QPolynomial(_Laurent):
     def eval_at_one(self):
         return sum(self.terms.values())
 
-    def divide_exact(self, other):
-        """Exact Laurent division; raises NotPolynomial on remainder."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return QPolynomial.zero()
-        # Shift both operands so they are honest polynomials, divide, shift back.
-        s_shift = min(self.terms)
-        o_shift = min(other.terms)
-        num = {e - s_shift: c for e, c in self.terms.items()}
-        den = {e - o_shift: c for e, c in other.terms.items()}
-        ddeg = max(den)
-        dlead = den[ddeg]
-        quot = {}
-        rem = dict(num)
-        while rem:
-            rdeg = max(rem)
-            if rdeg < ddeg:
-                raise NotPolynomial("division leaves a remainder")
-            c, r = divmod(rem[rdeg], dlead)
-            if r != 0:
-                raise NotPolynomial("division leaves a remainder")
-            shift = rdeg - ddeg
-            quot[shift] = c
-            for e, dc in den.items():
-                e2 = e + shift
-                rem[e2] = rem.get(e2, 0) - c * dc
-                if rem[e2] == 0:
-                    del rem[e2]
-        return QPolynomial({e + s_shift - o_shift: c for e, c in quot.items()})
-
     @staticmethod
     def _term_str(c, e):
         if e == 0:
@@ -308,9 +265,6 @@ class BiPolynomial(_Laurent):
 
     __rmul__ = __mul__
 
-    def substitute_q_inverse(self):
-        return BiPolynomial({(-qe, ve): c for (qe, ve), c in self.terms.items()})
-
     def shift(self, q_exp=0, v_exp=0):
         return BiPolynomial(
             {(qe + q_exp, ve + v_exp): c for (qe, ve), c in self.terms.items()}
@@ -321,12 +275,6 @@ class BiPolynomial(_Laurent):
 
     def v_max(self):
         return max(ve for (_, ve) in self.terms) if self.terms else None
-
-    def coeff_of_v(self, v_exp):
-        """The coefficient of v^v_exp, as a QPolynomial in q."""
-        return QPolynomial(
-            {qe: c for (qe, ve), c in self.terms.items() if ve == v_exp}
-        )
 
     def divide_exact_binomial(self, q_exp, v_exp):
         """Exact division by (1 - q^q_exp * v^v_exp), v_exp > 0.
@@ -386,9 +334,7 @@ class RationalFunction:
             num = BiPolynomial.monomial(num)
         if den is None:
             den = BiPolynomial.one()
-        elif isinstance(den, int):
-            den = BiPolynomial.monomial(den)
-        if den.is_zero():
+        elif den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.num = num
         self.den = den
@@ -403,66 +349,10 @@ class RationalFunction:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
-    def substitute_q_inverse(self):
-        return RationalFunction(
-            self.num.substitute_q_inverse(), self.den.substitute_q_inverse()
-        )
-
-    def v_valuation(self):
-        """Order at v = 0 (None for the zero function)."""
-        if self.num.is_zero():
-            return None
-        return self.num.v_min() - self.den.v_min()
-
     def render(self):
         if self.den == BiPolynomial.one():
             return self.num.render()
         return "(%s)/(%s)" % (self.num.render(), self.den.render())
-
-    def __repr__(self):
-        return "RationalFunction(%s)" % self.render()
-
-
-def rf_eval_v0(r):
-    """Evaluate a rational function at v = 0, exactly.
-
-    Requires the denominator to be regular and nonvanishing at v = 0 after
-    clearing a common v-power; the quotient num(q,0)/den(q,0) must be an
-    honest Laurent polynomial in q.
-    """
-    if r.num.is_zero():
-        return QPolynomial.zero()
-    # Clear a common v-power only when the denominator has negative
-    # v-exponents; a denominator vanishing at v=0 stays an error.
-    shift = max(0, -r.den.v_min())
-    num = r.num.shift(v_exp=shift)
-    den = r.den.shift(v_exp=shift)
-    den0 = den.coeff_of_v(0)
-    if den0.is_zero():
-        raise DenominatorVanishesAtZero(
-            "denominator vanishes at v=0: %s" % r.den.render()
-        )
-    if num.v_min() < 0:
-        raise NotPolynomial("value diverges at v=0")
-    num0 = num.coeff_of_v(0)
-    return num0.divide_exact(den0)
-
-
-def rf_limit_v_infinity(r):
-    """Limit as v -> infinity, exactly.
-
-    Zero when deg_v(num) < deg_v(den); the exact quotient of leading-v
-    coefficients when the degrees agree; DivergesAtInfinity otherwise.
-    """
-    if r.num.is_zero():
-        return QPolynomial.zero()
-    dn = r.num.v_max()
-    dd = r.den.v_max()
-    if dn > dd:
-        raise DivergesAtInfinity("numerator v-degree exceeds denominator")
-    if dn < dd:
-        return QPolynomial.zero()
-    return r.num.coeff_of_v(dn).divide_exact(r.den.coeff_of_v(dd))
 
 
 class XPolynomial(_Laurent):

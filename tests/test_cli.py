@@ -191,6 +191,22 @@ def test_epoly_route_mismatch_exit_two(capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("spec,delta,reason", [
+    ("t0", -1, "value diverges at v=0"),
+    ("tinf", +1, "numerator v-degree exceeds denominator"),
+])
+def test_epoly_diverging_limit_exit_two(capsys, monkeypatch, spec, delta, reason):
+    # A normalization shift off by one makes the exact route's limit diverge;
+    # the statistic route stays finite, so the routes disagree.
+    shift = ramyip._t0_shift
+    monkeypatch.setattr(ramyip, "_t0_shift", lambda *args: shift(*args) + delta)
+    code = cli.run(["epoly", "--family", "A2", "--n", "-3", "--spec", spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: exact route diverges for (A2, n=-3, %s): %s\n" % (spec, reason)
+
+
 def test_capacity_limit_exit_three(capsys):
     for argv in (
         ("fusion", "--n", "7", "--points", "1,2,3,4,5,6,7"),

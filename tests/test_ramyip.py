@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -9,22 +10,18 @@ from macweyl.ramyip import (
     SUM_BOUND,
     _STAT_SETS,
     BoundExceeded,
+    _binomial,
+    _den_exponents,
     _exact_route,
+    _fold_numerator,
     _prefactor_v,
     _statistic_route,
     _steps,
     _t0_shift,
     ramyip_sum,
-    ramyip_terms,
     specialize,
 )
-from macweyl.ring import (
-    QPolynomial,
-    RationalFunction,
-    XPolynomial,
-    rf_eval_v0,
-    rf_limit_v_infinity,
-)
+from macweyl.ring import QPolynomial, RationalFunction, XPolynomial
 from macweyl.walks import (
     FAMILIES,
     SPECS,
@@ -41,6 +38,35 @@ from macweyl.weylchar import ch_W_sigma
 
 def qp(d):
     return QPolynomial(d)
+
+
+@dataclass(frozen=True)
+class RamYipTerm:
+    """One walk's term: v^v_exponent times the product of `factors`."""
+
+    walk: object
+    v_exponent: int
+    factors: tuple  # one RationalFunction per folding, in step order
+    x_exponent: int
+
+
+def ramyip_terms(family, n):
+    """One RamYipTerm per enumerated walk, with the raw (unnormalized) prefactor:
+    the per-walk reference for the transfer-matrix sum."""
+    if n == 0:
+        return []
+    out = []
+    for walk in enumerate_walks(n):
+        stats = traverse(walk)
+        factors = []
+        for j in stats.folds:
+            letter, deg = walk.word[j - 1], beta_degree(j, walk.length)
+            factors.append(RationalFunction(
+                _fold_numerator(family, letter, stats.arrows[j - 1], deg),
+                _binomial(*_den_exponents(letter, deg)),
+            ))
+        out.append(RamYipTerm(walk, _prefactor_v(n, stats.final), tuple(factors), stats.final.wt))
+    return out
 
 
 def test_term_structure_n_minus_1():
@@ -85,7 +111,7 @@ def test_unnormalized_sum_keeps_literal_prefactor():
     full = ramyip_sum("A2", -1, normalize=False)
     # the all-crossing walk carries v^-1 under the printed prefactor
     rf = full.terms[-1]
-    assert rf.v_valuation() == -1
+    assert rf.num.v_min() - rf.den.v_min() == -1
 
 
 def test_specialize_examples():
@@ -132,13 +158,35 @@ def test_dynamic_programs_equal_walk_enumeration():
             assert _exact_route(family, n, spec) == want, (family, n, spec)
 
 
+def _v_slice(p, ve):
+    return {qe: c for (qe, e), c in p.terms.items() if e == ve}
+
+
+def _limits(rf):
+    """(value at v = 0, limit at v = infinity with q -> q^-1) of num/den, read
+    off the slices once the denominator is checked to allow it."""
+    num, den = rf.num, rf.den
+    # den = 1 + O(v): the value at v = 0 is num's v^0 slice
+    assert den.v_min() == 0 and _v_slice(den, 0) == {0: 1}
+    # den's top v-term is one +-q^A v^B: the limit is num's v^B slice over it
+    top = den.v_max()
+    lead = _v_slice(den, top)
+    assert len(lead) == 1
+    ((q_top, sign),) = lead.items()
+    assert sign in (1, -1)
+    assert 0 <= num.v_min() and num.v_max() <= top
+    t0 = QPolynomial(_v_slice(num, 0))
+    tinf = QPolynomial({q_top - qe: sign * c for qe, c in _v_slice(num, top).items()})
+    return t0, tinf
+
+
 def test_window_route_equals_limit_of_full_sum():
     for family in FAMILIES:
         for n in [m for m in range(-7, 8) if m != 0]:
             full = ramyip_sum(family, n)
-            t0 = {x: rf_eval_v0(rf) for x, rf in full.terms.items()}
-            tinf = {x: rf_limit_v_infinity(rf.substitute_q_inverse())
-                    for x, rf in full.terms.items()}
+            limits = {x: _limits(rf) for x, rf in full.terms.items()}
+            t0 = {x: at_0 for x, (at_0, _) in limits.items()}
+            tinf = {x: at_inf for x, (_, at_inf) in limits.items()}
             assert _exact_route(family, n, "t0") == XPolynomial(t0)
             assert _exact_route(family, n, "tinf") == XPolynomial(tinf)
 
@@ -167,7 +215,7 @@ def _at(rf, q, v):
 
 
 def _valuation(term):
-    return term.v_exponent + sum(f.v_valuation() for f in term.factors)
+    return term.v_exponent + sum(f.num.v_min() - f.den.v_min() for f in term.factors)
 
 
 def test_transfer_sum_equals_walk_enumeration():
@@ -196,7 +244,7 @@ def test_transfer_sum_equals_walk_enumeration():
             for t, keep in zip(terms, t0):
                 assert (_valuation(t) + shift == 0) if keep else (_valuation(t) + shift > 0)
             full = ramyip_sum(family, n)
-            assert min(rf.v_valuation() for rf in full.terms.values()) == 0
+            assert min(rf.num.v_min() - rf.den.v_min() for rf in full.terms.values()) == 0
 
 
 def test_mass_and_symmetry_negative_n():

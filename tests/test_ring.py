@@ -5,14 +5,10 @@ import pytest
 
 from macweyl.ring import (
     BiPolynomial,
-    DenominatorVanishesAtZero,
-    DivergesAtInfinity,
     NotPolynomial,
     QPolynomial,
     RationalFunction,
     XPolynomial,
-    rf_eval_v0,
-    rf_limit_v_infinity,
 )
 from macweyl.qcomb import q_binomial
 from macweyl.weylchar import ch_W, ch_W_sigma
@@ -91,67 +87,17 @@ def test_rf_equality_is_equivalence():
         assert r == a and a == b and r == b
 
 
-def test_rf_eval_v0_examples():
-    one = bp({(0, 0): 1})
-    # (1 + q v^2) / (1 - q^2 v^2) -> 1
-    r = RationalFunction(bp({(0, 0): 1, (1, 2): 1}), bp({(0, 0): 1, (2, 2): -1}))
-    assert rf_eval_v0(r) == qp({0: 1})
-    # v^2 / (1 - v^2) -> 0
-    r = RationalFunction(bp({(0, 2): 1}), bp({(0, 0): 1, (0, 2): -1}))
-    assert rf_eval_v0(r) == qp({})
-    # (q + q v^2) / 1 -> q
-    r = RationalFunction(bp({(1, 0): 1, (1, 2): 1}), one)
-    assert rf_eval_v0(r) == qp({1: 1})
-
-
-def test_rf_eval_v0_denominator_vanishes():
-    r = RationalFunction(bp({(0, 0): 1}), bp({(0, 2): 1}))
-    with pytest.raises(DenominatorVanishesAtZero):
-        rf_eval_v0(r)
-
-
-def rand_bipoly_positive_v(rng):
-    n = rng.randint(0, 4)
-    return BiPolynomial(
-        {(rng.randint(-3, 3), rng.randint(1, 4)): rng.randint(-9, 9) for _ in range(n)}
-    )
-
-
-def test_rf_eval_v0_multiplicative():
-    rng = random.Random(17)
-    one = bp({(0, 0): 1})
-    for _ in range(120):
-        # denominators with constant term 1 at v=0 keep the division exact
-        d1 = one + rand_bipoly_positive_v(rng)
-        d2 = one + rand_bipoly_positive_v(rng)
-        n1, n2 = (
-            rand_bipoly_positive_v(rng) + bp({(e, 0): c for e, c in rand_qpoly(rng).terms.items()})
-            for _ in range(2)
-        )
-        a = RationalFunction(n1, d1)
-        b = RationalFunction(n2, d2)
-        assert rf_eval_v0(RationalFunction(n1 * n2, d1 * d2)) == rf_eval_v0(a) * rf_eval_v0(b)
-
-
-def test_rf_limit_v_infinity_examples():
-    # (q v^2) / (1 - v^2) -> -q
-    r = RationalFunction(bp({(1, 2): 1}), bp({(0, 0): 1, (0, 2): -1}))
-    assert rf_limit_v_infinity(r) == qp({1: -1})
-    # 1 / (1 - v^2) -> 0
-    r = RationalFunction(bp({(0, 0): 1}), bp({(0, 0): 1, (0, 2): -1}))
-    assert rf_limit_v_infinity(r) == qp({})
-    # v^4 / (1 - v^2) diverges
-    r = RationalFunction(bp({(0, 4): 1}), bp({(0, 0): 1, (0, 2): -1}))
-    with pytest.raises(DivergesAtInfinity):
-        rf_limit_v_infinity(r)
-
-
 def test_division_remainder_detected():
-    with pytest.raises(NotPolynomial):
-        qp({0: 1, 1: 1}).divide_exact(qp({0: 2}))
-    with pytest.raises(NotPolynomial):
-        qp({2: 1, 0: 1}).divide_exact(qp({1: 1, 0: 1}))
-    assert qp({2: 1, 0: -1}).divide_exact(qp({1: 1, 0: -1})) == qp({1: 1, 0: 1})
+    rng = random.Random(19)
+    for _ in range(100):
+        a, b = rng.randint(-3, 3), rng.randint(1, 4)
+        p = rand_bipoly(rng, allow_zero=False)
+        prod = p * bp({(0, 0): 1, (a, b): -1})
+        assert prod.divide_exact_binomial(a, b) == p
+        # a monomial is a unit, so 1 - q^a v^b divides no sum of prod and one
+        unit = bp({(rng.randint(-6, 6), rng.randint(-6, 9)): rng.choice((-2, -1, 1, 3))})
+        with pytest.raises(NotPolynomial):
+            (prod + unit).divide_exact_binomial(a, b)
 
 
 def test_binomial_division():
