@@ -49,7 +49,7 @@ from itertools import product
 from math import gcd, lcm
 from operator import mul
 
-from macweyl.ring import BoundExceeded, QPolynomial, XPolynomial
+from macweyl.ring import QPolynomial, XPolynomial, check_size
 
 
 class RelationViolation(ArithmeticError):
@@ -225,8 +225,7 @@ def fusion_character(n, points, twisted=False):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > 6:
-        raise BoundExceeded("fusion oracle is limited to n <= 6")
+    check_size("fusion_oracle", n)
     if len(points) != n:
         raise ValueError("need exactly n evaluation points")
     points = tuple(Fraction(p) for p in points)

@@ -10,9 +10,25 @@ transfer matrix over alcoves on numerators over D = prod_j den_j (a crossing
 multiplies by den_j), without listing the 2^l walks; each x-coefficient
 then cancels the den_j that divide it exactly.
 
-The raw prefactor leaves a spurious overall v-power; `normalize` shifts the
-sum so that the least v-valuation of a t = 0 surviving walk's term is zero
-(a min-plus pass over the same alcoves), after which both limits exist.
+The raw prefactor leaves a spurious overall v-power; `normalize` multiplies
+the sum by v^(-sign(n)), after which every t = 0 surviving walk's term has
+v-valuation 0 and both limits exist.  Proof:
+
+* Folds alternate.  The letters alternate, so the wall a step tries is
+  always ahead of the arrow: a crossing keeps the arrow's direction, a
+  folding reverses it.  The walk starts leftward when n < 0, so its folds
+  are positive, negative, ...; when n > 0 they start negative.
+* Each surviving fold adds -+1.  At t = 0 a fold's factor has valuation
+  2k - 1.  S1 folds have k = 0 when positive and k = 1 when negative; the S0
+  folds that CUT_SIGN keeps are A2's negative one (k = 1) and A2dagger's
+  positive one (k = 0).  So the folds add -[#folds odd] when n < 0 and
+  +[#folds odd] when n > 0.
+* Parity fixes d.  d = lo = #crossings = l - #folds (mod 2), with l = 2|n|
+  when n < 0 and 2n - 1 when n > 0: d = [#folds odd] when n < 0 and
+  [#folds even] when n > 0.
+* So the raw valuation (sign(n) - 1)/2 + d + (the folds' sum) is sign(n)
+  for every survivor.  A cut S0 fold has k one larger than an S1 fold of
+  its sign, so a cut walk's term has valuation at least 2 more.
 
 specialize() computes each limit twice, by two dynamic programs over the
 alcoves that share no code beyond the walk primitives, and refuses to return
@@ -27,7 +43,7 @@ a value if they disagree.  Both cost a polynomial in n.
 
 * The exact route runs the numerator transfer of the full sum, but after
   each step j drops every term that cannot reach the v-exponents the limit
-  reads.  Let N_x be the shifted numerator over D of x^x.  Each den_j is
+  reads.  Let N_x be the normalized numerator over D of x^x.  Each den_j is
   1 - q^a v^b with b > 0, so D = 1 + O(v): N_x / D diverges at v = 0 iff N_x
   has a negative v-power, and its value there is the v^0 coefficient of
   N_x.  D's top v-term is (-1)^l q^(sum a) v^(deg_v D): N_x / D diverges at
@@ -37,7 +53,7 @@ a value if they disagree.  Both cost a polynomial in n.
   step multiplies by one of its three factors (the crossing's 1 - q^a v^b,
   the two foldings' v^(2k-1) - v^(2k+1) times a q-power), which changes the
   v-exponent by at least min(0, 2k-1) and at most max(b, 2k+1); the
-  prefactor adds -[n<0] + d with d in {0, 1}, and the shift adds a constant.
+  normalized prefactor adds d - [n>0] with d in {0, 1}.
   A term at v^e after step j therefore reaches only v-exponents between
   e + (the least changes still ahead) and e + (the greatest ones).  The
   transfer is linear, so dropping a term whose whole range lies above 0
@@ -49,12 +65,13 @@ a value if they disagree.  Both cost a polynomial in n.
 """
 
 from macweyl.ring import (
+    SIZE_LIMITS,
     BiPolynomial,
-    BoundExceeded,
     NotPolynomial,
     QPolynomial,
     RationalFunction,
     XPolynomial,
+    check_size,
 )
 from macweyl.walks import (
     CUT_SIGN,
@@ -93,13 +110,7 @@ class RouteDiverges(RouteMismatch):
         )
 
 
-# Largest |n| that specialize() accepts.  Both of its routes are polynomial in
-# n, 0.1-0.3 s together at |n| = 16 on a 2-core x86 VM (Python 3.11).
-DEFAULT_BOUND = 16
-# Largest |n| that ramyip_sum() accepts: the full sum keeps every v-exponent,
-# and `epoly --spec full` takes 0.9 s at n = -10, 2.4 s at -12 and 5.2 s at
-# -14 end to end on the same VM, JSON rendering included.
-SUM_BOUND = 12
+DEFAULT_BOUND = SIZE_LIMITS["specialize"]  # the name perfbench/reference.py reads
 
 # Power k of xi in the numerator of a folding's factor, by (family, letter,
 # fold sign); the sign is +1 for a positive folding.
@@ -139,9 +150,10 @@ def _step_factors(family, letter, deg):
     }
 
 
-def _prefactor_v(n, final):
-    """v-exponent (sign(n)-1)/2 + d of the prefactor of a walk ending at `final`."""
-    return (-1 if n < 0 else 0) + final.d
+def _prefactor_v(n, d, normalize):
+    """v-exponent of the prefactor of a walk whose final alcove has this d:
+    the raw (sign(n)-1)/2 + d = d - [n<0], or with v^(-sign(n)), d - [n>0]."""
+    return d - ((n > 0) if normalize else (n < 0))
 
 
 def _moves(lo, letter):
@@ -185,27 +197,6 @@ def _transfer(family, steps, window=None):
     }
 
 
-def _t0_shift(family, n, steps):
-    """Minus the least v-valuation of a t = 0 surviving walk's term."""
-    cut = CUT_SIGN[(family, "t0")]
-    states = {0: 0}
-    for letter, _ in steps:
-        nxt = {}
-        for lo, val in states.items():
-            for target, sign in _moves(lo, letter):
-                if sign is None:
-                    step = 0
-                elif letter == S0 and sign == cut:
-                    continue
-                else:
-                    step = 2 * _FOLD_XI_POWER[family, letter, sign] - 1
-                nxt[target] = min(val + step, nxt.get(target, val + step))
-        states = nxt
-    return -min(
-        val + _prefactor_v(n, AlcoveElement.from_interval(lo)) for lo, val in states.items()
-    )
-
-
 def _cancel(num, dens):
     """num / prod(1 - q^a v^b), cancelling each binomial that divides num."""
     kept = BiPolynomial.one()
@@ -223,14 +214,14 @@ def _steps(n):
     return [(letter, beta_degree(j, len(word))) for j, letter in enumerate(word, start=1)]
 
 
-def _numerators(family, n, steps, shift, window=None):
-    """{x: numerator over D of the sum, times v^shift}, from _transfer."""
+def _numerators(family, n, steps, normalize, window=None):
+    """{x: numerator over D of the (normalized) sum}, from _transfer."""
     finals = (
         (AlcoveElement.from_interval(lo), num)
         for lo, num in _transfer(family, steps, window).items()
     )
     return XPolynomial.from_pairs(
-        (final.wt, num.shift(v_exp=_prefactor_v(n, final) + shift)) for final, num in finals
+        (final.wt, num.shift(v_exp=_prefactor_v(n, final.d, normalize))) for final, num in finals
     ).terms
 
 
@@ -240,14 +231,12 @@ def ramyip_sum(family, n, normalize=True):
         raise ValueError("unknown family %r" % (family,))
     if n == 0:
         return XPolynomial.constant(RationalFunction(1))
-    if abs(n) > SUM_BOUND:
-        raise BoundExceeded("|n| exceeds the configured bound %d" % SUM_BOUND)
+    check_size("sum", n)
 
     steps = _steps(n)
-    shift = _t0_shift(family, n, steps) if normalize else 0
     dens = [_den_exponents(letter, deg) for letter, deg in steps]
     return XPolynomial({
-        x: _cancel(num, dens) for x, num in _numerators(family, n, steps, shift).items()
+        x: _cancel(num, dens) for x, num in _numerators(family, n, steps, normalize).items()
     })
 
 
@@ -296,12 +285,11 @@ def _exact_route(family, n, spec):
     """The limit of the normalized sum, from numerators cut to a v-window."""
     t0 = spec == "t0"
     steps = _steps(n)
-    shift = _t0_shift(family, n, steps)
     dens = [_den_exponents(letter, deg) for letter, deg in steps]
     deg_d = sum(b for _, b in dens)
     # reach: the least (t = 0) or greatest (t = infinity) v-exponent that the
-    # steps still ahead, the prefactor v^(-[n<0] + d) and the shift can add.
-    reach = _prefactor_v(n, AlcoveElement(0, 0 if t0 else 1)) + shift
+    # steps still ahead and the normalized prefactor v^(d - [n>0]) can add.
+    reach = _prefactor_v(n, 0 if t0 else 1, True)
     window = []
     for letter, deg in reversed(steps):
         window.append((None, -reach) if t0 else (deg_d - reach, None))
@@ -312,7 +300,7 @@ def _exact_route(family, n, spec):
     # v^deg_d slice over D's top term (-1)^l q^(sum a) v^deg_d, read at q^-1.
     sign, q_top = (-1) ** len(dens), sum(a for a, _ in dens)
     out = {}
-    for x, num in _numerators(family, n, steps, shift, window).items():
+    for x, num in _numerators(family, n, steps, True, window).items():
         if t0:
             if num.v_min() < 0:
                 raise RouteDiverges(family, n, spec, "value diverges at v=0")
@@ -338,8 +326,7 @@ def specialize(family, n, spec):
         raise ValueError("unknown family %r" % (family,))
     if n == 0:
         return XPolynomial.constant(QPolynomial.one())
-    if abs(n) > DEFAULT_BOUND:
-        raise BoundExceeded("|n| exceeds the configured bound %d" % DEFAULT_BOUND)
+    check_size("specialize", n)
     stat = _statistic_route(family, n, spec)
     exact = _exact_route(family, n, spec)
     if stat != exact:

@@ -316,9 +316,8 @@ def run_suites(suite, max_n, errata=None):
 
 def _outcome(lhs, rhs):
     """Conventions-table name of the transform that makes lhs equal rhs."""
-    if lhs == rhs:
-        return "identity"
-    return "x_mirror" if lhs == rhs.mirror_x() else "erratum"
+    status, _ = compare(lhs, rhs, True)
+    return {"EQUAL": "identity", "EQUAL_UP_TO": "x_mirror", "MISMATCH": "erratum"}[status]
 
 
 def derive_conventions(max_n=3):

@@ -196,10 +196,10 @@ def test_epoly_route_mismatch_exit_two(capsys, monkeypatch):
     ("tinf", +1, "numerator v-degree exceeds denominator"),
 ])
 def test_epoly_diverging_limit_exit_two(capsys, monkeypatch, spec, delta, reason):
-    # A normalization shift off by one makes the exact route's limit diverge;
-    # the statistic route stays finite, so the routes disagree.
-    shift = ramyip._t0_shift
-    monkeypatch.setattr(ramyip, "_t0_shift", lambda *args: shift(*args) + delta)
+    # A prefactor off by one makes the exact route's limit diverge; the
+    # statistic route stays finite, so the routes disagree.
+    prefactor = ramyip._prefactor_v
+    monkeypatch.setattr(ramyip, "_prefactor_v", lambda *args: prefactor(*args) + delta)
     code = cli.run(["epoly", "--family", "A2", "--n", "-3", "--spec", spec])
     captured = capsys.readouterr()
     assert code == 2
@@ -210,7 +210,7 @@ def test_epoly_diverging_limit_exit_two(capsys, monkeypatch, spec, delta, reason
 def test_capacity_limit_exit_three(capsys):
     for argv in (
         ("fusion", "--n", "7", "--points", "1,2,3,4,5,6,7"),
-        ("epoly", "--family", "A2", "--n", str(ramyip.DEFAULT_BOUND + 1), "--spec", "t0"),
+        ("epoly", "--family", "A2", "--n", str(SIZE_LIMITS["specialize"] + 1), "--spec", "t0"),
     ):
         code = cli.run(list(argv))
         captured = capsys.readouterr()
@@ -240,7 +240,7 @@ def test_size_limits_exit_three_fast(capsys):
     for argv in (
         ("walks", "--n", "14"),
         ("basis", "--kind", "untwisted_neg", "--n", "14"),
-        ("epoly", "--family", "A2", "--n", str(-ramyip.SUM_BOUND - 1), "--spec", "full"),
+        ("epoly", "--family", "A2", "--n", str(-SIZE_LIMITS["sum"] - 1), "--spec", "full"),
         ("weylchar", "--module", "W", "--n", "600", "--format", "json"),
         ("limitchar", "--kind", "twisted", "--qmax", "3", "--xmax", "3", "--approx", "600"),
         ("limitchar", "--kind", "untwisted", "--qmax", str(SIZE_LIMITS["limitchar"] + 1),

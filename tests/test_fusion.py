@@ -7,7 +7,6 @@ import pytest
 
 from macweyl import fusion
 from macweyl.fusion import (
-    BoundExceeded,
     NotCyclic,
     RelationViolation,
     SuperRep,
@@ -18,7 +17,7 @@ from macweyl.fusion import (
     check_relations,
     fusion_character,
 )
-from macweyl.ring import QPolynomial, XPolynomial
+from macweyl.ring import BoundExceeded, QPolynomial, XPolynomial
 from macweyl.weylchar import ch_W, ch_W_sigma
 
 POINT_SETS = ([1, 2, 3], [1, -2, 3], [Fraction(1, 2), 2, 5])

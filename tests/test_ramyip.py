@@ -6,32 +6,31 @@ import pytest
 from macweyl.cform import E_spec
 from macweyl.qcomb import q_multinomial
 from macweyl.ramyip import (
-    DEFAULT_BOUND,
-    SUM_BOUND,
+    _FOLD_XI_POWER,
     _STAT_SETS,
-    BoundExceeded,
     _binomial,
     _den_exponents,
     _exact_route,
     _fold_numerator,
+    _moves,
     _prefactor_v,
     _statistic_route,
     _steps,
-    _t0_shift,
     ramyip_sum,
     specialize,
 )
-from macweyl.ring import QPolynomial, RationalFunction, XPolynomial
+from macweyl.ring import SIZE_LIMITS, BoundExceeded, QPolynomial, RationalFunction, XPolynomial
 from macweyl.walks import (
+    CUT_SIGN,
     FAMILIES,
+    S0,
     SPECS,
-    AlcoveWalk,
+    AlcoveElement,
     beta_degree,
     enumerate_walks,
     qb_filter,
     surviving,
     traverse,
-    walk_word,
 )
 from macweyl.weylchar import ch_W_sigma
 
@@ -65,7 +64,8 @@ def ramyip_terms(family, n):
                 _fold_numerator(family, letter, stats.arrows[j - 1], deg),
                 _binomial(*_den_exponents(letter, deg)),
             ))
-        out.append(RamYipTerm(walk, _prefactor_v(n, stats.final), tuple(factors), stats.final.wt))
+        v_exponent = _prefactor_v(n, stats.final.d, False)
+        out.append(RamYipTerm(walk, v_exponent, tuple(factors), stats.final.wt))
     return out
 
 
@@ -195,12 +195,60 @@ def test_walk_route_reaches_closed_form_at_bound():
     assert specialize("A2", -16, "t0") == E_spec("A2", -16, "t0")
 
 
-def test_t0_shift_is_minus_all_crossing_prefactor():
+def _sign(n):
+    return 1 if n > 0 else -1
+
+
+def test_normalized_t0_survivors_sit_at_valuation_zero():
+    # Walk by walk: a term's v-valuation is its prefactor's plus 2k - 1 per
+    # fold.  Every t = 0 survivor sits at raw valuation sign(n), hence at 0
+    # once normalized, and every cut walk above it.
     for family in FAMILIES:
-        for n in [m for m in range(-16, 17) if m != 0]:
-            steps = _steps(n)
-            crossing = traverse(AlcoveWalk(walk_word(n), (1,) * len(steps)))
-            assert _t0_shift(family, n, steps) == -_prefactor_v(n, crossing.final)
+        for n in [m for m in range(-7, 8) if m != 0]:
+            for walk in enumerate_walks(n):
+                stats = traverse(walk)
+                folds = sum(
+                    2 * _FOLD_XI_POWER[family, walk.word[j - 1], stats.arrows[j - 1]] - 1
+                    for j in stats.folds
+                )
+                raw = _prefactor_v(n, stats.final.d, False) + folds
+                normalized = _prefactor_v(n, stats.final.d, True) + folds
+                if surviving(stats, family, "t0"):
+                    assert (raw, normalized) == (_sign(n), 0), (family, n, walk.mask)
+                else:
+                    assert raw > _sign(n) and normalized > 0, (family, n, walk.mask)
+
+
+def _least_t0_valuation(family, n):
+    """The least raw v-valuation of a t = 0 surviving walk's term, by a
+    min-plus pass over alcoves."""
+    cut = CUT_SIGN[(family, "t0")]
+    states = {0: 0}
+    for letter, _ in _steps(n):
+        nxt = {}
+        for lo, val in states.items():
+            for target, sign in _moves(lo, letter):
+                if sign is None:
+                    step = 0
+                elif letter == S0 and sign == cut:
+                    continue
+                else:
+                    step = 2 * _FOLD_XI_POWER[family, letter, sign] - 1
+                nxt[target] = min(val + step, nxt.get(target, val + step))
+        states = nxt
+    return min(
+        val + _prefactor_v(n, AlcoveElement.from_interval(lo).d, False)
+        for lo, val in states.items()
+    )
+
+
+def test_normalization_is_minus_least_t0_valuation():
+    for family in FAMILIES:
+        for n in [m for m in range(-32, 33) if m != 0]:
+            least = _least_t0_valuation(family, n)
+            assert least == _sign(n)
+            for d in (0, 1):
+                assert _prefactor_v(n, d, True) == _prefactor_v(n, d, False) - least
 
 
 # Exact rational (q, v) points at which no step binomial 1 - q^a v^b vanishes.
@@ -288,6 +336,6 @@ def test_character_agreement_positive_n():
 
 def test_bound_exceeded():
     with pytest.raises(BoundExceeded):
-        specialize("A2", -(DEFAULT_BOUND + 1), "t0")
+        specialize("A2", -(SIZE_LIMITS["specialize"] + 1), "t0")
     with pytest.raises(BoundExceeded):
-        ramyip_sum("A2", SUM_BOUND + 1)
+        ramyip_sum("A2", SIZE_LIMITS["sum"] + 1)
