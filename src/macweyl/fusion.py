@@ -42,7 +42,6 @@ form (see _WeightSpace), so testing a candidate against r rows of length D
 costs r (D - r) multiplications, and nothing once the space is full.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -62,51 +61,28 @@ class NotCyclic(ArithmeticError):
 
 EVEN, ODD = 0, 1
 
-# 3x3 matrices as column maps {col: [(row, value), ...]} on basis v0,v1,v2
-# (weights -1, 0, +1; parities even, odd, even).
-_E = {0: [(2, 1)]}
-_F = {2: [(0, 1)]}
-_H = {0: [(0, -1)], 2: [(2, 1)]}
-_GP = {0: [(1, 1)], 1: [(2, 1)]}
-_GM = {2: [(1, 1)], 1: [(0, -1)]}
+# The generators as 3x3 integer matrices, rows and columns on the basis
+# v0, v1, v2 (weights -1, 0, +1; parities even, odd, even).
+_MATRICES = {
+    "e": ((0, 0, 0), (0, 0, 0), (1, 0, 0)),
+    "f": ((0, 0, 1), (0, 0, 0), (0, 0, 0)),
+    "h": ((-1, 0, 0), (0, 0, 0), (0, 0, 1)),
+    "g+": ((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+    "g-": ((0, -1, 0), (0, 0, 1), (0, 0, 0)),
+}
 
 _PARITY = {"e": EVEN, "f": EVEN, "h": EVEN, "g+": ODD, "g-": ODD}
 _STATE_PARITY = (EVEN, ODD, EVEN)
 
 
-@dataclass(frozen=True)
-class SuperRep:
-    matrices: dict  # name -> dense 3x3 list of int rows
-    parities: tuple
-
-
-def _dense(colmap):
-    m = [[0] * 3 for _ in range(3)]
-    for col, entries in colmap.items():
-        for row, val in entries:
-            m[row][col] = val
-    return m
-
-
-def _matmul(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
-
-
-def _matadd(a, b, sb=1):
-    return [[a[i][j] + sb * b[i][j] for j in range(3)] for i in range(3)]
-
-
-def _matscale(a, s):
-    return [[s * a[i][j] for j in range(3)] for i in range(3)]
-
-
 def _bracket(a, pa, b, pb):
     # super-commutator: ab - (-1)^(pa pb) ba
     sign = -1 if (pa and pb) else 1
-    return _matadd(_matmul(a, b), _matscale(_matmul(b, a), sign), -1)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] - sign * b[i][k] * a[k][j] for k in range(3))
+              for j in range(3))
+        for i in range(3)
+    )
 
 
 # (left, right, expected, scale): super-bracket [left, right] == scale * expected.
@@ -128,42 +104,35 @@ _RELATIONS = (
 
 
 def build_rep():
-    """The 3-dimensional representation, validated against every bracket."""
-    rep = SuperRep(
-        matrices={
-            "e": _dense(_E),
-            "f": _dense(_F),
-            "h": _dense(_H),
-            "g+": _dense(_GP),
-            "g-": _dense(_GM),
-        },
-        parities=_STATE_PARITY,
-    )
-    check_relations(rep)
-    return rep
+    """The generator matrices, validated against every bracket."""
+    check_relations(_MATRICES)
+    return _MATRICES
 
 
-def check_relations(rep):
+def check_relations(matrices):
     for left, right, expected, scale in _RELATIONS:
-        got = _bracket(
-            rep.matrices[left], _PARITY[left], rep.matrices[right], _PARITY[right]
-        )
-        want = _matscale(rep.matrices[expected], scale)
+        got = _bracket(matrices[left], _PARITY[left], matrices[right], _PARITY[right])
+        want = tuple(tuple(scale * x for x in row) for row in matrices[expected])
         if got != want:
             raise RelationViolation(
                 "bracket [%s, %s] != %d*%s" % (left, right, scale, expected)
             )
 
 
+_RAISE = {"e": 2, "g+": 1}  # weight raised by each applied current
+
+
 @cache
 def _relation_gate():
-    """Build and check the representation once per process: the matrices
-    are constants, so one passing check covers every later call."""
-    build_rep()
-
-
-_COLMAPS = {"e": _E, "g+": _GP}
-_RAISE = {"e": 2, "g+": 1}  # weight raised by the current
+    """Check the matrices once per process (they are constants, so one
+    passing check covers every later call) and return the applied currents
+    as column maps {col: [(row, value), ...]} of the checked table."""
+    matrices = build_rep()
+    return {
+        name: {col: [(i, row[col]) for i, row in enumerate(matrices[name]) if row[col]]
+               for col in range(3)}
+        for name in _RAISE
+    }
 
 
 class _WeightSpace:
@@ -229,7 +198,7 @@ def fusion_character(n, points, twisted=False):
     if len(points) != n:
         raise ValueError("need exactly n evaluation points")
     points = tuple(Fraction(p) for p in points)
-    _relation_gate()
+    colmaps = _relation_gate()
     scale = lcm(*(p.denominator for p in points))
     top = 2 * n if twisted else n
     powers = [[int(p * scale) ** k for k in range(top)] for p in points]
@@ -247,7 +216,7 @@ def fusion_character(n, points, twisted=False):
     gens = list(_generators(n, twisted))
     tables = {}
     for name, k in gens:
-        colmap, odd = _COLMAPS[name], _PARITY[name] == ODD
+        colmap, odd = colmaps[name], _PARITY[name] == ODD
         for w, group in states.items():
             if w + _RAISE[name] > 0:
                 continue
@@ -255,7 +224,7 @@ def fusion_character(n, points, twisted=False):
             for state in group:
                 pairs, sign = [], 1
                 for i, s in enumerate(state):
-                    for row, val in colmap.get(s, ()):
+                    for row, val in colmap[s]:
                         coeff = sign * val * powers[i][k]
                         if coeff:
                             pairs.append((index[state[:i] + (row,) + state[i + 1 :]], coeff))

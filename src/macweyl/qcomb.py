@@ -83,12 +83,13 @@ def inv_pochhammer_truncated(k, q_bound):
 
 
 # Factor kind -> (b, theta): x^e has the exponents theta(e) in its theta
-# coefficient; see euler_product_truncated.
+# coefficient; see euler_product_truncated.  The kinds are the limit kinds of
+# weylchar.LIMIT_KINDS.
 _THETAS = {
-    "untwisted_pair": (1, lambda e: (e * (e - 1) // 2, e * (e + 1) // 2)),
-    "twisted_pair": (2, lambda e: (e * e,)),
-    "classical_theta_even": (1, lambda e: () if e % 2 else (e * e // 4,)),
-    "classical_theta_odd": (1, lambda e: (e * e // 4,) if e % 2 else ()),
+    "untwisted": (1, lambda e: (e * (e - 1) // 2, e * (e + 1) // 2)),
+    "twisted": (2, lambda e: (e * e,)),
+    "classical_even": (1, lambda e: () if e % 2 else (e * e // 4,)),
+    "classical_odd": (1, lambda e: (e * e // 4,) if e % 2 else ()),
 }
 
 
@@ -111,10 +112,10 @@ def _theta_sum(factor_kind, q_bound, x_bound):
 def euler_product_truncated(factor_kind, q_bound, x_bound):
     """Truncated expansion of the named infinite product / theta quotient.
 
-    single_plus:    prod (1+q^i x), i >= 0, expanded factor by factor.
-    untwisted_pair: prod (1+q^i x)(1+q^i x^-1), i >= 0.
-    twisted_pair:   prod (1+q^(2i+1) x)(1+q^(2i+1) x^-1), i >= 0.
-    classical_theta_even / _odd: sum_k x^(2k) q^(k^2), resp.
+    single_plus: prod (1+q^i x), i >= 0, expanded factor by factor.
+    untwisted:   prod (1+q^i x)(1+q^i x^-1), i >= 0.
+    twisted:     prod (1+q^(2i+1) x)(1+q^(2i+1) x^-1), i >= 0.
+    classical_even / classical_odd: sum_k x^(2k) q^(k^2), resp.
     sum_k x^(2k+1) q^(k(k+1)), divided by (q; q)_inf.
 
     The two pair products are expanded as theta quotients too, by Jacobi's

@@ -78,7 +78,7 @@ from macweyl.walks import (
     FAMILIES,
     S0,
     S1,
-    AlcoveElement,
+    alcove_element,
     beta_degree,
     normalize_spec,
     walk_word,
@@ -217,11 +217,10 @@ def _steps(n):
 def _numerators(family, n, steps, normalize, window=None):
     """{x: numerator over D of the (normalized) sum}, from _transfer."""
     finals = (
-        (AlcoveElement.from_interval(lo), num)
-        for lo, num in _transfer(family, steps, window).items()
+        (*alcove_element(lo), num) for lo, num in _transfer(family, steps, window).items()
     )
     return XPolynomial.from_pairs(
-        (final.wt, num.shift(v_exp=_prefactor_v(n, final.d, normalize))) for final, num in finals
+        (wt, num.shift(v_exp=_prefactor_v(n, d, normalize))) for wt, d, num in finals
     ).terms
 
 
@@ -275,7 +274,7 @@ def _statistic_route(family, n, spec):
         states = nxt
     terms = {}
     for lo, counts in states.items():
-        acc = terms.setdefault(AlcoveElement.from_interval(lo).wt, {})
+        acc = terms.setdefault(alcove_element(lo)[0], {})
         for qe, c in counts.items():
             acc[qe] = acc.get(qe, 0) + c
     return XPolynomial.from_q_terms(terms)

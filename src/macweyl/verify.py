@@ -22,7 +22,7 @@ import json
 from importlib import resources
 
 from macweyl import cform, fusion, qcomb, ramyip, walks, weylchar
-from macweyl.ring import SIZE_LIMITS, QPolynomial, XPolynomial, check_size
+from macweyl.ring import QPolynomial, XPolynomial, check_size
 
 
 def _data_text(name):
@@ -285,7 +285,14 @@ _SUITE_FN = {
 SUITES = tuple(_SUITE_FN)
 
 
-def run_suites(suite, max_n, errata=None):
+# The SIZE_LIMITS key that bounds each suite's max_n, checked before any
+# suite runs: section4 by the basis enumeration of its PBW side, routes by the
+# walk specialization.  The other suites read no limit.
+_SUITE_LIMIT = {"recurrences": "recurrences", "section4": "basis", "routes": "specialize",
+                "duality": "duality", "walks": "walks"}
+
+
+def run_suites(suite, max_n):
     """Run one suite or all of them; returns (entries, exit_code)."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1, got %d" % max_n)
@@ -293,15 +300,9 @@ def run_suites(suite, max_n, errata=None):
     for name in names:
         if name not in _SUITE_FN:
             raise ValueError("unknown suite %r" % (name,))
-        # A suite named in SIZE_LIMITS is bounded there, checked before any
-        # suite runs.
-        if name in SIZE_LIMITS:
-            check_size(name, max_n)
-    # So is section4, by the basis enumeration of its PBW side.
-    if "section4" in names:
-        check_size("basis", max_n)
-    if errata is None:
-        errata = load_errata()
+        if name in _SUITE_LIMIT:
+            check_size(_SUITE_LIMIT[name], max_n)
+    errata = load_errata()
     conventions = load_conventions()
     entries = []
     for name in names:

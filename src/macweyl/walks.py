@@ -3,7 +3,8 @@
 Alcoves are the unit intervals (i, i+1).  The wall at an even integer 2n
 carries the label s1, the wall at an odd integer the label s0.  The group
 element 2nX * s1^b occupies the alcove (2n-b, 2n-b+1); its translation part
-is wt = n and d = b records which side the even wall lies on.
+is wt = n and d = b records which side the even wall lies on.  An alcove is
+kept as the integer lo of its left end; alcove_element(lo) reads (wt, d).
 
 A walk starts in (0, 1).  Each step names a letter (s1 or s0), which selects
 the wall of the current alcove carrying that label.  A crossing step moves
@@ -44,30 +45,9 @@ def walk_word(target):
     return ((S0,) + (S1, S0) * (target - 1))[: 2 * target - 1]
 
 
-@dataclass(frozen=True)
-class AlcoveElement:
-    """The group element 2nX * s1^b, sitting in the alcove (2n-b, 2n-b+1)."""
-
-    n: int
-    b: int
-
-    @classmethod
-    def from_interval(cls, lo):
-        if lo % 2 == 0:
-            return cls(lo // 2, 0)
-        return cls((lo + 1) // 2, 1)
-
-    @property
-    def wt(self):
-        return self.n
-
-    @property
-    def d(self):
-        return self.b
-
-    @property
-    def lo(self):
-        return 2 * self.n - self.b
+def alcove_element(lo):
+    """(wt, d) of the group element 2wt X * s1^d in the alcove (lo, lo+1)."""
+    return (lo + 1) // 2, lo % 2
 
 
 @dataclass(frozen=True)
@@ -89,7 +69,7 @@ class AlcoveWalk:
 
 @dataclass(frozen=True)
 class WalkStats:
-    final: AlcoveElement
+    lo: int  # the final alcove (lo, lo+1)
     J0_pos: frozenset
     J0_neg: frozenset
     J_pos: frozenset
@@ -137,7 +117,7 @@ def traverse(walk):
                 target = jp if side < 0 else jn
             target.add(i)
     return WalkStats(
-        final=AlcoveElement.from_interval(lo),
+        lo=lo,
         J0_pos=frozenset(j0p),
         J0_neg=frozenset(j0n),
         J_pos=frozenset(jp),
@@ -239,11 +219,12 @@ def qb_filter(walks, family, spec):
 def walk_record(walk, target):
     """JSON-ready dict describing one walk (used by the CLI)."""
     stats = traverse(walk)
+    wt, d = alcove_element(stats.lo)
     h = to_hword(walk, 1 if target > 0 else -1)
     return {
         "mask": walk.mask_string(),
-        "wt": stats.final.wt,
-        "d": stats.final.d,
+        "wt": wt,
+        "d": d,
         "J0+": sorted(stats.J0_pos),
         "J0-": sorted(stats.J0_neg),
         "J+": sorted(stats.J_pos),

@@ -237,13 +237,6 @@ def pbw_character_specialized(n, twisted=False):
 
 LIMIT_KINDS = ("untwisted", "twisted", "classical_even", "classical_odd")
 
-_LIMIT_FACTOR = {
-    "untwisted": "untwisted_pair",
-    "twisted": "twisted_pair",
-    "classical_even": "classical_theta_even",
-    "classical_odd": "classical_theta_odd",
-}
-
 
 def limit_char(kind, q_bound, x_bound):
     """Truncated product/theta form of the stable limit character."""
@@ -252,7 +245,7 @@ def limit_char(kind, q_bound, x_bound):
     if q_bound < 0 or x_bound < 0:
         raise ValueError("truncation bounds must be nonnegative")
     check_size("limitchar", q_bound)
-    return euler_product_truncated(_LIMIT_FACTOR[kind], q_bound, x_bound)
+    return euler_product_truncated(kind, q_bound, x_bound)
 
 
 def approximant(kind, n, q_bound, x_bound):

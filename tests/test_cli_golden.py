@@ -43,6 +43,18 @@ def _argvs():
         for n in range(-5, 6):
             base = ["epoly", "--family", family, "--n", str(n), "--spec", "full"]
             argvs += [base, base + ["--no-normalize"]]
+    for n in (*range(-5, 0), *range(1, 6)):
+        base = ["walks", "--n", str(n)]
+        argvs += [base, base + ["--format", "json"]]
+    for family in ("A2", "A2dagger"):
+        for spec in ("t0", "tinf"):
+            for n in (-4, 4):
+                argvs.append(["walks", "--n", str(n), "--filter", "%s-%s" % (family, spec)])
+    # The CI fusion points, truncated to the first n.
+    ci_points = ["1/2", "-3", "5/3", "-7/2", "2/5", "4"]
+    for n in range(1, 5):
+        base = ["fusion", "--n", str(n), "--points", ",".join(ci_points[:n])]
+        argvs += [base, base + ["--twisted"]]
     argvs.append(["verify", "--suite", "all", "--max-n", "4", "--format", "json"])
     # test_cli.test_capacity_limit_exit_three's argvs: exit 3, empty stdout.
     argvs.append(["fusion", "--n", "7", "--points", "1,2,3,4,5,6,7"])

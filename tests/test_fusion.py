@@ -9,7 +9,6 @@ from macweyl import fusion
 from macweyl.fusion import (
     NotCyclic,
     RelationViolation,
-    SuperRep,
     _bracket,
     _generators,
     _WeightSpace,
@@ -25,34 +24,47 @@ MIXED_POINTS = [Fraction(1, 2), -3, Fraction(5, 3), Fraction(-7, 2), Fraction(2,
 
 
 def test_relations_hold():
-    rep = build_rep()  # raises RelationViolation on failure
-    m = rep.matrices
+    m = build_rep()  # raises RelationViolation on failure
     # {g+, g-} equals h on every basis vector
     anti = _bracket(m["g+"], 1, m["g-"], 1)
     assert anti == m["h"]
 
 
 def test_h_spectrum():
-    rep = build_rep()
-    h = rep.matrices["h"]
+    h = build_rep()["h"]
     diag = sorted(h[i][i] for i in range(3))
     assert diag == [-1, 0, 1]
     assert all(h[i][j] == 0 for i in range(3) for j in range(3) if i != j)
 
 
 def test_traces_vanish():
-    rep = build_rep()
+    matrices = build_rep()
     for name in ("e", "f", "g+", "g-"):
-        m = rep.matrices[name]
+        m = matrices[name]
         assert sum(m[i][i] for i in range(3)) == 0
 
 
+def _broken_matrices():
+    bad = dict(build_rep())
+    bad["g-"] = ((0, 1, 0),) + bad["g-"][1:]  # break the sign of g- on the odd vector
+    return bad
+
+
 def test_relation_checker_catches_violations():
-    rep = build_rep()
-    bad = {k: [row[:] for row in v] for k, v in rep.matrices.items()}
-    bad["g-"][0][1] = Fraction(1)  # break the sign of g- on the odd vector
     with pytest.raises(RelationViolation):
-        check_relations(SuperRep(matrices=bad, parities=rep.parities))
+        check_relations(_broken_matrices())
+
+
+def test_relation_gate_guards_the_applied_matrices(monkeypatch):
+    monkeypatch.setattr(fusion, "_MATRICES", _broken_matrices())
+    fusion._relation_gate.cache_clear()
+    try:
+        with pytest.raises(RelationViolation):
+            build_rep()
+        with pytest.raises(RelationViolation):
+            fusion_character(2, [1, 2])
+    finally:
+        fusion._relation_gate.cache_clear()
 
 
 def test_untwisted_characters_match_closed_form():
@@ -146,7 +158,7 @@ def _all_weights_character(n, points, twisted=False):
     """The literal filtration over every weight, w > 0 included: the oracle's
     loop without the sl2 symmetry, acting with the dense matrices of
     build_rep.  Returns the character of the cyclic submodule it reaches."""
-    matrices = build_rep().matrices
+    matrices = build_rep()
     scale = lcm(*(Fraction(p).denominator for p in points))
     points = [int(Fraction(p) * scale) for p in points]
     states = {}

@@ -92,9 +92,9 @@ def test_euler_product_examples():
         {0: qp({0: 1}), 1: qp({0: 1, 1: 1, 2: 1}), 2: qp({1: 1, 2: 1})}
     )
     assert got == want
-    got = euler_product_truncated("untwisted_pair", 0, 1)
+    got = euler_product_truncated("untwisted", 0, 1)
     assert got == XPolynomial({-1: qp({0: 1}), 0: qp({0: 2}), 1: qp({0: 1})})
-    assert euler_product_truncated("twisted_pair", 0, 5) == XPolynomial({0: qp({0: 1})})
+    assert euler_product_truncated("twisted", 0, 5) == XPolynomial({0: qp({0: 1})})
 
 
 def test_wedge_examples():

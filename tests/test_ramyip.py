@@ -25,7 +25,7 @@ from macweyl.walks import (
     FAMILIES,
     S0,
     SPECS,
-    AlcoveElement,
+    alcove_element,
     beta_degree,
     enumerate_walks,
     qb_filter,
@@ -64,8 +64,8 @@ def ramyip_terms(family, n):
                 _fold_numerator(family, letter, stats.arrows[j - 1], deg),
                 _binomial(*_den_exponents(letter, deg)),
             ))
-        v_exponent = _prefactor_v(n, stats.final.d, False)
-        out.append(RamYipTerm(walk, v_exponent, tuple(factors), stats.final.wt))
+        wt, d = alcove_element(stats.lo)
+        out.append(RamYipTerm(walk, _prefactor_v(n, d, False), tuple(factors), wt))
     return out
 
 
@@ -146,7 +146,7 @@ def _walk_statistics(n):
             qe = 0
             for name in _STAT_SETS[(family, spec)]:
                 qe += sum(beta_degree(j, walk.length) for j in getattr(stats, name))
-            by_q = terms.setdefault(stats.final.wt, {})
+            by_q = terms.setdefault(alcove_element(stats.lo)[0], {})
             by_q[qe] = by_q.get(qe, 0) + 1
     return {key: XPolynomial.from_q_terms(terms) for key, terms in counts.items()}
 
@@ -211,8 +211,9 @@ def test_normalized_t0_survivors_sit_at_valuation_zero():
                     2 * _FOLD_XI_POWER[family, walk.word[j - 1], stats.arrows[j - 1]] - 1
                     for j in stats.folds
                 )
-                raw = _prefactor_v(n, stats.final.d, False) + folds
-                normalized = _prefactor_v(n, stats.final.d, True) + folds
+                _, d = alcove_element(stats.lo)
+                raw = _prefactor_v(n, d, False) + folds
+                normalized = _prefactor_v(n, d, True) + folds
                 if surviving(stats, family, "t0"):
                     assert (raw, normalized) == (_sign(n), 0), (family, n, walk.mask)
                 else:
@@ -237,7 +238,7 @@ def _least_t0_valuation(family, n):
                 nxt[target] = min(val + step, nxt.get(target, val + step))
         states = nxt
     return min(
-        val + _prefactor_v(n, AlcoveElement.from_interval(lo).d, False)
+        val + _prefactor_v(n, alcove_element(lo)[1], False)
         for lo, val in states.items()
     )
 

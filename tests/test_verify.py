@@ -3,7 +3,7 @@ import json
 import pytest
 
 from macweyl import cform, cli, ramyip, verify, weylchar
-from macweyl.ring import QPolynomial, XPolynomial
+from macweyl.ring import SIZE_LIMITS, QPolynomial, XPolynomial
 
 DAGGER, PBW = "walkroute_vs_cform_A2dagger_tinf", "pbw_twisted_vs_E_A2_tinf"
 
@@ -163,6 +163,13 @@ def test_run_all_suites_exit_zero():
     assert code == 0
     statuses = {e["status"] for e in entries}
     assert statuses <= {"EQUAL", "EQUAL_UP_TO", "KNOWN_ERRATUM"}
+
+
+def test_suite_bounds_are_named_not_matched(monkeypatch):
+    # A limit keyed like a suite does not bound that suite: only
+    # verify._SUITE_LIMIT says which limit bounds which suite.
+    monkeypatch.setitem(SIZE_LIMITS, "limits", 1)
+    assert verify.run_suites("all", 4)[1] == 0
 
 
 def test_walks_suite_reports_shifted_variant():

@@ -5,6 +5,7 @@ from macweyl.walks import (
     S1,
     AlcoveWalk,
     MalformedWalk,
+    alcove_element,
     beta_degree,
     enumerate_walks,
     leg,
@@ -30,15 +31,22 @@ def test_walk_words():
 
 def test_traverse_examples():
     s = traverse(AlcoveWalk(walk_word(-1), (1, 1)))
-    assert (s.final.lo, s.final.wt, s.final.d) == (-2, -1, 0)
+    assert (s.lo, *alcove_element(s.lo)) == (-2, -1, 0)
     assert not s.J
 
     s = traverse(AlcoveWalk(walk_word(-1), (0, 1)))
-    assert (s.final.lo, s.final.wt, s.final.d) == (1, 1, 1)
+    assert (s.lo, *alcove_element(s.lo)) == (1, 1, 1)
     assert s.J == {1} and s.J_pos == {1}
 
     s = traverse(AlcoveWalk(walk_word(1), (1,)))
-    assert (s.final.lo, s.final.wt, s.final.d) == (1, 1, 1)
+    assert (s.lo, *alcove_element(s.lo)) == (1, 1, 1)
+
+
+def test_alcove_element_reads_the_alcove():
+    # 2wt X * s1^d sits in the alcove (2wt - d, 2wt - d + 1).
+    for lo in range(-9, 10):
+        wt, d = alcove_element(lo)
+        assert d in (0, 1) and 2 * wt - d == lo
 
 
 def test_hword_examples():
@@ -131,12 +139,12 @@ def test_direction_count_identity():
     for n in [m for m in range(-4, 5) if m != 0]:
         sign = 1 if n > 0 else -1
         for walk in enumerate_walks(n):
-            stats = traverse(walk)
+            wt, _ = alcove_element(traverse(walk).lo)
             h = to_hword(walk, sign)
             ones = sum(1 for v in h[1:] if v == 1)
             twos = len(h) - 1 - ones
-            assert ones - twos == 2 * stats.final.wt - (1 if n > 0 else 0)
-            assert x_weight(h) == stats.final.wt
+            assert ones - twos == 2 * wt - (1 if n > 0 else 0)
+            assert x_weight(h) == wt
 
 
 def test_malformed_walk():
