@@ -271,13 +271,11 @@ def _cmd_fusion(args):
 
 
 def _cmd_walks(args):
-    records = []
-    all_walks = walks.enumerate_walks(args.n)
-    if args.filter:
+    pairs = [(w, walks.traverse(w)) for w in walks.enumerate_walks(args.n)]
+    if args.filter:  # the qb_filter test, on the stats the records reuse
         family, spec = args.filter.split("-")
-        all_walks = walks.qb_filter(all_walks, family, spec)
-    for w in all_walks:
-        records.append(walks.walk_record(w, args.n))
+        pairs = [(w, stats) for w, stats in pairs if walks.surviving(stats, family, spec)]
+    records = [walks.walk_record(w, args.n, stats) for w, stats in pairs]
     if args.format == "json":
         print(_dumps({"n": args.n, "walks": records}))
     else:

@@ -6,46 +6,80 @@ The three-dimensional module has basis vectors of weights -1, 0, +1 with
 parities even, odd, even.  Generator matrices are solved from the bracket
 relations; the relation checker is the only correctness gate for them.
 
-The filtration is computed in integers, over the g+ currents only (and
-e(x)t^0 when twisted):
+V is the tensor product at the points p_1, ..., p_n, v = (0,...,0) its
+cyclic vector, of the lowest weight -n, and F_d = U_{<=d} v the span of the
+products of currents x(x)t^k of total t-degree <= d applied to v.  Write
+Z = g+(x)1 and step = 1 untwisted, Z = e(x)1 and step = 2 twisted.  The
+oracle never does linear algebra in a weight space V_w; it works in integers
+in the quotients Q_w = V_w / Z V_(w-step), w <= 0, which is exact:
 
-* The cyclic vector (0,...,0) has the lowest weight, so f(x)t^k and
-  g-(x)t^k kill it and h(x)t^k acts on it by a scalar.  Commuting currents
-  keeps the t-degree, so by PBW F_d = U(n+[t])_{<=d} v: only e(x)t^k and
-  g+(x)t^k need applying.
-* {g+, g+} = 2e (a checked relation) gives 2 e(x)t^k = {g+(x)t^a,
-  g+(x)t^(k-a)}, both products of degree k, with a = 0 untwisted and a = 1
-  twisted (k even, k >= 2).  So e(x)t^k adds nothing to U(n+[t])_{<=d} v
-  once the g+ currents are applied, except e(x)t^0 in the twisted case,
-  where every g+ degree is odd.
-* x(x)t^k acts as sum_i p_i^k x_i.  By Cayley-Hamilton for diag(p), or for
-  diag(p^2) in the twisted case, x(x)t^k with k >= n (twisted: k >= 2n) acts
-  as a combination of x(x)t^j with j < k of the same parity, so it adds
-  nothing to the filtration.
+* Complete reducibility.  The degree-0 currents, osp(1|2) untwisted and sl2
+  twisted, keep each F_d, and their finite-dimensional modules are
+  completely reducible (Djokovic-Hochschild 1976, Kac 1977; Weyl for sl2).
+  In an irreducible summand Z raises every weight but the top one, which is
+  >= 0, so Z is injective from V_(w-step) into V_w for w <= 0, and F_d has
+  dim (F_d)_w - dim (F_d)_(w-step) summands of lowest weight w.
+* F_d meets Z V in Z F_d.  An equivariant projection P of V onto F_d
+  commutes with Z, so Z y in F_d gives Z y = P Z y = Z P y.  Hence the image
+  of (F_d)_w in Q_w has dimension dim (F_d)_w - dim (F_d)_(w-step), the
+  number of summands of lowest weight w.
+* Lifts.  For each w the oracle keeps vectors of F_d, the lifts, whose
+  images span that of (F_d)_w; then (F_d)_w = span(lifts) + Z (F_d)_(w-step).
+  A lift need not be a lowest-weight vector: it differs from one by an
+  element of Z F_d, and the next point shows that the currents map such an
+  element to nothing new in Q.
+* Which currents.  f, g- and h (x) t^k act on v by 0 or a scalar, so
+  F_d = U(n+[t])_{<=d} v, and U(n+[t]) = C[Z] U(n+ (x) tC[t]) with Z to the
+  left (PBW).  So the image of F_d in Q is spanned by those of v and of X y,
+  for currents X of degree k >= 1 and y in F_(d-k); with y = lift + Z y':
+  - twisted, Z is central in n+[t], so X Z y' = Z X y' lies in Z V;
+  - untwisted, X Z y' = -Z X y' + [X, Z] y', where [e(x)t^k, Z] = 0 and
+    [g+(x)t^k, Z] = 2 e(x)t^k, which commutes with Z: the commutator
+    identity.  So the image of g+(x)t^k Z y' is that of 2 e(x)t^k on the
+    lifts of y'.
+  Hence applying the currents to the lifts alone suffices.  The e currents
+  reduce further: 2 e(x)t^k = {g+(x)t, g+(x)t^(k-1)}.  Twisted, every
+  e(x)t^(2m), m >= 1, is such a sum of products of g+ currents of the same
+  total degree, so only the g+ currents are applied.  Untwisted, the same
+  identity and the commutator identity reduce e(x)t^k, k >= 2, on a lift to
+  g+ currents and e(x)t^(k-1) on lifts of no higher total degree, so only
+  e(x)t is applied besides the g+ currents.
+* Newton currents and the Cayley-Hamilton caps.  x(x)t^k acts as
+  sum_i p_i^k x_i.  The oracle applies x(x)P_k(t) in place of x(x)t^k, with
+  P_k(t) = (t - p_1)...(t - p_k): it is x(x)t^k plus currents of lower
+  degree, so it spans the same filtration (its degree-0 part, Z or
+  Z^2 = e(x)1, maps into Z V), and it acts only on the factors i > k.
+  P_n is the characteristic polynomial of diag(p), so by Cayley-Hamilton
+  x(x)P_k acts as 0 for every k >= n.  Twisted, the odd currents
+  g+(x)t Q_m(t^2), with Q_m(s) = (s - p_1^2)...(s - p_m^2), do the same
+  with diag(p^2).  So the applied currents are g+(x)P_k, 1 <= k <= n-1, and
+  e(x)P_1 untwisted; g+(x)t Q_m(t^2), 0 <= m <= n-1, twisted.
 * t -> Lt is a graded automorphism of both current algebras, so scaling every
   point by L, the lcm of their denominators, leaves the filtration unchanged
   (repeated points and repeated squares stay repeated).  The points are then
   integers.
-* Only the weights w <= 0 are built.  e, f, h (x) t^0 lie in both current
-  algebras and keep the degree, so each F_d, and each F_d / F_(d-1), is a
-  finite-dimensional sl2-module, whose character is symmetric under
-  w -> -w: the multiplicity at (d, w) equals the one at (d, -w).  Every
-  applied current raises the weight, so a vector of weight w <= 0 is reached
-  only through weights below w, and F_d restricted to w <= 0 is computed
-  exactly without the rest.  The cyclic submodule is sl2-stable too, so it
-  is all of V once it fills every V_w with w <= 0.
+* Only the weights w <= 0 are built.  Every applied current raises the
+  weight, and each F_d / F_(d-1) is a module over the degree-0 currents, so
+  its character is symmetric under w -> -w.
 
-Vectors are dense integer lists over the tensor states of one weight w <= 0,
-and a current is applied through a per-call table of (target, coefficient)
-pairs.  Each weight space keeps its rows in fraction-free reduced echelon
-form (see _WeightSpace), so testing a candidate against r rows of length D
-costs r (D - r) multiplications, and nothing once the space is full.
+Reading the character: the lifts found at degree d and weight u count the
+summands of F_d / F_(d-1) of lowest weight u, each with multiplicity one at
+u, u + step, ..., -u; so the multiplicity at (d, w <= 0) is the sum over
+j >= 0 of the lifts at (d, w - j step), mirrored to -w.  The cyclic
+submodule is a module over the degree-0 currents too, so it is all of V
+once every Q_w is full.
+
+Each quotient map is built once per weight, by sparse fraction-free
+Gauss-Jordan on the images Z e_s (at most n entries, each +-1), and stored
+by pivot row, so projecting a vector skips its zero entries.  An image is
+computed only when its target quotient is not yet full, and each quotient
+keeps its vectors in fraction-free reduced echelon form (see _WeightSpace).
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from macweyl.ring import QPolynomial, XPolynomial, check_size
@@ -173,15 +207,124 @@ class _WeightSpace:
         return True
 
 
-def _generators(n, twisted):
-    """The currents that are applied (see the module docstring)."""
+def _currents(points, twisted):
+    """(name, t-degree, per-factor scalars) of the currents applied to the
+    lifts, each name(x)P(t) with P of the given degree (see the module
+    docstring)."""
     if twisted:
-        yield "e", 0
-        for m in range(n):
-            yield "g+", 2 * m + 1
+        for m in range(len(points)):
+            yield "g+", 2 * m + 1, [p * prod(p * p - q * q for q in points[:m])
+                                    for p in points]
     else:
-        for k in range(n):
-            yield "g+", k
+        for k in range(1, len(points)):
+            yield "g+", k, [prod(p - q for q in points[:k]) for p in points]
+        if len(points) > 1:
+            yield "e", 1, [p - points[0] for p in points]
+
+
+def _states(n):
+    """The tensor states of each weight w <= 0, and each state's index among
+    the states of its weight."""
+    states = {}
+    for state in product(range(3), repeat=n):
+        w = sum(state) - n
+        if w <= 0:
+            states.setdefault(w, []).append(state)
+    index = {s: i for group in states.values() for i, s in enumerate(group)}
+    return states, index
+
+
+def _action(name, scalars, states, index, w):
+    """Per state of weight w, the (target index, coefficient) pairs of the
+    current that acts on factor i as scalars[i] times the matrix `name`; each
+    coefficient carries the Koszul sign, the matrix entry and scalars[i]."""
+    colmap, odd = _relation_gate()[name], _PARITY[name] == ODD
+    table = []
+    for state in states[w]:
+        pairs, sign = [], 1
+        for i, s in enumerate(state):
+            for row, val in colmap[s]:
+                coeff = sign * val * scalars[i]
+                if coeff:
+                    pairs.append((index[state[:i] + (row,) + state[i + 1 :]], coeff))
+            if odd and _STATE_PARITY[s] == ODD:
+                sign = -sign
+        table.append(pairs)
+    return table
+
+
+def _combine(a, x, u, y):
+    """a x - u y for sparse integer rows, divided by its content when a != 1."""
+    out = {c: a * v for c, v in x.items()} if a != 1 else dict(x)
+    for c, v in y.items():
+        s = out.get(c, 0) - u * v
+        if s:
+            out[c] = s
+        else:
+            del out[c]
+    if a != 1:
+        g = gcd(*out.values())
+        if g > 1:
+            out = {c: v // g for c, v in out.items()}
+    return out
+
+
+class _QuotientMap:
+    """An integer map on the states of one weight whose kernel is exactly the
+    span of the given linearly independent sparse images {state: value}.
+
+    Sparse fraction-free Gauss-Jordan puts the images in reduced echelon
+    form: row r_p holds a_p at its pivot p and 0 at every other pivot.  x
+    lies in their span exactly when x[f] = sum_p (x[p] / a_p) r_p[f] at every
+    free column f, so with L = lcm(a_p) the map sends x to the residuals
+    L x[f] - sum_p x[p] (L / a_p) r_p[f], one per free column."""
+
+    def __init__(self, images, size):
+        rows = {}  # pivot -> reduced row
+        for row in images:
+            for p in [c for c in row if c in rows]:
+                r = rows[p]
+                row = _combine(r[p], row, row[p], r)
+            # A unit pivot when there is one; among those the last column,
+            # which keeps the rows of the Z images sparse.
+            p = min(row, key=lambda c: (abs(row[c]), -c))
+            if row[p] < 0:
+                row = {c: -v for c, v in row.items()}
+            a = row[p]
+            for q, r in rows.items():
+                u = r.get(p)
+                if u:
+                    rows[q] = _combine(a, r, u, row)
+            rows[p] = row
+        self.free = [f for f in range(size) if f not in rows]
+        column = {f: i for i, f in enumerate(self.free)}
+        self.scale = lcm(*(r[p] for p, r in rows.items()))
+        # pivot -> [(free column position, -(L / a_p) r_p[f])]
+        self.rows = [
+            (p, [(column[f], -self.scale // r[p] * v) for f, v in r.items() if f != p])
+            for p, r in rows.items()
+        ]
+
+    def __call__(self, vec):
+        out = [self.scale * vec[f] for f in self.free]
+        for p, pairs in self.rows:
+            c = vec[p]
+            if c:
+                for i, a in pairs:
+                    out[i] += a * c
+        return out
+
+
+def _quotient_maps(states, index, twisted):
+    """weight w <= 0 -> the _QuotientMap of V_w whose kernel is Z V_(w-step)."""
+    z = "e" if twisted else "g+"
+    ones = [1] * -min(states)  # Z = z(x)1 on each of the n factors; -n is the lowest weight
+    maps = {}
+    for w, group in states.items():
+        below = w - _RAISE[z]
+        images = _action(z, ones, states, index, below) if below in states else []
+        maps[w] = _QuotientMap([dict(pairs) for pairs in images], len(group))
+    return maps
 
 
 def fusion_character(n, points, twisted=False):
@@ -198,71 +341,58 @@ def fusion_character(n, points, twisted=False):
     if len(points) != n:
         raise ValueError("need exactly n evaluation points")
     points = tuple(Fraction(p) for p in points)
-    colmaps = _relation_gate()
     scale = lcm(*(p.denominator for p in points))
-    top = 2 * n if twisted else n
-    powers = [[int(p * scale) ** k for k in range(top)] for p in points]
+    points = [int(p * scale) for p in points]
+    step = _RAISE["e" if twisted else "g+"]
+    states, index = _states(n)
+    pi = _quotient_maps(states, index, twisted)
+    spaces = {w: _WeightSpace(len(pi[w].free)) for w in states}
+    remaining = sum(len(pi[w].free) for w in states)  # columns still to fill
 
-    # The tensor states of each weight w <= 0, and each state's index among them.
-    states = {}
-    for state in product(range(3), repeat=n):
-        w = sum(state) - n
-        if w <= 0:
-            states.setdefault(w, []).append(state)
-    index = {s: i for group in states.values() for i, s in enumerate(group)}
-    # (current, k, weight) -> per source index, the (target index, coefficient)
-    # pairs of x(x)t^k; each coefficient carries the Koszul sign, the matrix
-    # entry and powers[i][k].  A current whose target weight is > 0 has none.
-    gens = list(_generators(n, twisted))
-    tables = {}
-    for name, k in gens:
-        colmap, odd = colmaps[name], _PARITY[name] == ODD
-        for w, group in states.items():
-            if w + _RAISE[name] > 0:
-                continue
-            table = []
-            for state in group:
-                pairs, sign = [], 1
-                for i, s in enumerate(state):
-                    for row, val in colmap[s]:
-                        coeff = sign * val * powers[i][k]
-                        if coeff:
-                            pairs.append((index[state[:i] + (row,) + state[i + 1 :]], coeff))
-                    if odd and _STATE_PARITY[s] == ODD:
-                        sign = -sign
-                table.append(pairs)
-            tables[name, k, w] = table
+    currents = list(_currents(points, twisted))
+    # (current, source weight) -> _action table, where the target weight is <= 0
+    tables = {(i, w): _action(name, scalars, states, index, w)
+              for i, (name, _, scalars) in enumerate(currents)
+              for w in states if w + _RAISE[name] <= 0}
+    lifts = {}  # (degree, weight) -> number of lifts
+    pending = {}  # degree -> [(target weight, current table, source lift)]
 
-    low_dim = sum(map(len, states.values()))  # dimension of the weights w <= 0
-    spaces = {w: _WeightSpace(len(group)) for w, group in states.items()}
-    char = {}  # (degree, weight <= 0) -> multiplicity
-    pending = {0: [(-n, [1])]}  # degree -> [(weight, dense vector)]
-    found = 0
+    def keep(degree, w, vec):
+        lifts[degree, w] = lifts.get((degree, w), 0) + 1
+        for i, (name, k, _) in enumerate(currents):
+            if (i, w) in tables:
+                pending.setdefault(degree + k, []).append((w + _RAISE[name], tables[i, w], vec))
+
+    spaces[-n].add([1])
+    keep(0, -n, [1])
+    remaining -= 1
     degree = 0
-    max_degree = 2 * n * n + 2 * n + 4
-
-    while pending and degree <= max_degree and found < low_dim:
-        queue = pending.pop(degree, [])
-        for w, vec in queue:  # grows with the images of the degree-0 currents
-            if not spaces[w].add(vec):
-                continue
-            char[(degree, w)] = char.get((degree, w), 0) + 1
-            found += 1
-            for name, k in gens:
-                target = w + _RAISE[name]
-                if target > 0 or not spaces[target].free:
-                    continue
-                img = [0] * len(states[target])
-                for c, pairs in zip(vec, tables[name, k, w]):
-                    if c:
-                        for t, a in pairs:
-                            img[t] += a * c
-                if any(img):
-                    (queue if k == 0 else pending.setdefault(degree + k, [])).append((target, img))
+    while pending and remaining:
         degree += 1
+        for target, table, vec in pending.pop(degree, ()):
+            space = spaces[target]
+            if not space.free:  # a full quotient gains nothing: skip the image
+                continue
+            img = [0] * len(states[target])
+            for c, pairs in zip(vec, table):
+                if c:
+                    for t, a in pairs:
+                        img[t] += a * c
+            # Scaling keeps every span, so divide out contents to keep the
+            # integers small.
+            proj = pi[target](img)
+            g = gcd(*proj)
+            if space.add([x // g for x in proj] if g > 1 else proj):
+                g = gcd(*img)
+                keep(degree, target, [x // g for x in img] if g > 1 else img)
+                remaining -= 1
 
-    if found < low_dim:
-        dim = sum(len(space.pivots) * (2 if w else 1) for w, space in spaces.items())
+    char = {}
+    for (d, u), m in lifts.items():
+        for w in range(u, 1, step):
+            char[d, w] = char.get((d, w), 0) + m
+    if remaining:
+        dim = sum(m * (2 if w else 1) for (_, w), m in char.items())
         raise NotCyclic(
             "filtration stabilized at dimension %d < %d" % (dim, 3 ** n)
         )

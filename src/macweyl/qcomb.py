@@ -76,10 +76,23 @@ def _one_side_product(exponents, q_bound, x_bound):
 def inv_pochhammer_truncated(k, q_bound):
     """1 / ((1-q)(1-q^2)...(1-q^k)), truncated to q-degree q_bound."""
     coeffs = [1] + [0] * q_bound
-    for i in range(1, k + 1):
-        for e in range(i, q_bound + 1):  # dividing by 1 - q^i adds the coefficient i below
-            coeffs[e] += coeffs[e - i]
-    return QPolynomial(dict(enumerate(coeffs[: q_bound + 1])))
+    if k >= q_bound:
+        # The factors past q^q_bound are 1 below it, so this is the partition
+        # series: Euler's pentagonal number theorem gives p(m) as the sum over
+        # j >= 1 of (-1)^(j+1) (p(m - j(3j-1)/2) + p(m - j(3j+1)/2)), about
+        # q_bound^1.5 steps instead of the product's q_bound^2 / 2.
+        offsets, j = [], 1
+        while j * (3 * j - 1) // 2 <= q_bound:
+            sign = 1 if j % 2 else -1
+            offsets += [(j * (3 * j - 1) // 2, sign), (j * (3 * j + 1) // 2, sign)]
+            j += 1
+        for m in range(1, q_bound + 1):
+            coeffs[m] = sum(sign * coeffs[m - o] for o, sign in offsets if o <= m)
+    else:
+        for i in range(1, k + 1):
+            for e in range(i, q_bound + 1):  # dividing by 1 - q^i adds the coefficient i below
+                coeffs[e] += coeffs[e - i]
+    return QPolynomial(dict(enumerate(coeffs)))
 
 
 # Factor kind -> (b, theta): x^e has the exponents theta(e) in its theta

@@ -49,19 +49,21 @@ class BoundExceeded(ValueError):
 # each step further costs 3-4x more.  ramyip.specialize's two routes are
 # polynomial in n, 0.1-0.3 s together at |n| = 16; ramyip.ramyip_sum keeps
 # every v-exponent, and `epoly --spec full` takes 2.4 s at n = -12 and 5.2 s
-# at -14.  fusion.fusion_character takes 1 s at n = 6 and 16-21 s at n = 7.
+# at -14.  fusion.fusion_character, in the lowest-weight quotients, takes
+# 0.1 / 0.3 s (untwisted / twisted) at n = 6, 0.7-1.0 / 4.6-5.2 s at n = 7 and
+# 18 / 120 s at n = 8.
 # The closed-form characters (weylchar.ch_W, ch_W_sigma, ch_D) stop at the
 # closed-forms ladder's top rung, |n| = 64, where a JSON job takes under a
 # second at either sign; past it the negative weights are bound by memory
 # (about 700 MB of output at n = -128).  The table inputs are bounded by a
 # max_n: cform.ctable at 32 (2.8 s, 370 MB), and the verify suites
 # (verify._SUITE_LIMIT) at recurrences 28 (3.0 s) and duality 32 (1.6-2.4 s; 36
-# takes 5.3 s and 48 36 s).  weylchar.limit_char grows as qmax^2, the
-# partition series it expands: at qmax 4096 a kind takes 0.5-1.1 s at xmax 8
-# (8192: 1.3-4.3 s), and 2.1 s and 50 MB of JSON at any xmax, as a theta sum
-# reaches no |x-exponent| past 2 isqrt(qmax) + 2.
+# takes 5.3 s and 48 36 s).  weylchar.limit_char grows as qmax^1.5, the
+# partition series and the theta sum over it: at qmax 4096 a kind takes
+# 0.1-0.3 s at xmax 8 (8192: 0.2-0.6 s), and 1.4 s and 50 MB of JSON at any
+# xmax, as a theta sum reaches no |x-exponent| past 2 isqrt(qmax) + 2.
 SIZE_LIMITS = {"walks": 9, "basis": 12, "specialize": 16, "sum": 12,
-               "fusion_oracle": 6, "characters": 64, "ctable": 32,
+               "fusion_oracle": 7, "characters": 64, "ctable": 32,
                "recurrences": 28, "duality": 32, "limitchar": 4096}
 
 

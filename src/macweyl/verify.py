@@ -211,6 +211,7 @@ _FUSION_CASES = [
     (4, (1, 2, 3, 4), (False,)),
     (5, (1, -2, 3, -4, 5), (False, True)),
     (6, (1, -2, 3, -4, 5, -6), (False, True)),
+    (7, (1, -2, 3, -4, 5, -6, 7), (False, True)),
 ]
 
 

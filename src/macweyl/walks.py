@@ -216,9 +216,9 @@ def qb_filter(walks, family, spec):
     return [w for w in walks if surviving(traverse(w), family, spec)]
 
 
-def walk_record(walk, target):
-    """JSON-ready dict describing one walk (used by the CLI)."""
-    stats = traverse(walk)
+def walk_record(walk, target, stats):
+    """JSON-ready dict describing one walk (used by the CLI); stats is
+    traverse(walk)."""
     wt, d = alcove_element(stats.lo)
     h = to_hword(walk, 1 if target > 0 else -1)
     return {

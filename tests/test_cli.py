@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from macweyl import cli, ramyip, verify
+from macweyl import cli, ramyip, verify, walks
 from macweyl.ring import SIZE_LIMITS
 
 
@@ -77,6 +77,14 @@ def test_walks_filtered(capsys):
     )
     doc = json.loads(out)
     assert len(doc["walks"]) == 3
+
+
+def test_walks_filter_traverses_each_walk_once(capsys, monkeypatch):
+    calls, real = [], walks.traverse
+    monkeypatch.setattr(walks, "traverse", lambda w: calls.append(w) or real(w))
+    code, out = run_cli(capsys, "walks", "--n", "-4", "--filter", "A2-t0", "--format", "json")
+    assert code == 0
+    assert len(calls) == len(walks.enumerate_walks(-4)) > len(json.loads(out)["walks"])
 
 
 def test_weylchar_and_basis(capsys):
@@ -209,7 +217,7 @@ def test_epoly_diverging_limit_exit_two(capsys, monkeypatch, spec, delta, reason
 
 def test_capacity_limit_exit_three(capsys):
     for argv in (
-        ("fusion", "--n", "7", "--points", "1,2,3,4,5,6,7"),
+        ("fusion", "--n", "8", "--points", "1,2,3,4,5,6,7,8"),
         ("epoly", "--family", "A2", "--n", str(SIZE_LIMITS["specialize"] + 1), "--spec", "t0"),
     ):
         code = cli.run(list(argv))

@@ -10,7 +10,6 @@ from macweyl.fusion import (
     NotCyclic,
     RelationViolation,
     _bracket,
-    _generators,
     _WeightSpace,
     build_rep,
     check_relations,
@@ -127,12 +126,18 @@ def test_n6_matches_closed_form():
     assert fusion_character(6, points, twisted=True) == ch_W_sigma(-6)
 
 
-def test_n7_bound_exceeded_fast():
+def test_n7_matches_closed_form():
+    points = (Fraction(1, 2), -3, Fraction(5, 3), Fraction(-7, 2), Fraction(2, 5), 4,
+              Fraction(-5, 4))  # the benchmark ladder's points
+    assert fusion_character(7, points) == ch_W(-7)
+
+
+def test_n8_bound_exceeded_fast():
     start = time.perf_counter()
     with pytest.raises(BoundExceeded):
-        fusion_character(7, [1, 2, 3, 4, 5, 6, 7])
+        fusion_character(8, [1, 2, 3, 4, 5, 6, 7, 8])
     with pytest.raises(BoundExceeded):
-        fusion_character(7, [1, 2, 3, 4, 5, 6, 7], twisted=True)
+        fusion_character(8, [1, 2, 3, 4, 5, 6, 7, 8], twisted=True)
     assert time.perf_counter() - start < 1.0
 
 
@@ -154,32 +159,47 @@ def test_relation_gate_runs_once_per_process(monkeypatch):
     assert len(calls) == 1
 
 
-def _all_weights_character(n, points, twisted=False):
-    """The literal filtration over every weight, w > 0 included: the oracle's
-    loop without the sl2 symmetry, acting with the dense matrices of
-    build_rep.  Returns the character of the cyclic submodule it reaches."""
-    matrices = build_rep()
-    scale = lcm(*(Fraction(p).denominator for p in points))
-    points = [int(Fraction(p) * scale) for p in points]
+def _tensor_states(n, lowest_only=False):
+    """The tensor states of each weight (w <= 0 only, when asked), and each
+    state's index among the states of its weight."""
     states = {}
     for state in product(range(3), repeat=n):
-        states.setdefault(sum(state) - n, []).append(state)
+        if not lowest_only or sum(state) <= n:
+            states.setdefault(sum(state) - n, []).append(state)
     index = {s: i for group in states.values() for i, s in enumerate(group)}
-    spaces = {w: _WeightSpace(len(group)) for w, group in states.items()}
+    return states, index
 
-    def apply(name, k, w, vec):
-        m, raise_by = matrices[name], 2 if name == "e" else 1
-        img = [0] * len(states[w + raise_by])
-        for c, state in zip(vec, states[w]):
-            sign = 1
-            for i, s in enumerate(state):
-                for row in range(3):
-                    if m[row][s]:
-                        target = index[state[:i] + (row,) + state[i + 1 :]]
-                        img[target] += sign * m[row][s] * points[i] ** k * c
-                if name == "g+" and s == 1:  # Koszul sign past an odd vector
-                    sign = -sign
-        return w + raise_by, img
+
+def _apply(name, k, points, states, index, w, vec):
+    """name(x)t^k on a vector of weight w, with the dense matrices of
+    build_rep; returns the image's weight and the image."""
+    m, raise_by = build_rep()[name], 2 if name == "e" else 1
+    img = [0] * len(states[w + raise_by])
+    for c, state in zip(vec, states[w]):
+        sign = 1
+        for i, s in enumerate(state):
+            for row in range(3):
+                if m[row][s]:
+                    target = index[state[:i] + (row,) + state[i + 1 :]]
+                    img[target] += sign * m[row][s] * points[i] ** k * c
+            if name == "g+" and s == 1:  # Koszul sign past an odd vector
+                sign = -sign
+    return w + raise_by, img
+
+
+def _all_weights_character(n, points, twisted=False):
+    """The literal filtration over every weight, w > 0 included: every
+    current of n+[t] (degree 0 included, up to the Cayley-Hamilton caps)
+    applied to every vector found, acting with the dense matrices of
+    build_rep.  Returns the character of the cyclic submodule it reaches."""
+    scale = lcm(*(Fraction(p).denominator for p in points))
+    points = [int(Fraction(p) * scale) for p in points]
+    if twisted:
+        currents = [("e", 2 * m) for m in range(n)] + [("g+", 2 * m + 1) for m in range(n)]
+    else:
+        currents = [(name, k) for name in ("e", "g+") for k in range(n)]
+    states, index = _tensor_states(n)
+    spaces = {w: _WeightSpace(len(group)) for w, group in states.items()}
 
     char, pending, degree = {}, {0: [(-n, [1])]}, 0
     while pending:
@@ -188,10 +208,10 @@ def _all_weights_character(n, points, twisted=False):
             if not spaces[w].add(vec):
                 continue
             char[degree, w] = char.get((degree, w), 0) + 1
-            for name, k in _generators(n, twisted):
+            for name, k in currents:
                 if w + (2 if name == "e" else 1) in spaces:
                     (queue if k == 0 else pending.setdefault(degree + k, [])).append(
-                        apply(name, k, w, vec)
+                        _apply(name, k, points, states, index, w, vec)
                     )
         degree += 1
     return XPolynomial.from_pairs(
@@ -199,11 +219,36 @@ def _all_weights_character(n, points, twisted=False):
     )
 
 
+def test_quotient_map_kernel_is_the_degree_zero_image():
+    # pi_w kills Z e_s for every state s of weight w - step and has rank
+    # D_w - D_(w-step), so its kernel is exactly Z V_(w - step).
+    for n in range(1, 6):
+        states, index = _tensor_states(n, lowest_only=True)
+        for twisted in (False, True):
+            z, step = ("e", 2) if twisted else ("g+", 1)
+            maps = fusion._quotient_maps(states, index, twisted)
+            assert sorted(maps) == sorted(states)
+            for w, group in states.items():
+                below = states.get(w - step, [])
+                for i in range(len(below)):
+                    unit = [int(i == j) for j in range(len(below))]
+                    _, img = _apply(z, 0, [1] * n, states, index, w - step, unit)
+                    assert not any(maps[w](img))
+                space = _WeightSpace(len(maps[w].free))
+                for i in range(len(group)):
+                    space.add(maps[w]([int(i == j) for j in range(len(group))]))
+                assert len(space.pivots) == len(group) - len(below)
+
+
 @pytest.mark.parametrize("twisted", (False, True))
 def test_oracle_equals_all_weights_filtration(twisted):
-    # The oracle builds only w <= 0 and mirrors; the literal filtration
-    # over every weight must give the same graded character.
-    for points in (POINT_SETS[1], MIXED_POINTS[:4]):
+    # The oracle works in the lowest-weight quotients of the weights w <= 0
+    # and mirrors; the literal filtration over every weight, with every
+    # current, must give the same graded character.
+    point_sets = [POINT_SETS[1], MIXED_POINTS[:4]]
+    if not twisted:  # a point 0 is fixed by the twist: not cyclic there
+        point_sets.append((Fraction(3, 2), 0, -2, 1))
+    for points in point_sets:
         for n in range(1, len(points) + 1):
             assert fusion_character(n, points[:n], twisted=twisted) == (
                 _all_weights_character(n, points[:n], twisted)
@@ -217,6 +262,7 @@ def test_not_cyclic_message_counts_every_weight():
         (3, [1, -1, 2], True, "15 < 27"),
         (4, [1, 1, 2, 3], False, "45 < 81"),
         (4, [1, 1, 1, 2], False, "21 < 81"),
+        (2, [Fraction(3, 2), 0], True, "6 < 9"),
     )
     for n, points, twisted, dims in cases:
         with pytest.raises(NotCyclic) as err:

@@ -117,3 +117,20 @@ def test_inv_pochhammer_counts_partitions_with_bounded_parts():
     for k in (0, 1, 5, 30):
         want = QPolynomial({m: brute_partitions(m, k) for m in range(31)})
         assert inv_pochhammer_truncated(k, 30) == want
+
+
+def test_partition_series_pentagonal_matches_product_recurrence():
+    # k >= q_bound takes Euler's pentagonal recurrence; k < q_bound, and this
+    # literal product over every factor up to q^300, the product recurrence.
+    product = [1] + [0] * 300
+    for i in range(1, 301):
+        for e in range(i, 301):
+            product[e] += product[e - i]
+    for q_bound in range(301):
+        want = QPolynomial(dict(enumerate(product[: q_bound + 1])))
+        assert inv_pochhammer_truncated(q_bound, q_bound) == want
+        assert inv_pochhammer_truncated(q_bound + 3, q_bound) == want
+        if q_bound:
+            # one factor short: 1/(1 - q^q_bound) adds exactly the q^q_bound term
+            short = inv_pochhammer_truncated(q_bound - 1, q_bound)
+            assert short + QPolynomial.q_power(q_bound) == want

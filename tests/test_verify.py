@@ -205,9 +205,10 @@ def test_fusion_suite_reaches_n5():
     assert [e for e in entries if e["n"] != 5] == four
 
 
-def test_fusion_suite_adds_n6_at_max_n_6(monkeypatch):
-    # n = 6 is answered by the closed form (the oracle's own n = 6 test is in
-    # test_fusion.py), smaller n by the oracle.
+def test_fusion_suite_adds_n7_at_max_n_7(monkeypatch):
+    # n >= 6 is answered by the closed form (the oracle's own n = 6 and n = 7
+    # tests are in test_fusion.py, and CI runs both families at n = 7), smaller
+    # n by the oracle.
     calls, real = [], verify.fusion.fusion_character
 
     def recording(n, points, twisted=False):
@@ -217,13 +218,15 @@ def test_fusion_suite_adds_n6_at_max_n_6(monkeypatch):
         return weylchar.ch_W_sigma(-n) if twisted else weylchar.ch_W(-n)
 
     monkeypatch.setattr(verify.fusion, "fusion_character", recording)
-    entries, code = verify.run_suites("fusion", 6)
+    entries, code = verify.run_suites("fusion", 7)
     assert code == 0
-    six = [(e["identity"], e["status"]) for e in entries if e["n"] == 6]
-    assert six == [("fusion_vs_ch_W", "EQUAL"), ("fusion_vs_ch_W_sigma", "EQUAL")]
-    ((_, points, _),) = [case for case in verify._FUSION_CASES if case[0] == 6]
-    assert [c for c in calls if c[0] == 6] == [(6, points, False), (6, points, True)]
-    assert len({p * p for p in points}) == 6
-    calls.clear()
-    verify.run_suites("fusion", 5)
-    assert max(c[0] for c in calls) == 5
+    for n in (6, 7):
+        top = [(e["identity"], e["status"]) for e in entries if e["n"] == n]
+        assert top == [("fusion_vs_ch_W", "EQUAL"), ("fusion_vs_ch_W_sigma", "EQUAL")]
+        ((_, points, _),) = [case for case in verify._FUSION_CASES if case[0] == n]
+        assert [c for c in calls if c[0] == n] == [(n, points, False), (n, points, True)]
+        assert len({p * p for p in points}) == n
+    for max_n in (5, 6):
+        calls.clear()
+        verify.run_suites("fusion", max_n)
+        assert max(c[0] for c in calls) == max_n
