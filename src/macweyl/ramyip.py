@@ -10,6 +10,40 @@ transfer matrix over alcoves on numerators over D = prod_j den_j (a crossing
 multiplies by den_j), without listing the 2^l walks; each x-coefficient
 then cancels the den_j that divide it exactly.
 
+Packed rows.  A numerator is held as {v-exponent: row}, one row per v-slice.
+The row (base, packed) stands for sum_i c_i q^(base + i), where packed =
+sum_i c_i 2^(W i) is the slice evaluated at q = 2^W and divided by q^base.
+Evaluation is a ring map and Python ints are exact, so sums of rows (the one
+with the larger base shifted left by W times the difference), multiples by
++-1 and base shifts are exact whatever the coefficients.  The width W
+matters only where a row is decoded or compared with 0: when every
+|c_i| < 2^(W-1), the signed base-2^W digits of packed are the c_i, and
+packed == 0 iff the slice is 0.  A transfer step's factor term c q^dq v^dv
+moves a slice to v + dv, adds dq to its base and multiplies packed by c.
+Division by 1 - q^a v^b is the slice recurrence r[v] = p[v] + q^a r[v - b],
+one add per slice, and leaves a remainder iff a slice above v_max(p) - b is
+nonzero.  W is the least multiple of 8 that puts the following bound on the
+mass (the sum of |coefficients|) under 2^(W-1):
+
+* The transfer's mass is at most 4^l.  It starts at 1; each step sends an
+  alcove's numerator along two moves, each times a factor of two terms
+  +-q^.. v^.., so the mass at most quadruples; the window only drops terms.
+  N_x sums the numerators of the at most two alcoves of x^x, shifted in v,
+  so mass(N_x) <= 4^l too.
+* The divisions multiply it by at most T, the number of k in N^l with
+  sum_j k_j b_j <= S, where S = 1 + sum_j (the v-width of step j's three
+  factors) bounds the v-span of N_x (the 1: the two alcoves' prefactors
+  differ by v).  For C a product of step binomials dividing N_x, every
+  1 - q^a v^b with b > 0 is a unit in Laurent series in v, so N_x / C =
+  N_x prod_(j in C) sum_k q^(k a_j) v^(k b_j); the quotient's v-range lies
+  in N_x's, so only series terms of v-degree sum k_j b_j <= S reach it, and
+  each pair (term of N_x, k) lands on one coefficient: mass(N_x / C) <=
+  4^l T.
+* Every digit that one division forms, in the quotient or in a remainder
+  slice, is sum_k (a coefficient of p[v - kb]), a sum of distinct
+  coefficients of the dividend N_x / C, so it is at most 4^l T.
+  The exact route divides nothing and reads only 4^l-bounded coefficients.
+
 The raw prefactor leaves a spurious overall v-power; `normalize` multiplies
 the sum by v^(-sign(n)), after which every t = 0 surviving walk's term has
 v-valuation 0 and both limits exist.  Proof:
@@ -42,8 +76,9 @@ a value if they disagree.  Both cost a polynomial in n.
   exactly the counts that listing the walks would give.
 
 * The exact route runs the numerator transfer of the full sum, but after
-  each step j drops every term that cannot reach the v-exponents the limit
-  reads.  Let N_x be the normalized numerator over D of x^x.  Each den_j is
+  each step j drops every v-slice that cannot reach the v-exponents the
+  limit reads, and decodes only the one slice each limit reads.  Let N_x
+  be the normalized numerator over D of x^x.  Each den_j is
   1 - q^a v^b with b > 0, so D = 1 + O(v): N_x / D diverges at v = 0 iff N_x
   has a negative v-power, and its value there is the v^0 coefficient of
   N_x.  D's top v-term is (-1)^l q^(sum a) v^(deg_v D): N_x / D diverges at
@@ -67,7 +102,6 @@ a value if they disagree.  Both cost a polynomial in n.
 from macweyl.ring import (
     SIZE_LIMITS,
     BiPolynomial,
-    NotPolynomial,
     QPolynomial,
     RationalFunction,
     XPolynomial,
@@ -84,6 +118,10 @@ from macweyl.walks import (
     walk_word,
     wall_side,
 )
+
+
+class NotPolynomial(ArithmeticError):
+    """An exact division leaves a remainder."""
 
 
 class RouteMismatch(ArithmeticError):
@@ -162,16 +200,69 @@ def _moves(lo, letter):
     return ((lo + side, None), (lo, -side))
 
 
-def _transfer(family, steps, window=None):
-    """{final lo: sum of the numerators over D of the walks ending there}.
+def _add_row(rows, ve, base, packed, sign, width):
+    """rows[ve] += sign * (base, packed), sign = +-1, aligned on the smaller
+    base: one shift and one add."""
+    old = rows.get(ve)
+    if old is None:
+        rows[ve] = (base, packed if sign > 0 else -packed)
+        return
+    b0, p0 = old
+    if b0 <= base:
+        packed <<= width * (base - b0)
+        base = b0
+    else:
+        p0 <<= width * (b0 - base)
+    rows[ve] = (base, p0 + packed if sign > 0 else p0 - packed)
+
+
+def _decode(row, width):
+    """{q-exponent: coefficient} of a row whose digits all lie strictly
+    between -2^(width-1) and 2^(width-1), width a multiple of 8.
+
+    Adding 2^(width-1) to every digit makes them all positive, so the biased
+    integer's bytes split into the digits with no borrow between them.  A
+    row whose top digit is at position t has |packed| > 2^(t width - 1),
+    so its bit length // width + 1 digits hold them all."""
+    base, packed = row
+    size, half = width // 8, 1 << (width - 1)
+    count = packed.bit_length() // width + 1
+    biased = packed + int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    raw = biased.to_bytes(size * count, "little")
+    digits = (int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size))
+    return {base + i: c for i, c in enumerate(digits) if c}
+
+
+def _digit_width(family, steps, divisions):
+    """Row width W, a multiple of 8, with the module docstring's bound on
+    every coefficient that is decoded or compared with 0 below 2^(W-1):
+    4^l for the transfer, times the number of k in N^l with
+    sum_j k_j b_j <= S when the binomials are divided out."""
+    bound = 4 ** len(steps)
+    if divisions:
+        span = 1
+        for letter, deg in steps:
+            factors = _step_factors(family, letter, deg).values()
+            span += max(f.v_max() for f in factors) - min(f.v_min() for f in factors)
+        series = [1] + [0] * span  # monomials of prod_j 1/(1 - v^b_j) by v-degree
+        for letter, deg in steps:
+            b = _den_exponents(letter, deg)[1]
+            for s in range(b, span + 1):
+                series[s] += series[s - b]
+        bound *= sum(series)
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+def _transfer(family, steps, width, window=None):
+    """{final lo: {v-exponent: row}}, the numerators over D of the walks
+    ending at lo.
 
     `steps` lists (letter, deg beta_j) for each step j of the walk word.  A
     `window` gives one (least, greatest) pair of v-exponents per step, either
-    of them None for no limit; after step j every term outside its pair is
-    dropped.  Numerators are held as {v-exponent: {q-exponent: coefficient}},
-    so that the window is checked once per v-slice.
+    of them None for no limit; after step j every slice outside its pair is
+    dropped, so the window is checked once per v-slice.
     """
-    states = {0: {0: {0: 1}}}
+    states = {0: {0: (0, 1)}}
     for j, (letter, deg) in enumerate(steps):
         least, greatest = (None, None) if window is None else window[j]
         factor = _step_factors(family, letter, deg)
@@ -180,32 +271,47 @@ def _transfer(family, steps, window=None):
             for target, sign in _moves(lo, letter):
                 acc = nxt.setdefault(target, {})
                 for (dq, dv), fc in factor[sign].terms.items():
-                    for ve, row in num.items():
+                    for ve, (base, packed) in num.items():
                         ve += dv
                         if (least is not None and ve < least) or (
                             greatest is not None and ve > greatest
                         ):
                             continue
-                        out = acc.setdefault(ve, {})
-                        for qe, c in row.items():
-                            qe += dq
-                            out[qe] = out.get(qe, 0) + fc * c
+                        _add_row(acc, ve, base + dq, packed, fc, width)
         states = nxt
-    return {
-        lo: BiPolynomial({(qe, ve): c for ve, row in num.items() for qe, c in row.items()})
-        for lo, num in states.items()
-    }
+    return states
 
 
-def _cancel(num, dens):
-    """num / prod(1 - q^a v^b), cancelling each binomial that divides num."""
+def _divide(rows, a, b, width):
+    """rows / (1 - q^a v^b), b > 0, by the slice recurrence
+    r[v] = p[v] + q^a r[v - b]; raises NotPolynomial on a remainder.  Every
+    digit it forms is a sum of distinct coefficients of the dividend."""
+    top = max(rows)
+    out = dict(rows)
+    for v in range(min(rows), top + 1):
+        prev = out.get(v - b)
+        if prev is not None:
+            _add_row(out, v, prev[0] + a, prev[1], 1, width)
+        row = out.get(v)
+        if row is None:
+            continue
+        if not row[1]:
+            del out[v]
+        elif v > top - b:
+            raise NotPolynomial("binomial division leaves a remainder")
+    return out
+
+
+def _cancel(rows, dens, width):
+    """rows / prod(1 - q^a v^b), cancelling each binomial that divides rows."""
     kept = BiPolynomial.one()
     for a, b in dens:
         try:
-            num = num.divide_exact_binomial(a, b)
+            rows = _divide(rows, a, b, width)
         except NotPolynomial:
             kept = kept * _binomial(a, b)
-    return RationalFunction(num, kept)
+    num = {(qe, ve): c for ve, row in rows.items() for qe, c in _decode(row, width).items()}
+    return RationalFunction(BiPolynomial(num), kept)
 
 
 def _steps(n):
@@ -214,14 +320,19 @@ def _steps(n):
     return [(letter, beta_degree(j, len(word))) for j, letter in enumerate(word, start=1)]
 
 
-def _numerators(family, n, steps, normalize, window=None):
-    """{x: numerator over D of the (normalized) sum}, from _transfer."""
-    finals = (
-        (*alcove_element(lo), num) for lo, num in _transfer(family, steps, window).items()
-    )
-    return XPolynomial.from_pairs(
-        (wt, num.shift(v_exp=_prefactor_v(n, d, normalize))) for wt, d, num in finals
-    ).terms
+def _numerators(family, n, steps, normalize, width, window=None):
+    """{x: {v-exponent: row}}, the numerator over D of the (normalized) sum
+    at x^x, from _transfer; only nonzero rows are kept, and only x-powers
+    that keep one."""
+    out = {}
+    for lo, num in _transfer(family, steps, width, window).items():
+        x, d = alcove_element(lo)
+        shift = _prefactor_v(n, d, normalize)
+        acc = out.setdefault(x, {})
+        for ve, (base, packed) in num.items():
+            _add_row(acc, ve + shift, base, packed, 1, width)
+    out = {x: {ve: row for ve, row in acc.items() if row[1]} for x, acc in out.items()}
+    return {x: rows for x, rows in out.items() if rows}
 
 
 def ramyip_sum(family, n, normalize=True):
@@ -234,8 +345,10 @@ def ramyip_sum(family, n, normalize=True):
 
     steps = _steps(n)
     dens = [_den_exponents(letter, deg) for letter, deg in steps]
+    width = _digit_width(family, steps, divisions=True)
     return XPolynomial({
-        x: _cancel(num, dens) for x, num in _numerators(family, n, steps, normalize).items()
+        x: _cancel(rows, dens, width)
+        for x, rows in _numerators(family, n, steps, normalize, width).items()
     })
 
 
@@ -280,12 +393,10 @@ def _statistic_route(family, n, spec):
     return XPolynomial.from_q_terms(terms)
 
 
-def _exact_route(family, n, spec):
-    """The limit of the normalized sum, from numerators cut to a v-window."""
-    t0 = spec == "t0"
-    steps = _steps(n)
-    dens = [_den_exponents(letter, deg) for letter, deg in steps]
-    deg_d = sum(b for _, b in dens)
+def _window(family, n, steps, t0):
+    """Per step, the (least, greatest) v-exponents of the terms that can
+    still reach the slice the t = 0 (t0) or t = infinity limit reads."""
+    deg_d = sum(_den_exponents(letter, deg)[1] for letter, deg in steps)
     # reach: the least (t = 0) or greatest (t = infinity) v-exponent that the
     # steps still ahead and the normalized prefactor v^(d - [n>0]) can add.
     reach = _prefactor_v(n, 0 if t0 else 1, True)
@@ -295,21 +406,31 @@ def _exact_route(family, n, spec):
         factors = _step_factors(family, letter, deg).values()
         reach += min(f.v_min() for f in factors) if t0 else max(f.v_max() for f in factors)
     window.reverse()
+    return window
+
+
+def _exact_route(family, n, spec):
+    """The limit of the normalized sum, from numerators cut to a v-window."""
+    t0 = spec == "t0"
+    steps = _steps(n)
+    dens = [_den_exponents(letter, deg) for letter, deg in steps]
+    deg_d = sum(b for _, b in dens)
+    window = _window(family, n, steps, t0)
     # N_x / D at v = 0 is the v^0 slice of N_x; at v = infinity it is the
     # v^deg_d slice over D's top term (-1)^l q^(sum a) v^deg_d, read at q^-1.
     sign, q_top = (-1) ** len(dens), sum(a for a, _ in dens)
+    width = _digit_width(family, steps, divisions=False)
     out = {}
-    for x, num in _numerators(family, n, steps, True, window).items():
+    for x, rows in _numerators(family, n, steps, True, width, window).items():
         if t0:
-            if num.v_min() < 0:
+            if min(rows) < 0:
                 raise RouteDiverges(family, n, spec, "value diverges at v=0")
-            out[x] = QPolynomial({qe: c for (qe, ve), c in num.terms.items() if ve == 0})
+            out[x] = QPolynomial(_decode(rows.get(0, (0, 0)), width))
         else:
-            if num.v_max() > deg_d:
+            if max(rows) > deg_d:
                 raise RouteDiverges(family, n, spec, "numerator v-degree exceeds denominator")
-            out[x] = QPolynomial(
-                {q_top - qe: sign * c for (qe, ve), c in num.terms.items() if ve == deg_d}
-            )
+            top = _decode(rows.get(deg_d, (0, 0)), width)
+            out[x] = QPolynomial({q_top - qe: sign * c for qe, c in top.items()})
     return XPolynomial(out)
 
 

@@ -16,6 +16,8 @@ per-variable methods and the text of one term:
 
 * ``QPolynomial``   -- Z[q, q^-1], keys are q-exponents.
 * ``BiPolynomial``  -- Z[q^±1, v^±1], keys are (q-exponent, v-exponent).
+  It multiplies but no longer divides: the walk sum cancels its step
+  binomials on ``ramyip``'s own packed rows.
 * ``XPolynomial``   -- Laurent polynomial in x over any of the rings here,
   or holding RationalFunction values to render; it renders its own text,
   with each coefficient in brackets.
@@ -47,11 +49,12 @@ class BoundExceeded(ValueError):
 # walks, l about 2|n|, and weylchar.enumerate_basis about 3^n monomials:
 # |n| = 9 walks take 8-15 s and 0.5 GB and n = 12 bases 14 s and 1.3 GB, and
 # each step further costs 3-4x more.  ramyip.specialize's two routes are
-# polynomial in n, 0.1-0.3 s together at |n| = 16; ramyip.ramyip_sum keeps
-# every v-exponent, and `epoly --spec full` takes 2.4 s at n = -12 and 5.2 s
-# at -14.  fusion.fusion_character, in the lowest-weight quotients, takes
-# 0.1 / 0.3 s (untwisted / twisted) at n = 6, 0.7-1.0 / 4.6-5.2 s at n = 7 and
-# 18 / 120 s at n = 8.
+# polynomial in n, on packed rows 0.1-0.2 s together at |n| = 16 and 0.6-1.7 s
+# at |n| = 32 (A2dagger the slower); ramyip.ramyip_sum keeps every
+# v-exponent, and `epoly --spec full --format json` takes 0.25 s and prints
+# 1.7 MB at n = -12 (0.4 s and 3.2 MB at -14).  fusion.fusion_character, in
+# the lowest-weight quotients, takes 0.1 / 0.3 s (untwisted / twisted) at
+# n = 6, 0.7-1.0 / 4.6-5.2 s at n = 7 and 18 / 120 s at n = 8.
 # The closed-form characters (weylchar.ch_W, ch_W_sigma, ch_D) stop at the
 # closed-forms ladder's top rung, |n| = 64, where a JSON job takes under a
 # second at either sign; past it the negative weights are bound by memory
@@ -62,7 +65,7 @@ class BoundExceeded(ValueError):
 # partition series and the theta sum over it: at qmax 4096 a kind takes
 # 0.1-0.3 s at xmax 8 (8192: 0.2-0.6 s), and 1.4 s and 50 MB of JSON at any
 # xmax, as a theta sum reaches no |x-exponent| past 2 isqrt(qmax) + 2.
-SIZE_LIMITS = {"walks": 9, "basis": 12, "specialize": 16, "sum": 12,
+SIZE_LIMITS = {"walks": 9, "basis": 12, "specialize": 32, "sum": 12,
                "fusion_oracle": 7, "characters": 64, "ctable": 32,
                "recurrences": 28, "duality": 32, "limitchar": 4096}
 
@@ -71,10 +74,6 @@ def check_size(name, n):
     """Raise BoundExceeded, before any work, when |n| > SIZE_LIMITS[name]."""
     if abs(n) > SIZE_LIMITS[name]:
         raise BoundExceeded("%s is limited to |n| <= %d" % (name, SIZE_LIMITS[name]))
-
-
-class NotPolynomial(ArithmeticError):
-    """An exact division leaves a remainder."""
 
 
 class _Laurent:
@@ -272,49 +271,11 @@ class BiPolynomial(_Laurent):
 
     __rmul__ = __mul__
 
-    def shift(self, q_exp=0, v_exp=0):
-        return BiPolynomial(
-            {(qe + q_exp, ve + v_exp): c for (qe, ve), c in self.terms.items()}
-        )
-
     def v_min(self):
         return min(ve for (_, ve) in self.terms) if self.terms else None
 
     def v_max(self):
         return max(ve for (_, ve) in self.terms) if self.terms else None
-
-    def divide_exact_binomial(self, q_exp, v_exp):
-        """Exact division by (1 - q^q_exp * v^v_exp), v_exp > 0.
-
-        Uses the recurrence r[v] = p[v] + q^q_exp * r[v - v_exp] on slices of
-        fixed v-exponent; raises NotPolynomial if the division is not exact.
-        """
-        if v_exp <= 0:
-            raise ValueError("divisor must have positive v-degree")
-        if self.is_zero():
-            return BiPolynomial.zero()
-        by_v = {}
-        for (qe, ve), c in self.terms.items():
-            by_v.setdefault(ve, {})[qe] = c
-        vmin, vmax = self.v_min(), self.v_max()
-        slices = {}
-        out = {}
-        for v in range(vmin, vmax + 1):
-            cur = dict(by_v.get(v, {}))
-            prev = slices.get(v - v_exp)
-            if prev:
-                for qe, c in prev.items():
-                    qe2 = qe + q_exp
-                    cur[qe2] = cur.get(qe2, 0) + c
-            cur = {qe: c for qe, c in cur.items() if c != 0}
-            if v > vmax - v_exp:
-                if cur:
-                    raise NotPolynomial("binomial division leaves a remainder")
-                continue
-            slices[v] = cur
-            for qe, c in cur.items():
-                out[(qe, v)] = c
-        return BiPolynomial(out)
 
     @staticmethod
     def _term_str(c, key):

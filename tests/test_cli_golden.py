@@ -58,7 +58,7 @@ def _argvs():
     argvs.append(["verify", "--suite", "all", "--max-n", "4", "--format", "json"])
     # test_cli.test_capacity_limit_exit_three's argvs: exit 3, empty stdout.
     argvs.append(["fusion", "--n", "8", "--points", "1,2,3,4,5,6,7,8"])
-    argvs.append(["epoly", "--family", "A2", "--n", "17", "--spec", "t0"])
+    argvs.append(["epoly", "--family", "A2", "--n", "33", "--spec", "t0"])
     return list(dict.fromkeys(shlex.join(argv) for argv in argvs))
 
 

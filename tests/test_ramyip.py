@@ -1,5 +1,7 @@
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -8,18 +10,34 @@ from macweyl.qcomb import q_multinomial
 from macweyl.ramyip import (
     _FOLD_XI_POWER,
     _STAT_SETS,
+    NotPolynomial,
+    _add_row,
     _binomial,
+    _decode,
     _den_exponents,
+    _digit_width,
+    _divide,
     _exact_route,
     _fold_numerator,
     _moves,
+    _numerators,
     _prefactor_v,
     _statistic_route,
+    _step_factors,
     _steps,
+    _transfer,
+    _window,
     ramyip_sum,
     specialize,
 )
-from macweyl.ring import SIZE_LIMITS, BoundExceeded, QPolynomial, RationalFunction, XPolynomial
+from macweyl.ring import (
+    SIZE_LIMITS,
+    BiPolynomial,
+    BoundExceeded,
+    QPolynomial,
+    RationalFunction,
+    XPolynomial,
+)
 from macweyl.walks import (
     CUT_SIGN,
     FAMILIES,
@@ -340,3 +358,192 @@ def test_bound_exceeded():
         specialize("A2", -(SIZE_LIMITS["specialize"] + 1), "t0")
     with pytest.raises(BoundExceeded):
         ramyip_sum("A2", SIZE_LIMITS["sum"] + 1)
+
+
+def _dict_transfer(family, steps, window=None):
+    """The transfer on {v-exponent: {q-exponent: coefficient}} slices, one
+    Python operation per term: the reference for the packed rows."""
+    states = {0: {0: {0: 1}}}
+    for j, (letter, deg) in enumerate(steps):
+        least, greatest = (None, None) if window is None else window[j]
+        factor = _step_factors(family, letter, deg)
+        nxt = {}
+        for lo, num in states.items():
+            for target, sign in _moves(lo, letter):
+                acc = nxt.setdefault(target, {})
+                for (dq, dv), fc in factor[sign].terms.items():
+                    for ve, row in num.items():
+                        ve += dv
+                        if (least is not None and ve < least) or (
+                            greatest is not None and ve > greatest
+                        ):
+                            continue
+                        out = acc.setdefault(ve, {})
+                        for qe, c in row.items():
+                            qe += dq
+                            out[qe] = out.get(qe, 0) + fc * c
+        states = nxt
+    return {
+        lo: BiPolynomial({(qe, ve): c for ve, row in num.items() for qe, c in row.items()})
+        for lo, num in states.items()
+    }
+
+
+def _packed(p, width):
+    """The rows of a BiPolynomial."""
+    rows = {}
+    for (qe, ve), c in p.terms.items():
+        _add_row(rows, ve, qe, c, 1, width)
+    return rows
+
+
+def _unpacked(rows, width):
+    return BiPolynomial(
+        {(qe, ve): c for ve, row in rows.items() for qe, c in _decode(row, width).items()}
+    )
+
+
+def _mass(p):
+    return sum(abs(c) for c in p.terms.values())
+
+
+def _assert_packed_transfer_equals_reference(family, n, spec=None):
+    steps = _steps(n)
+    window = None if spec is None else _window(family, n, steps, spec == "t0")
+    width = _digit_width(family, steps, divisions=False)
+    packed = _transfer(family, steps, width, window)
+    want = _dict_transfer(family, steps, window)
+    assert sorted(packed) == sorted(want), (family, n, spec)
+    for lo, rows in packed.items():
+        assert _unpacked(rows, width) == want[lo], (family, n, spec, lo)
+
+
+def test_packed_transfer_equals_dict_reference():
+    for family in FAMILIES:
+        for n in [m for m in range(-12, 13) if m != 0]:
+            _assert_packed_transfer_equals_reference(family, n)
+
+
+def test_windowed_packed_transfer_equals_dict_reference():
+    for family in FAMILIES:
+        for n in [m for m in range(-16, 17) if m != 0]:
+            for spec in SPECS:
+                _assert_packed_transfer_equals_reference(family, n, spec)
+
+
+def test_windowed_packed_transfer_equals_dict_reference_past_16():
+    # Up to the specialize limit; the reference takes 5-15 s per case at 32.
+    top = SIZE_LIMITS["specialize"]
+    for family in FAMILIES:
+        for n in (-20, 20, -top, top):
+            for spec in SPECS:
+                _assert_packed_transfer_equals_reference(family, n, spec)
+
+
+def _reference_division(p, a, b):
+    """(p / (1 - q^a v^b) or None on a remainder, the largest |coefficient|
+    the slice recurrence forms), on dict slices."""
+    by_v = {}
+    for (qe, ve), c in p.terms.items():
+        by_v.setdefault(ve, {})[qe] = c
+    top = max(by_v)
+    slices, formed = {}, 0
+    for v in range(min(by_v), top + 1):
+        cur = dict(by_v.get(v, {}))
+        for qe, c in slices.get(v - b, {}).items():
+            cur[qe + a] = cur.get(qe + a, 0) + c
+        formed = max([formed] + [abs(c) for c in cur.values()])
+        cur = {qe: c for qe, c in cur.items() if c}
+        if v > top - b:
+            if cur:
+                return None, formed
+            continue
+        slices[v] = cur
+    return BiPolynomial({(qe, v): c for v, row in slices.items() for qe, c in row.items()}), formed
+
+
+@lru_cache(maxsize=None)
+def _series_monomials(bs, span):
+    """The number of k in N^len(bs) with sum_j k_j b_j <= span."""
+    if not bs:
+        return 1
+    return sum(_series_monomials(bs[1:], span - k * bs[0]) for k in range(span // bs[0] + 1))
+
+
+def test_coefficients_stay_below_proven_bound():
+    # Module docstring: every N_x has mass <= 4^l, every dividend in the chain
+    # mass <= 4^l T, every digit a division forms is at most its dividend's
+    # mass, and the bound lies below 2^(W-1) for the width the routes use.
+    for family in FAMILIES:
+        for n in [m for m in range(-12, 13) if m != 0]:
+            steps = _steps(n)
+            dens = [_den_exponents(letter, deg) for letter, deg in steps]
+            span = 1
+            for letter, deg in steps:
+                factors = _step_factors(family, letter, deg).values()
+                span += max(f.v_max() for f in factors) - min(f.v_min() for f in factors)
+            transfer_bound = 4 ** len(steps)
+            bound = transfer_bound * _series_monomials(tuple(b for _, b in dens), span)
+            assert transfer_bound < 2 ** (_digit_width(family, steps, False) - 1)
+            width = _digit_width(family, steps, True)
+            assert bound < 2 ** (width - 1)
+            # the packed transfer equals the dict reference (tests above)
+            for x, rows in _numerators(family, n, steps, True, width).items():
+                num = _unpacked(rows, width)
+                assert _mass(num) <= transfer_bound, (family, n, x)
+                assert num.v_max() - num.v_min() <= span, (family, n, x)
+                for a, b in dens:
+                    quotient, formed = _reference_division(num, a, b)
+                    assert formed <= _mass(num) <= bound, (family, n, x, a, b)
+                    if quotient is not None:
+                        num = quotient
+                assert _mass(num) <= bound, (family, n, x)
+
+
+def _rand_bipoly(rng):
+    """A nonzero random BiPolynomial with small exponents of both signs."""
+    n = rng.randint(1, 5)
+    p = BiPolynomial(
+        {(rng.randint(-3, 3), rng.randint(-3, 3)): rng.randint(-9, 9) for _ in range(n)}
+    )
+    return p if p else BiPolynomial.one()
+
+
+def _packed_division(p, a, b):
+    """p / (1 - q^a v^b) on packed rows, at the width the dividend's mass
+    sets: every digit the division forms is at most that mass."""
+    width = 8 * (_mass(p).bit_length() // 8 + 1)
+    return _unpacked(_divide(_packed(p, width), a, b, width), width)
+
+
+def test_division_remainder_detected():
+    rng = random.Random(19)
+    for _ in range(100):
+        a, b = rng.randint(-3, 3), rng.randint(1, 4)
+        p = _rand_bipoly(rng)
+        prod = p * _binomial(a, b)
+        assert _packed_division(prod, a, b) == p
+        # a monomial is a unit, so 1 - q^a v^b divides no sum of prod and one
+        unit = BiPolynomial({(rng.randint(-6, 6), rng.randint(-6, 9)): rng.choice((-2, -1, 1, 3))})
+        with pytest.raises(NotPolynomial):
+            _packed_division(prod + unit, a, b)
+
+
+def test_binomial_division():
+    p = _binomial(2, 2)  # 1 - q^2 v^2
+    prod = p * BiPolynomial({(5, 3): 2, (0, 0): 1})
+    assert _packed_division(prod, 2, 2) == BiPolynomial({(5, 3): 2, (0, 0): 1})
+    with pytest.raises(NotPolynomial):
+        _packed_division(BiPolynomial({(0, 1): 1}), 1, 2)
+
+
+def test_decode_reads_extreme_signed_digits():
+    rng = random.Random(23)
+    for width in (8, 16, 24, 104):
+        top = 2 ** (width - 1) - 1
+        for _ in range(50):
+            p = BiPolynomial({
+                (e, 0): rng.choice((top, -top, 1, -1, rng.randint(-top, top)))
+                for e in range(rng.randint(-5, 5), rng.randint(6, 20))
+            })
+            assert _unpacked(_packed(p, width), width) == p

@@ -1,11 +1,8 @@
 import random
 from math import comb
 
-import pytest
-
 from macweyl.ring import (
     BiPolynomial,
-    NotPolynomial,
     QPolynomial,
     RationalFunction,
     XPolynomial,
@@ -85,27 +82,6 @@ def test_rf_equality_is_equivalence():
         a = RationalFunction(num * m1, den * m1)
         b = RationalFunction(num * m2, den * m2)
         assert r == a and a == b and r == b
-
-
-def test_division_remainder_detected():
-    rng = random.Random(19)
-    for _ in range(100):
-        a, b = rng.randint(-3, 3), rng.randint(1, 4)
-        p = rand_bipoly(rng, allow_zero=False)
-        prod = p * bp({(0, 0): 1, (a, b): -1})
-        assert prod.divide_exact_binomial(a, b) == p
-        # a monomial is a unit, so 1 - q^a v^b divides no sum of prod and one
-        unit = bp({(rng.randint(-6, 6), rng.randint(-6, 9)): rng.choice((-2, -1, 1, 3))})
-        with pytest.raises(NotPolynomial):
-            (prod + unit).divide_exact_binomial(a, b)
-
-
-def test_binomial_division():
-    p = bp({(0, 0): 1, (2, 2): -1})  # 1 - q^2 v^2
-    prod = p * bp({(5, 3): 2, (0, 0): 1})
-    assert prod.divide_exact_binomial(2, 2) == bp({(5, 3): 2, (0, 0): 1})
-    with pytest.raises(NotPolynomial):
-        bp({(0, 1): 1}).divide_exact_binomial(1, 2)
 
 
 def test_render_canonical():
