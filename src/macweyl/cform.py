@@ -5,20 +5,42 @@ Each table exists twice: once by unrolling its defining recurrence (with
 memoization) and once in closed form as a q-power times a base-q^2
 trinomial.  The two must agree; the test suite checks this exhaustively.
 
-The closed forms are computed on packed integers: a polynomial is one
-nonnegative integer whose base-2^(8 w) digit i is its q^i coefficient.  A
-table entry q^shift * (k22 + k + k11; k22, k, k11)_(q^2) is the product of
-two packed base-q^2 binomials, shifted left by `shift` digits.  c_closed and
-cdag_closed read one entry back, its digits below 3^(k22 + k + k11), the
-trinomial's value at q = 1.  E_spec sums entries into one packed integer per
-x-coefficient, so every term costs one integer multiply, one shift and one
-add.  This is exact: every
-table entry has nonnegative coefficients, and at q = 1 the trinomials over
-all triples of total t add up to 3^t, so the entries of one E_spec(n) total
-3^|n|, 3^(|n|-1) or 2 * 3^(|n|-1) at q = x = 1.  With 2 * 3^|n| < 2^(8 w - 1)
-no digit of any product or partial sum reaches the sign bit of its w bytes,
-digits never carry into each other, and QPolynomial.from_packed reads each
-one back.
+The closed forms are computed on packed integers in Q = q^2: a polynomial in
+Q is one nonnegative integer whose base-2^(8 w) digit i is its Q^i
+coefficient.  Every table entry of index sum t is
+
+    q^shift * [t; k22, kmid, k11]_Q,
+    [t; k22, kmid, k11]_Q = [t, k22]_Q [t - k22, kmid]_Q,
+
+so the trinomials of one total t serve both families and both r.
+_trinomials builds them once per (t, w) into a table T[k22][kmid], each the
+product of two packed binomials at spacing 1, formed once per set of lower
+indices (the trinomial is symmetric in them).  A shift s = 2 a + p is a
+shift by a digits of Q times q^p, p the parity of s.  c_closed and
+cdag_closed read one entry back.  E_spec keeps two accumulators per
+x-coefficient, one per parity p of the q-shift, each the sum of Q^a T over
+its terms: every term costs one shift and one add, and digit i of the
+accumulator of parity p is the q^(2 i + p) coefficient.
+
+This is exact.  Every table entry has nonnegative coefficients, and the
+trinomials over all triples of total t add up to 3^t at q = 1, so the
+entries of one E_spec(n) total 3^|n|, 3^(|n|-1) or 2 * 3^(|n|-1) at q = x =
+1.  Digit i of a parity-p accumulator sums the q^(2 i + p) coefficients of
+its terms; the terms of the other parity have none, so it sums a subset of
+the same nonnegative coefficients as that coefficient of the result, and
+any partial sum a subset of those: it is at most the total.  A digit of a
+table entry is one trinomial coefficient, at most 3^t.  These are the
+bounds of a packing in q at spacing 2, unchanged: with 2 * 3^|n| <
+2^(8 w - 1) (E_spec) or 3^t < 2^(8 w - 1) (c_closed), no digit reaches the
+sign bit of its w bytes, digits never carry into each other, and
+QPolynomial.from_packed reads each one back.  Packing in Q halves the
+digits and drops the zero ones that spacing 2 leaves between them.
+
+Memory: an lru_cache keeps at most _TABLES tables.  The table of (t, w)
+holds (t + 1)(t + 2) / 2 entries, about a sixth of them distinct, of at
+most t^2 / 3 + 1 digits of w bytes each: under 1 MB at t = 32 and 8 bytes.
+The binomials it multiplies are kept by qcomb.packed_q_binomial's own
+cache.
 """
 
 from functools import lru_cache
@@ -50,22 +72,39 @@ def _shift(family, r, k22, kmid):
     return kmid * (kmid - 1) + (2 * k22 + 2 * kmid if r == 1 else 0)
 
 
-def _packed_entry(family, r, k22, kmid, k11, width, q_shift=0):
-    """q^q_shift times table entry r of family at (k22, kmid, k11), packed at
-    `width` bytes a digit: q^shift * (k22 + kmid + k11; k22, kmid, k11)_(q^2)
-    is the product of two packed base-q^2 binomials, shifted left by `shift`
-    digits.  0 when an index is negative."""
-    if k22 < 0 or kmid < 0 or k11 < 0:
-        return 0
-    total = k22 + kmid + k11
-    trinomial = (packed_q_binomial(total, k22, 2, width)
-                 * packed_q_binomial(total - k22, kmid, 2, width))
-    return trinomial << 8 * width * (_shift(family, r, k22, kmid) + q_shift)
+# The number of (total, width) trinomial tables kept: E_spec(n) reads one,
+# and the verify suites read at most two in turn at each n.
+_TABLES = 4
+
+
+@lru_cache(maxsize=_TABLES)
+def _trinomials(total, width):
+    """T[k22][kmid] = [total; k22, kmid, total - k22 - kmid]_Q packed at
+    `width` bytes a digit, Q = q^2; see the module docstring.  A trinomial
+    is symmetric in its three lower indices, so it is formed once, as
+    [total, a]_Q [total - a, b]_Q for its indices sorted a <= b <= c."""
+    products = {}
+    table = []
+    for k22 in range(total + 1):
+        row = []
+        for kmid in range(total - k22 + 1):
+            a, b, _ = key = tuple(sorted((k22, kmid, total - k22 - kmid)))
+            if key not in products:
+                products[key] = (packed_q_binomial(total, a, width)
+                                 * packed_q_binomial(total - a, b, width))
+            row.append(products[key])
+        table.append(row)
+    return table
 
 
 def _closed(family, r, k22, kmid, k11):
-    width = packed_width(3 ** max(k22 + kmid + k11, 0))
-    return QPolynomial.from_packed(_packed_entry(family, r, k22, kmid, k11, width), width)
+    if k22 < 0 or kmid < 0 or k11 < 0:
+        return QPolynomial.zero()
+    total = k22 + kmid + k11
+    width = packed_width(3**total)
+    shift = _shift(family, r, k22, kmid)
+    return QPolynomial.from_packed(
+        _trinomials(total, width)[k22][kmid] << 8 * width * (shift >> 1), width, 2, shift & 1)
 
 
 def c_closed(r, k22, k12, k11):
@@ -96,6 +135,28 @@ def _triples(total):
             yield k22, k12, total - k22 - k12
 
 
+def _terms(family, n, spec):
+    """(total, sign, terms): E_spec(family, n, spec), n != 0, sums over the
+    triples (k22, kmid, k11) of `total` the monomials x^(sign (k11 - k22) +
+    x_offset) q^q_shift times table entry r at (k22, kmid, k11), one for
+    each (r, x_offset, q_shift) in terms."""
+    if n < 0:
+        # Triples of -n: t0 sums c_2 (mirrored, at x^(k22 - k11), for A2),
+        # tinf c_1.
+        mirror = family == "A2" and spec == "t0"
+        return -n, -1 if mirror else 1, ((2 if spec == "t0" else 1, 0, 0),)
+    # Triples of n - 1, at x^(k11 - k22 + 1) but for A2's t0 c_2 term.
+    if family == "A2" and spec == "t0":
+        # The printed sum over the triples of n of q^(2n-1) c_2(k22 - 1,
+        # k12, k11) + c_1(k22, k12 - 1, k11) at x^(k11 - k22 + 1), reindexed.
+        return n - 1, 1, ((2, 0, 2 * n - 1), (1, 1, 0))
+    if family == "A2":
+        return n - 1, 1, ((2, 1, 0),)
+    if spec == "t0":
+        return n - 1, 1, ((1, 1, 0),)
+    return n - 1, 1, ((2, 1, 0), (1, 1, 0))
+
+
 def E_spec(family, n, spec):
     """Closed-form specialized E-polynomial, exactly as the tables dictate.
 
@@ -109,43 +170,22 @@ def E_spec(family, n, spec):
         return XPolynomial.constant(QPolynomial.one())
 
     width = packed_width(2 * 3 ** abs(n))
-    sums = {}
+    bits = 8 * width
+    total, sign, terms = _terms(family, n, spec)
+    sums = {}  # (x, parity of the q-shift) -> packed sum in Q
+    for k22, row in enumerate(_trinomials(total, width)):
+        for kmid, entry in enumerate(row):
+            x = sign * (total - kmid - 2 * k22)
+            for r, x_offset, q_shift in terms:
+                shift = _shift(family, r, k22, kmid) + q_shift
+                key = (x + x_offset, shift & 1)
+                sums[key] = sums.get(key, 0) + (entry << bits * (shift >> 1))
 
-    def put(x_exp, r, k22, kmid, k11, q_shift=0):
-        # x^x_exp q^q_shift times table entry r at (k22, kmid, k11), if any.
-        entry = _packed_entry(family, r, k22, kmid, k11, width, q_shift)
-        sums[x_exp] = sums.get(x_exp, 0) + entry
-
-    if family == "A2":
-        if n < 0 and spec == "t0":
-            for k22, k12, k11 in _triples(-n):
-                put(k22 - k11, 2, k22, k12, k11)
-        elif n > 0 and spec == "t0":
-            for k22, k12, k11 in _triples(n):
-                put(k11 - k22 + 1, 2, k22 - 1, k12, k11, 2 * n - 1)
-                put(k11 - k22 + 1, 1, k22, k12 - 1, k11)
-        elif n < 0 and spec == "tinf":
-            for k22, k12, k11 in _triples(-n):
-                put(k11 - k22, 1, k22, k12, k11)
-        else:  # n > 0, tinf: sums over triples totalling n-1
-            for k22, k12, k11 in _triples(n - 1):
-                put(k11 - k22 + 1, 2, k22, k12, k11)
-    else:
-        if n < 0 and spec == "t0":
-            for k22, k21, k11 in _triples(-n):
-                put(k11 - k22, 2, k22, k21, k11)
-        elif n > 0 and spec == "t0":
-            for k22, k21, k11 in _triples(n - 1):
-                put(k11 - k22 + 1, 1, k22, k21, k11)
-        elif n < 0 and spec == "tinf":
-            for k22, k21, k11 in _triples(-n):
-                put(k11 - k22, 1, k22, k21, k11)
-        else:  # n > 0, tinf
-            for k22, k21, k11 in _triples(n - 1):
-                put(k11 - k22 + 1, 2, k22, k21, k11)
-                put(k11 - k22 + 1, 1, k22, k21, k11)
-
-    return XPolynomial({x: QPolynomial.from_packed(v, width) for x, v in sums.items()})
+    coeffs = {}
+    for (x, parity), value in sums.items():
+        poly = QPolynomial.from_packed(value, width, 2, parity)
+        coeffs[x] = coeffs[x] + poly if x in coeffs else poly
+    return XPolynomial(coeffs)
 
 
 def ctable(family, r, max_n):

@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: epoly, ctable, weylchar, basis, limitchar, fusion, walks,
-verify.  Every subcommand takes --format text|json; text output uses the
-canonical term ordering, JSON follows the schemas documented in the README
-and is byte for byte what json.dumps(obj, indent=2) prints, with sorted keys
-where the subcommand sorts them; polynomial term lists go through a per-row
-%-template instead of the stdlib's pure-Python indenting encoder.
+verify.  All but ctable, which prints JSON only, take --format text|json.
+Text output uses the canonical term ordering.  JSON follows the schemas
+documented in the README and is byte for byte what json.dumps(obj,
+indent=2) prints, with sorted keys where the subcommand sorts them.
+Polynomial term lists do not go through the stdlib's pure-Python indenting
+encoder: a list of {coeff, q, x} rows is rendered one x block at a time, by
+one %-template that repeats the row once per q-term with that block's x
+already written in, and the other term lists by one %-template per row.
 Exit codes: 0 success, 1 usage error, 2 verification mismatch that no
 errata rule explains (including disagreeing specialization routes in epoly,
 and a limit that diverges on the exact route), 3 an input beyond the size a
@@ -37,8 +40,13 @@ class _Parser(argparse.ArgumentParser):
 # %-format) pairs and `values` one tuple per object, in field order.
 _Rows = namedtuple("_Rows", "fields values")
 
+# The {coeff, q, x} rows of an XPolynomial over QPolynomial, x-major, q
+# ascending.  Each x block is rendered by one call of one %-template, the row
+# template repeated once per term with that x written in.  The keys are in
+# sorted order already, so sort_keys does not change the output.
+_QRows = namedtuple("_QRows", "poly")
 
-_COEFF_Q_X = (("coeff", '"%d"'), ("q", "%d"), ("x", "%d"))
+
 _COEFF_Q_V = (("coeff", '"%d"'), ("q", "%d"), ("v", "%d"))
 _LITERALS = {None: "null", True: "true", False: "false"}
 
@@ -61,6 +69,8 @@ def _encode(obj, nl, sort_keys, out):
         out.append(int.__repr__(obj))
     elif isinstance(obj, _Rows):
         out.append(_encode_rows(obj, nl, sort_keys))
+    elif isinstance(obj, _QRows):
+        out.append(_encode_q_rows(obj.poly, nl))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -105,12 +115,23 @@ def _encode_rows(rows, nl, sort_keys):
     return "[%s%s%s]" % (row_nl, ("," + row_nl).join(map(template.__mod__, values)), nl)
 
 
-def _q_rows(poly):
-    """{coeff, q, x} rows of an XPolynomial over QPolynomial."""
-    return _Rows(
-        _COEFF_Q_X,
-        [(c, q, x) for x, qpoly in poly.sorted_terms() for q, c in qpoly.sorted_terms()],
-    )
+def _encode_q_rows(poly, nl):
+    if not poly.terms:
+        return "[]"
+    row_nl = nl + "  "
+    key_nl = row_nl + "  "
+    sep = "," + row_nl
+    head = '{%s"coeff": "%%d",%s"q": %%d,%s"x": ' % (key_nl, key_nl, key_nl)
+    blocks = []
+    for x, qpoly in poly.sorted_terms():
+        terms = qpoly.terms
+        exps = sorted(terms)
+        values = [0] * (2 * len(exps))
+        values[0::2] = map(terms.__getitem__, exps)
+        values[1::2] = exps
+        template = "%s%d%s}" % (head, x, row_nl)
+        blocks.append(sep.join([template] * len(exps)) % tuple(values))
+    return "[%s%s%s]" % (row_nl, sep.join(blocks), nl)
 
 
 def _bi_rows(bipoly):
@@ -157,7 +178,7 @@ def _cmd_epoly(args):
             "family": args.family,
             "n": args.n,
             "spec": args.spec,
-            "terms": _q_rows(poly),
+            "terms": _QRows(poly),
         },
     )
     return 0
@@ -193,7 +214,7 @@ def _cmd_weylchar(args):
     _emit(
         args,
         poly.render,
-        {"module": args.module, "n": args.n, "terms": _q_rows(poly)},
+        {"module": args.module, "n": args.n, "terms": _QRows(poly)},
     )
     return 0
 
@@ -235,7 +256,7 @@ def _cmd_limitchar(args):
             "qmax": args.qmax,
             "xmax": args.xmax,
             "approximant_n": args.approx,
-            "terms": _q_rows(poly),
+            "terms": _QRows(poly),
         },
     )
     return 0
@@ -264,7 +285,7 @@ def _cmd_fusion(args):
             "points": [str(p) for p in points],
             "twisted": args.twisted,
             "dimension": poly.eval_at_ones(),
-            "terms": _q_rows(poly),
+            "terms": _QRows(poly),
         },
     )
     return 0

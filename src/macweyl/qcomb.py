@@ -36,9 +36,9 @@ def q_binomial(n, m, base_exponent=1):
 
 
 @lru_cache(maxsize=None)
-def packed_q_binomial(n, m, spacing, width):
-    """[n choose m] in q^spacing as one nonnegative integer whose base-2^(8*width)
-    digit i is its q^i coefficient; 0 when m is outside [0, n].
+def packed_q_binomial(n, m, width):
+    """[n choose m] as one nonnegative integer whose base-2^(8*width) digit i
+    is its q^i coefficient; 0 when m is outside [0, n].
 
     The caller picks `width` so that every digit of the sums and products it
     forms stays below 2^(8*width-1) (see ring.packed_width), and reads the
@@ -46,9 +46,9 @@ def packed_q_binomial(n, m, spacing, width):
     """
     if m < 0 or m > n:
         return 0
-    digits = [0] * (spacing * m * (n - m) + 1)
-    for e, c in _gauss(n, m).terms.items():
-        digits[spacing * e] = c
+    # Every coefficient from q^0 to q^(m (n - m)) is positive, so the sorted
+    # terms are the digits.
+    digits = [c for _, c in _gauss(n, m).sorted_terms()]
     return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in digits]), "little")
 
 

@@ -31,8 +31,9 @@ one operand is an int, zero or a single term, and runs the schoolbook double
 loop otherwise.  Callers with large products work on packed integers
 instead: ``packed_width`` picks a digit width w that keeps a coefficient
 bound below 2^(8w-1), and ``QPolynomial.from_packed`` reads a nonnegative
-integer whose base-2^(8w) digits are coefficients back as a polynomial
-(``weylchar`` characters, the ``cform`` tables and ``E_spec``).
+integer whose base-2^(8w) digits are coefficients back as a polynomial, in
+q or, digit i at q^(2i + offset), in q^2 (``weylchar`` characters, the
+``cform`` tables and ``E_spec``).
 """
 
 from __future__ import annotations
@@ -168,11 +169,14 @@ class QPolynomial(_Laurent):
     __slots__ = ()
 
     @classmethod
-    def from_packed(cls, value, width):
-        """sum_i d_i q^i, d_i the base-2^(8*width) digits of the nonnegative
-        integer `value`; every digit must lie below 2^(8*width-1)."""
+    def from_packed(cls, value, width, step=1, offset=0):
+        """sum_i d_i q^(offset + step i), d_i the base-2^(8*width) digits of
+        the nonnegative integer `value`; every digit must lie below
+        2^(8*width-1).  step = 2 reads a polynomial packed in Q = q^2."""
         raw = value.to_bytes(-(-value.bit_length() // (8 * width)) * width, "little")
-        return cls._nonzero({i: c for i, c in enumerate(_bytes_to_digits(raw, width)) if c})
+        digits = _bytes_to_digits(raw, width)
+        exps = range(offset, offset + step * len(digits), step)
+        return cls._nonzero({e: c for e, c in zip(exps, digits) if c})
 
     @classmethod
     def monomial(cls, coeff, exp=0):

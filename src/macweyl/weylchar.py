@@ -7,6 +7,19 @@ verify.verify_section4.)
 Basis monomials apply e-generators (weight +2 each) and odd g-generators
 (weight +1 each) to a lowest- or highest-weight vector; the inequalities on
 the generator t-degrees depend on the module family ("kind").
+enumerate_basis lists the monomials (the `basis` command and the tests).
+The PBW characters and the basis sizes count them instead, without listing
+3^n monomials and without qcomb's q-binomials.  _blocks writes each kind's
+inequalities a second time, as blocks: for fixed numbers k of g- and s of
+e-generators, the monomials are the k-subsets of a range of g-degrees times
+the s-multisets of a range of e-degrees, and weight and PBW degree are
+fixed.  basis_count sums C(#g-degrees, k) C(#e-degrees + s - 1, s) over the
+blocks.  pbw_counts convolves, per block, a subset-sum table of the
+g-degrees with a multiset-sum table of the e-degrees (_sum_tables: the
+number of j-element subsets or multisets with each sum, one knapsack pass
+per value), each table built once per range, into the count of every
+(weight, t-degree, PBW degree) triple.  The tests compare both with
+enumeration.
 
 The closed-form characters ch_W (b = 1) and ch_W_sigma (b = 2) are the
 paper's double sums of Gaussian binomials in base Q = q^b.  They are not
@@ -51,6 +64,7 @@ digit, and QPolynomial.from_packed reads it back exactly.
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from macweyl.qcomb import euler_product_truncated, q_binomial
 from macweyl.ring import QPolynomial, XPolynomial, check_size, packed_width
@@ -84,15 +98,19 @@ def enumerate_basis(kind, n):
     return [BasisMonomial(kind, *m) for m in _basis_tuples(kind, n)]
 
 
-def _basis_tuples(kind, n):
-    """Yield (e_degrees, g_degrees, weight, t_degree, pbw_degree) for every
-    basis monomial of one kind (not the union "twisted_pos")."""
+def _check_basis(kind, n):
     if kind not in KINDS or kind == "twisted_pos":
         raise ValueError("unknown basis kind %r" % (kind,))
     positive_kind = kind in ("untwisted_pos", "twisted_pos_1", "twisted_pos_2")
     if n < 0 or (positive_kind and n < 1):
         raise ValueError("n out of range for kind %s" % kind)
     check_size("basis", n)
+
+
+def _basis_tuples(kind, n):
+    """Yield (e_degrees, g_degrees, weight, t_degree, pbw_degree) for every
+    basis monomial of one kind (not the union "twisted_pos")."""
+    _check_basis(kind, n)
 
     if kind == "untwisted_neg":
         for k in range(n + 1):
@@ -140,11 +158,88 @@ def _basis_tuples(kind, n):
                         yield (a, cs, -k + 2 * s, sum(cs) - sum(a), 0)
 
 
-def character_from_basis(kind, n):
-    """sum over basis monomials of q^(t-degree) x^(weight)."""
-    return XPolynomial.from_pairs(
-        (m.weight, QPolynomial.q_power(m.t_degree)) for m in enumerate_basis(kind, n)
-    )
+def _blocks(kind, n):
+    """The (k, s) blocks of one kind's basis (not the union "twisted_pos"),
+    as tuples (weight, pbw_degree, t_offset, g_values, k, e_values, s): the
+    block's monomials are the k-subsets of g_values times the s-multisets
+    of e_values, and a monomial's t-degree is t_offset plus the two sums.
+    These are the inequalities of _basis_tuples, written out a second time;
+    e_values is never empty."""
+    _check_basis(kind, n)
+    if kind == "untwisted_neg":
+        return [(-n + k + 2 * s, k + s, 0, range(n), k, range(n - k - s + 1), s)
+                for k in range(n + 1) for s in range(n - k + 1)]
+    if kind == "twisted_neg":
+        return [(-n + k + 2 * s, s, 0, range(1, 2 * n, 2), k,
+                 range(0, 2 * (n - k - s) + 1, 2), s)
+                for k in range(n + 1) for s in range(n - k + 1)]
+    if kind == "untwisted_pos":
+        return [(n - k - 2 * s, k + s, 0, range(1, n), k, range(1, n - k - s + 1), s)
+                for k in range(n) for s in range(n - k)]
+    if kind == "twisted_pos_1":
+        return [(n - k - 2 * s, s, 0, range(1, 2 * n - 2, 2), k,
+                 range(2, 2 * (n - k - s) + 1, 2), s)
+                for k in range(n) for s in range(n - k)]
+    if kind == "twisted_pos_2":
+        # The g-degree 2n - 1 is always present: k - 1 of the others.
+        return [(n - k - 2 * s, s, 2 * n - 1, range(1, 2 * n - 2, 2), k - 1,
+                 range(0, 2 * (n - k - s) + 1, 2), s)
+                for k in range(1, n + 1) for s in range(n - k + 1)]
+    if kind == "classical":
+        return [(-n + 2 * k, k, 0, range(0), 0, range(n - k + 1), k) for k in range(n + 1)]
+    # limit: the e-degrees count against the t-degree.
+    return [(-k + 2 * s, 0, 0, range(n), k, range(0, -(k - s) - 1, -1), s)
+            for k in range(n + 1) for s in range(k + 1)]
+
+
+def basis_count(kind, n):
+    """len(enumerate_basis(kind, n)), counted block by block: C(|g_values|, k)
+    subsets times C(|e_values| + s - 1, s) multisets."""
+    if kind == "twisted_pos":
+        return basis_count("twisted_pos_1", n) + basis_count("twisted_pos_2", n)
+    return sum(comb(len(g), k) * comb(len(e) + s - 1, s)
+               for _, _, _, g, k, e, s in _blocks(kind, n))
+
+
+def _sum_tables(values, top, repeat):
+    """tables[j] = {t: number of j-element subsets (repeat False) or
+    multisets (repeat True) of values that sum to t}, for j <= top."""
+    tables = [{0: 1}] + [{} for _ in range(top)]
+    # Table j reads table j - 1 after it has taken v when j ascends (so v
+    # may repeat) and before when j descends (so v is taken at most once).
+    sizes = range(1, top + 1) if repeat else range(top, 0, -1)
+    for v in values:
+        for j in sizes:
+            dst = tables[j]
+            for t, c in tables[j - 1].items():
+                dst[t + v] = dst.get(t + v, 0) + c
+    return tables
+
+
+def pbw_counts(n, twisted=False):
+    """Triple-graded data for the associated graded of the weight -n module:
+    {(x_weight, t_degree, pbw_degree): number of basis monomials}.
+
+    The filtration counts applications of the raising half (e and g+ in the
+    untwisted case, e alone in the twisted case).  In each block of _blocks
+    the weight and PBW degree are fixed, and the t-degrees are the sums of a
+    subset-sum table of the g-degrees and a multiset-sum table of the
+    e-degrees, each table built once per range of values.
+    """
+    blocks = _blocks("twisted_neg" if twisted else "untwisted_neg", n)
+    subsets, multisets = {}, {}
+    for _, _, _, g, k, e, s in blocks:
+        subsets[g] = max(subsets.get(g, 0), k)
+        multisets[e] = max(multisets.get(e, 0), s)
+    subsets = {g: _sum_tables(g, top, False) for g, top in subsets.items()}
+    multisets = {e: _sum_tables(e, top, True) for e, top in multisets.items()}
+    counts = {}
+    for w, p, t0, g, k, e, s in blocks:
+        for tg, cg in subsets[g][k].items():
+            for te, ce in multisets[e][s].items():
+                key = (w, t0 + tg + te, p)
+                counts[key] = counts.get(key, 0) + cg * ce
+    return counts
 
 
 def ch_D(n):
@@ -208,18 +303,6 @@ def ch_W_sigma(n):
     return _character(n, 2)
 
 
-def pbw_character(n, twisted=False):
-    """Triple-graded data for the associated graded of the weight -n module.
-
-    Yields one (x_weight, t_degree, pbw_degree) triple per basis monomial.
-    The filtration counts applications of the raising half (e and g+ in the
-    untwisted case, e alone in the twisted case).
-    """
-    kind = "twisted_neg" if twisted else "untwisted_neg"
-    for _, _, w, t, p in _basis_tuples(kind, n):
-        yield w, t, p
-
-
 def pbw_character_specialized(n, twisted=False):
     """PBW character specialized for comparison with the t=infinity limits.
 
@@ -228,10 +311,10 @@ def pbw_character_specialized(n, twisted=False):
     """
     scale = 1 if twisted else 2
     terms = {}
-    for w, t, p in pbw_character(n, twisted):
+    for (w, t, p), count in pbw_counts(n, twisted).items():
         by_q = terms.setdefault(w, {})
         e = scale * (t + p)
-        by_q[e] = by_q.get(e, 0) + 1
+        by_q[e] = by_q.get(e, 0) + count
     return XPolynomial.from_q_terms(terms)
 
 

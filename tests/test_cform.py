@@ -1,8 +1,11 @@
+from functools import lru_cache
+
 import pytest
 
+from macweyl import cform
 from macweyl.cform import E_spec, _shift, _triples, c_closed, c_rec, cdag_closed, cdag_rec, ctable
-from macweyl.qcomb import q_multinomial
-from macweyl.ring import QPolynomial, XPolynomial
+from macweyl.qcomb import q_binomial, q_multinomial
+from macweyl.ring import QPolynomial, XPolynomial, packed_width
 
 
 def qp(d):
@@ -31,15 +34,15 @@ def test_negative_indices_vanish():
     assert cdag_closed(1, -1, -1, -1).is_zero()
 
 
-def test_recurrence_equals_closed_form_sum_le_8():
+def test_recurrence_equals_closed_form_sum_le_14():
     count = 0
-    for total in range(9):
+    for total in range(15):
         for key in _triples(total):
             count += 1
             for r in (1, 2):
                 assert c_rec(r, *key) == c_closed(r, *key)
                 assert cdag_rec(r, *key) == cdag_closed(r, *key)
-    assert count == 165
+    assert count == 680
 
 
 def test_E_spec_examples():
@@ -140,3 +143,89 @@ def test_packed_E_spec_equals_dict_product_sum():
             for n in list(range(-12, 0)) + list(range(1, 13)) + [-21, 21]:
                 assert E_spec(family, n, spec) == _dict_product_E_spec(family, n, spec), (
                     family, n, spec)
+
+
+@lru_cache(maxsize=None)
+def _packed_binomial_q2(n, m, width):
+    # [n choose m] in q^2, packed at spacing 2: digit 2 i is the q^(2 i)
+    # coefficient, every odd digit 0.
+    if m < 0 or m > n:
+        return 0
+    digits = [0] * (2 * m * (n - m) + 1)
+    for e, c in q_binomial(n, m, 2).terms.items():
+        digits[e] = c
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in digits]), "little")
+
+
+def _packed_entry(family, r, k22, kmid, k11, width, q_shift, trinomials):
+    # The table entry packed in q at spacing 2, as E_spec summed it before
+    # the tables were packed in Q = q^2; `trinomials` keeps the products.
+    if k22 < 0 or kmid < 0 or k11 < 0:
+        return 0
+    total = k22 + kmid + k11
+    key = (total, k22, kmid, width)
+    if key not in trinomials:
+        trinomials[key] = (_packed_binomial_q2(total, k22, width)
+                           * _packed_binomial_q2(total - k22, kmid, width))
+    return trinomials[key] << 8 * width * (_shift(family, r, k22, kmid) + q_shift)
+
+
+def _spacing_2_E_spec(family, n, spec, trinomials):
+    width = packed_width(2 * 3 ** abs(n))
+    sums = {}
+
+    def put(x_exp, r, k22, kmid, k11, q_shift=0):
+        entry = _packed_entry(family, r, k22, kmid, k11, width, q_shift, trinomials)
+        sums[x_exp] = sums.get(x_exp, 0) + entry
+
+    if family == "A2":
+        if n < 0 and spec == "t0":
+            for k22, k12, k11 in _triples(-n):
+                put(k22 - k11, 2, k22, k12, k11)
+        elif n > 0 and spec == "t0":
+            for k22, k12, k11 in _triples(n):
+                put(k11 - k22 + 1, 2, k22 - 1, k12, k11, 2 * n - 1)
+                put(k11 - k22 + 1, 1, k22, k12 - 1, k11)
+        elif n < 0 and spec == "tinf":
+            for k22, k12, k11 in _triples(-n):
+                put(k11 - k22, 1, k22, k12, k11)
+        else:
+            for k22, k12, k11 in _triples(n - 1):
+                put(k11 - k22 + 1, 2, k22, k12, k11)
+    else:
+        if n < 0 and spec == "t0":
+            for k22, k21, k11 in _triples(-n):
+                put(k11 - k22, 2, k22, k21, k11)
+        elif n > 0 and spec == "t0":
+            for k22, k21, k11 in _triples(n - 1):
+                put(k11 - k22 + 1, 1, k22, k21, k11)
+        elif n < 0 and spec == "tinf":
+            for k22, k21, k11 in _triples(-n):
+                put(k11 - k22, 1, k22, k21, k11)
+        else:
+            for k22, k21, k11 in _triples(n - 1):
+                put(k11 - k22 + 1, 2, k22, k21, k11)
+                put(k11 - k22 + 1, 1, k22, k21, k11)
+    return XPolynomial({x: QPolynomial.from_packed(v, width) for x, v in sums.items()})
+
+
+@pytest.mark.parametrize("n", [-33, 33, -40, 40, -45, 45])
+def test_Q_packed_E_spec_equals_spacing_2_sum_past_struct_widths(n):
+    # 2 * 3^|n| needs 8 bytes at |n| = 33 ... 39, 9 at 40 and 10 at 45: past
+    # the struct path, whose widest code is 8 bytes.
+    trinomials = {}
+    for family in ("A2", "A2dagger"):
+        for spec in ("t0", "tinf"):
+            expected = _spacing_2_E_spec(family, n, spec, trinomials)
+            assert E_spec(family, n, spec) == expected, (family, spec)
+
+
+def test_table_cache_stays_at_its_fixed_size():
+    cform._trinomials.cache_clear()
+    for n in (45, -45):
+        for family in ("A2", "A2dagger"):
+            for spec in ("t0", "tinf"):
+                E_spec(family, n, spec)
+    info = cform._trinomials.cache_info()
+    assert info.maxsize == cform._TABLES
+    assert 0 < info.currsize <= cform._TABLES

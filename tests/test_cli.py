@@ -7,7 +7,7 @@ import time
 import pytest
 
 from macweyl import cli, ramyip, verify, walks
-from macweyl.ring import SIZE_LIMITS
+from macweyl.ring import SIZE_LIMITS, QPolynomial, XPolynomial
 
 
 def run_cli(capsys, *argv):
@@ -350,8 +350,17 @@ def test_json_output_is_stdlib_indent_2(capsys, argv, sort_keys):
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=sort_keys) + "\n"
 
 
+COEFF_Q_X = (("coeff", '"%d"'), ("q", "%d"), ("x", "%d"))
+
+
 def _expand(obj):
-    # The plain JSON value a cli._Rows stands for.
+    # The plain JSON value a cli._Rows or cli._QRows stands for.
+    if isinstance(obj, cli._QRows):
+        return [
+            {"coeff": str(c), "q": q, "x": x}
+            for x, qpoly in obj.poly.sorted_terms()
+            for q, c in qpoly.sorted_terms()
+        ]
     if isinstance(obj, cli._Rows):
         return [
             {k: (str(v) if fmt == '"%d"' else v) for (k, fmt), v in zip(obj.fields, row)}
@@ -365,14 +374,14 @@ def _expand(obj):
 
 
 def test_dumps_matches_stdlib():
-    rows = cli._Rows(cli._COEFF_Q_X, [(3, 0, -1), (-12345678901234567890, 2, 4)])
+    rows = cli._Rows(COEFF_Q_X, [(3, 0, -1), (-12345678901234567890, 2, 4)])
     unsorted = cli._Rows((("q", "%d"), ("coeff", '"%d"')), [(1, 7), (-2, 0)])
     cases = [
         [],
         {},
         {"a": [], "b": {}, "c": [[], {}]},
-        cli._Rows(cli._COEFF_Q_X, []),
-        {"terms": cli._Rows(cli._COEFF_Q_X, [])},
+        cli._Rows(COEFF_Q_X, []),
+        {"terms": cli._Rows(COEFF_Q_X, [])},
         [True, False, None, 0, -7, 2**70],
         {"quote\"back\\slash": "tab\t new\nline é ☃ \U0001d11e", "z": "", "a": "\x00\x1f"},
         rows,
@@ -383,3 +392,21 @@ def test_dumps_matches_stdlib():
         for sort_keys in (False, True):
             expected = json.dumps(_expand(obj), indent=2, sort_keys=sort_keys)
             assert cli._dumps(obj, sort_keys) == expected
+
+
+def test_dumps_of_per_x_rows_matches_stdlib():
+    # Empty, a single x, one negative x with a negative and a huge
+    # coefficient, and several x blocks given out of order.
+    cases = [
+        XPolynomial({}),
+        XPolynomial({0: QPolynomial({0: 1})}),
+        XPolynomial({-3: QPolynomial({5: -12345678901234567890, -2: 7, 0: 1})}),
+        XPolynomial({-2: QPolynomial({1: 1}), 4: QPolynomial({0: -1, 3: 2}),
+                     -7: QPolynomial({-4: 3})}),
+    ]
+    for poly in cases:
+        for obj in (cli._QRows(poly), {"terms": cli._QRows(poly), "n": -2},
+                    [{"deep": [cli._QRows(poly)]}]):
+            for sort_keys in (False, True):
+                expected = json.dumps(_expand(obj), indent=2, sort_keys=sort_keys)
+                assert cli._dumps(obj, sort_keys) == expected

@@ -1,20 +1,25 @@
 import time
+from collections import Counter
 
 import pytest
 
+from macweyl import weylchar
 from macweyl.cform import E_spec
 from macweyl.qcomb import q_binomial
 from macweyl.ring import SIZE_LIMITS, BoundExceeded, QPolynomial, XPolynomial
 from macweyl.weylchar import (
+    KINDS,
     LIMIT_KINDS,
+    _basis_tuples,
     approximant,
+    basis_count,
     ch_D,
     ch_W,
     ch_W_sigma,
-    character_from_basis,
     enumerate_basis,
     limit_char,
     pbw_character_specialized,
+    pbw_counts,
     scale_q,
 )
 from macweyl.verify import verify_section4
@@ -33,6 +38,60 @@ def test_basis_counts():
         assert len(enumerate_basis("twisted_pos", n)) == 2 * 3 ** (n - 1)
     for n in range(11):
         assert len(enumerate_basis("classical", n)) == 2**n
+
+
+def _enumerated_pbw_triples(n, twisted):
+    kind = "twisted_neg" if twisted else "untwisted_neg"
+    return dict(Counter((w, t, p) for _, _, w, t, p in _basis_tuples(kind, n)))
+
+
+def _kind_ns(max_n):
+    for kind in KINDS:
+        positive = kind in ("untwisted_pos", "twisted_pos", "twisted_pos_1", "twisted_pos_2")
+        for n in range(1 if positive else 0, max_n + 1):
+            yield kind, n
+
+
+def test_pbw_counts_equal_enumerated_triples():
+    for n in range(9):
+        for twisted in (False, True):
+            assert pbw_counts(n, twisted) == _enumerated_pbw_triples(n, twisted), (n, twisted)
+
+
+def test_basis_counts_equal_enumeration():
+    for kind, n in _kind_ns(8):
+        assert basis_count(kind, n) == len(enumerate_basis(kind, n)), (kind, n)
+
+
+def test_counts_keep_the_enumeration_limits():
+    for fn, args in ((pbw_counts, (-1,)), (basis_count, ("untwisted_pos", 0)),
+                     (basis_count, ("bogus", 2)), (basis_count, ("twisted_pos", -1))):
+        with pytest.raises(ValueError):
+            fn(*args)
+    with pytest.raises(BoundExceeded):
+        pbw_counts(SIZE_LIMITS["basis"] + 1, True)
+
+
+@pytest.mark.parametrize("field, kind", [(3, "untwisted_neg"), (5, "untwisted_neg"),
+                                         (3, "twisted_neg"), (5, "twisted_neg"),
+                                         (3, "twisted_pos_2"), (5, "limit")])
+def test_count_table_with_a_range_off_by_one_fails(monkeypatch, field, kind):
+    # Field 3 is the g-degree range of a block, field 5 the e-degree range.
+    blocks = weylchar._blocks
+
+    def off_by_one(block_kind, n):
+        out = blocks(block_kind, n)
+        if block_kind == kind:
+            widen = lambda r: range(r.start, r.stop + r.step, r.step)  # noqa: E731
+            out = [b[:field] + (widen(b[field]),) + b[field + 1:] for b in out]
+        return out
+
+    monkeypatch.setattr(weylchar, "_blocks", off_by_one)
+    n = 4
+    assert basis_count(kind, n) != len(enumerate_basis(kind, n))
+    if kind.endswith("_neg"):
+        twisted = kind == "twisted_neg"
+        assert pbw_counts(n, twisted) != _enumerated_pbw_triples(n, twisted)
 
 
 def test_basis_example_n1():
@@ -94,6 +153,13 @@ def test_packed_highest_weight_equals_dict_product_sum():
     for n in list(range(1, 17)) + [39, 40]:
         assert ch_W(n) == _dict_product_highest_weight(n, 1)
         assert ch_W_sigma(n) == _dict_product_highest_weight(n, 2)
+
+
+def character_from_basis(kind, n):
+    """sum over basis monomials of q^(t-degree) x^(weight)."""
+    return XPolynomial.from_pairs(
+        (m.weight, QPolynomial.q_power(m.t_degree)) for m in enumerate_basis(kind, n)
+    )
 
 
 def test_characters_match_basis_enumeration():
