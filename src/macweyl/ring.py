@@ -61,7 +61,7 @@ class BoundExceeded(ValueError):
 # second at either sign; past it the negative weights are bound by memory
 # (about 700 MB of output at n = -128).  The table inputs are bounded by a
 # max_n: cform.ctable at 32 (2.8 s, 370 MB), and the verify suites
-# (verify._SUITE_LIMIT) at recurrences 28 (3.0 s) and duality 32 (1.6-2.4 s; 36
+# (verify._SUITES) at recurrences 28 (3.0 s) and duality 32 (1.6-2.4 s; 36
 # takes 5.3 s and 48 36 s).  weylchar.limit_char grows as qmax^1.5, the
 # partition series and the theta sum over it: at qmax 4096 a kind takes
 # 0.1-0.3 s at xmax 8 (8192: 0.2-0.6 s), and 1.4 s and 50 MB of JSON at any
@@ -96,17 +96,14 @@ class _Laurent:
         p.terms = terms
         return p
 
-    @staticmethod
-    def _accumulate(out, pairs):
-        for e, c in pairs:
-            out[e] = out[e] + c if e in out else c
-        return out
-
     @classmethod
     def from_pairs(cls, pairs):
         """The sum of the (exponent, coefficient) pairs, which may repeat an
         exponent; a coefficient that sums to zero is dropped."""
-        return cls(cls._accumulate({}, pairs))
+        out = {}
+        for e, c in pairs:
+            out[e] = out[e] + c if e in out else c
+        return cls(out)
 
     @classmethod
     def zero(cls):
@@ -135,8 +132,16 @@ class _Laurent:
         return hash(tuple(sorted(self.terms.items())))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return type(self)(self._accumulate(dict(self.terms), other.terms.items()))
+        # One copy of self: a sum that cancels is deleted where it is made.
+        out = dict(self.terms)
+        for e, c in self._coerce(other).terms.items():
+            if e in out:
+                c = out[e] + c
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
+        return self._nonzero(out)
 
     __radd__ = __add__
 

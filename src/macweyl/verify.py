@@ -9,13 +9,15 @@ the outcome:
 * KNOWN_ERRATUM  -- an errata rule explains the difference exactly.
 * MISMATCH       -- anything else.
 
-The errata table (which rule explains each printed identity that fails) and
-the conventions table (which transform each identity route needs) ship as
-JSON files next to this module; both were generated by
-derive_conventions()/derive_errata() at build time and then frozen.  The
-conventions table is the only source of a transform: the routes suite reads
-routes:<family>:<neg|pos>:<spec>, the section-4 PBW comparisons read
-pbw:untwisted / pbw:twisted, and every other identity compares exactly.
+The comparison suites (section4, routes, duality, fusion, limits) are
+generators of records (identity, n, conventions key or None, lhs, rhs).  The
+errata table (which rule explains each printed identity that fails) and the
+conventions table (which transform each key needs) ship as JSON files next
+to this module; derive_conventions()/derive_errata() read them off the same
+records and they were then frozen.  The conventions table is the only
+source of a transform: the routes records carry
+routes:<family>:<neg|pos>:<spec>, the section-4 PBW records pbw:untwisted /
+pbw:twisted, and every other record compares exactly.
 """
 
 import json
@@ -101,9 +103,113 @@ def _equal_entry(identity, n, ok, detail=None):
     }
 
 
+# ---------------------------------------------------------------------------
+# Comparison records.  Each generator below yields
+# (identity, n, conventions key or None, lhs, rhs), and every identity's two
+# sides are written only there: the suites classify these records, and the
+# frozen tables are derived from them.
+
+
+def _section4_pairs(n_values):
+    """(a) untwisted character at q^2 against the dagger t=0 polynomial;
+    (b) twisted character against the plain t=0 polynomial; (c) for n > 0,
+    the PBW specializations against the t=infinity polynomials of the
+    opposite family."""
+    for n in n_values:
+        if n == 0:
+            continue
+        yield ("ch_W_vs_E_A2dagger_t0", n, None,
+               weylchar.scale_q(weylchar.ch_W(n), 2), cform.E_spec("A2dagger", n, "t0"))
+        yield ("ch_Wsigma_vs_E_A2_t0", n, None,
+               weylchar.ch_W_sigma(n), cform.E_spec("A2", n, "t0"))
+        if n > 0:
+            yield ("pbw_untwisted_vs_E_A2dagger_tinf", n, "pbw:untwisted",
+                   weylchar.pbw_character_specialized(n, twisted=False),
+                   cform.E_spec("A2dagger", -n, "tinf"))
+            yield ("pbw_twisted_vs_E_A2_tinf", n, "pbw:twisted",
+                   weylchar.pbw_character_specialized(n, twisted=True),
+                   cform.E_spec("A2", -n, "tinf"))
+
+
+def _routes_pairs(max_n):
+    for family in walks.FAMILIES:
+        for n in [m for m in range(-max_n, max_n + 1) if m != 0]:
+            for spec in ("t0", "tinf"):
+                yield ("walkroute_vs_cform_%s_%s" % (family, spec), n,
+                       "routes:%s:%s:%s" % (family, "neg" if n < 0 else "pos", spec),
+                       ramyip.specialize(family, n, spec), cform.E_spec(family, n, spec))
+
+
+def _duality_pairs(max_n):
+    for n in range(0, max(max_n, 6) + 1):
+        yield ("duality_A2dagger", n, None, cform.E_spec("A2dagger", n + 1, "t0"),
+               cform.E_spec("A2dagger", -n, "tinf").x_shift(1))
+        yield ("duality_A2", n, None, cform.E_spec("A2", n + 1, "tinf"),
+               cform.E_spec("A2", -n, "t0").x_shift(1))
+
+
+# (n, points, twisted values), in report order.  Twisted points have
+# distinct squares, so the twisted oracle is cyclic.
+_FUSION_CASES = [
+    (n, points[:n], (False, True))
+    for n in (1, 2, 3)
+    for points in ((1, 2, 3, 4), (1, -2, 3, -4), (2, 3, 5, 7))
+] + [
+    (4, (1, 2, 3, 4), (False,)),
+    (5, (1, -2, 3, -4, 5), (False, True)),
+    (6, (1, -2, 3, -4, 5, -6), (False, True)),
+    (7, (1, -2, 3, -4, 5, -6, 7), (False, True)),
+]
+
+
+def _fusion_pairs(max_n):
+    for n, points, twisted_values in _FUSION_CASES:
+        if n > max_n:
+            break
+        for twisted in twisted_values:
+            lhs = fusion.fusion_character(n, points, twisted)
+            if twisted:
+                yield "fusion_vs_ch_W_sigma", n, None, lhs, weylchar.ch_W_sigma(-n)
+            else:
+                yield "fusion_vs_ch_W", n, None, lhs, weylchar.ch_W(-n)
+
+
+def _limits_pairs(max_n):
+    for kind in ("untwisted", "twisted", "classical_even"):
+        for n, d in ((6, 2), (8, 3)):
+            yield ("limit_approximant_%s" % kind, n, None,
+                   weylchar.approximant(kind, n, d, d + 2), weylchar.limit_char(kind, d, d + 2))
+    yield ("wedge_identity", 12, None, qcomb.wedge_lhs_truncated(12, 12),
+           qcomb.euler_product_truncated("single_plus", 12, 12))
+
+
+def _comparison_pairs(max_n):
+    """Every record of the comparison suites at max_n."""
+    yield from _section4_pairs(range(-max_n, max_n + 1))
+    for pairs in (_routes_pairs, _duality_pairs, _fusion_pairs, _limits_pairs):
+        yield from pairs(max_n)
+
+
+def _classify_pairs(pairs, errata, conventions):
+    """Classify each record, with the x-mirror allowed only where its
+    conventions entry names it."""
+    return [classify(identity, n, lhs, rhs, errata,
+                     key is not None and "x_mirror" in conventions[key])
+            for identity, n, key, lhs, rhs in pairs]
+
+
+def _classified(pairs):
+    """The suite that classifies the records pairs(max_n)."""
+    return lambda max_n, errata, conventions: _classify_pairs(pairs(max_n), errata, conventions)
+
+
+# ---------------------------------------------------------------------------
+# Suites: each takes (max_n, errata, conventions) and returns its entries.
+
+
 def suite_dimensions(max_n, errata, conventions):
     entries = []
-    for n in range(0, min(max_n, 7) + 1):
+    for n in range(0, max_n + 1):
         ok = weylchar.basis_count("untwisted_neg", n) == 3**n
         ok = ok and weylchar.basis_count("twisted_neg", n) == 3**n
         entries.append(_equal_entry("basis_count_negative_3^n", n, ok))
@@ -111,7 +217,7 @@ def suite_dimensions(max_n, errata, conventions):
             ok = weylchar.basis_count("untwisted_pos", n) == 3 ** (n - 1)
             ok = ok and weylchar.basis_count("twisted_pos", n) == 2 * 3 ** (n - 1)
             entries.append(_equal_entry("basis_count_positive", n, ok))
-    for n in range(0, min(max_n, 10) + 1):
+    for n in range(0, max_n + 1):
         ok = weylchar.ch_D(n).eval_at_ones() == 2**n
         ok = ok and weylchar.basis_count("classical", n) == 2**n
         entries.append(_equal_entry("classical_dimension_2^n", n, ok))
@@ -135,123 +241,23 @@ def suite_recurrences(max_n, errata, conventions):
 
 
 def verify_section4(n_values, errata=None, conventions=None):
-    """Compare character formulas with the specialized E-polynomials.
-
-    For each n: (a) untwisted character at q^2 against the dagger t=0
-    polynomial; (b) twisted character against the plain t=0 polynomial;
-    (c) the PBW specializations against the t=infinity polynomials of the
-    opposite family, mirrored in x where the conventions table says so.
-    Mismatches become report entries, never exceptions.
-    """
+    """Compare character formulas with the specialized E-polynomials (the
+    records of _section4_pairs), mirrored in x where the conventions table
+    says so.  Mismatches become report entries, never exceptions."""
     if errata is None:
         errata = load_errata()
     if conventions is None:
         conventions = load_conventions()
-    entries = []
-    for n in n_values:
-        if n == 0:
-            continue
-        pairs = [
-            ("ch_W_vs_E_A2dagger_t0",
-             weylchar.scale_q(weylchar.ch_W(n), 2), cform.E_spec("A2dagger", n, "t0"), False),
-            ("ch_Wsigma_vs_E_A2_t0", weylchar.ch_W_sigma(n), cform.E_spec("A2", n, "t0"), False),
-        ]
-        if n > 0:
-            pairs += [
-                ("pbw_untwisted_vs_E_A2dagger_tinf",
-                 weylchar.pbw_character_specialized(n, twisted=False),
-                 cform.E_spec("A2dagger", -n, "tinf"),
-                 "x_mirror" in conventions["pbw:untwisted"]),
-                ("pbw_twisted_vs_E_A2_tinf",
-                 weylchar.pbw_character_specialized(n, twisted=True),
-                 cform.E_spec("A2", -n, "tinf"),
-                 "x_mirror" in conventions["pbw:twisted"]),
-            ]
-        entries += [classify(identity, n, lhs, rhs, errata, mirror)
-                    for identity, lhs, rhs, mirror in pairs]
-    return entries
-
-
-def suite_section4(max_n, errata, conventions):
-    return verify_section4(range(-max_n, max_n + 1), errata, conventions)
-
-
-def suite_routes(max_n, errata, conventions):
-    entries = []
-    for family in walks.FAMILIES:
-        for n in [m for m in range(-max_n, max_n + 1) if m != 0]:
-            for spec in ("t0", "tinf"):
-                lhs = ramyip.specialize(family, n, spec)
-                rhs = cform.E_spec(family, n, spec)
-                key = "routes:%s:%s:%s" % (family, "neg" if n < 0 else "pos", spec)
-                entries.append(classify("walkroute_vs_cform_%s_%s" % (family, spec), n, lhs, rhs,
-                                        errata, "x_mirror" in conventions[key]))
-    return entries
-
-
-def suite_duality(max_n, errata, conventions):
-    entries = []
-    for n in range(0, max(max_n, 6) + 1):
-        lhs = cform.E_spec("A2dagger", n + 1, "t0")
-        rhs = cform.E_spec("A2dagger", -n, "tinf").x_shift(1)
-        entries.append(classify("duality_A2dagger", n, lhs, rhs, errata))
-        lhs = cform.E_spec("A2", n + 1, "tinf")
-        rhs = cform.E_spec("A2", -n, "t0").x_shift(1)
-        entries.append(classify("duality_A2", n, lhs, rhs, errata))
-    return entries
-
-
-# (n, points, twisted values), in report order.  Twisted points have
-# distinct squares, so the twisted oracle is cyclic.
-_FUSION_CASES = [
-    (n, points[:n], (False, True))
-    for n in (1, 2, 3)
-    for points in ((1, 2, 3, 4), (1, -2, 3, -4), (2, 3, 5, 7))
-] + [
-    (4, (1, 2, 3, 4), (False,)),
-    (5, (1, -2, 3, -4, 5), (False, True)),
-    (6, (1, -2, 3, -4, 5, -6), (False, True)),
-    (7, (1, -2, 3, -4, 5, -6, 7), (False, True)),
-]
+    return _classify_pairs(_section4_pairs(n_values), errata, conventions)
 
 
 def suite_fusion(max_n, errata, conventions):
-    entries = []
-    for n, points, twisted_values in _FUSION_CASES:
-        if n > max_n:
-            break
-        for twisted in twisted_values:
-            lhs = fusion.fusion_character(n, points, twisted)
-            if twisted:
-                identity, rhs = "fusion_vs_ch_W_sigma", weylchar.ch_W_sigma(-n)
-            else:
-                identity, rhs = "fusion_vs_ch_W", weylchar.ch_W(-n)
-            entries.append(classify(identity, n, lhs, rhs, errata))
+    entries = _classify_pairs(_fusion_pairs(max_n), errata, conventions)
     try:
         fusion.fusion_character(2, [1, -1], twisted=True)
         entries.append(_equal_entry("fusion_equal_squares_rejected", 2, False))
     except fusion.NotCyclic:
         entries.append(_equal_entry("fusion_equal_squares_rejected", 2, True))
-    return entries
-
-
-def suite_limits(max_n, errata, conventions):
-    entries = []
-    for kind, n, d in (
-        ("untwisted", 6, 2),
-        ("untwisted", 8, 3),
-        ("twisted", 6, 2),
-        ("twisted", 8, 3),
-        ("classical_even", 6, 2),
-        ("classical_even", 8, 3),
-    ):
-        xb = d + 2
-        lhs = weylchar.approximant(kind, n, d, xb)
-        rhs = weylchar.limit_char(kind, d, xb)
-        entries.append(classify("limit_approximant_%s" % kind, n, lhs, rhs, errata))
-    lhs = qcomb.wedge_lhs_truncated(12, 12)
-    rhs = qcomb.euler_product_truncated("single_plus", 12, 12)
-    entries.append(classify("wedge_identity", 12, lhs, rhs, errata))
     return entries
 
 
@@ -273,47 +279,45 @@ def suite_walks(max_n, errata, conventions):
     return entries
 
 
-_SUITE_FN = {
-    "dimensions": suite_dimensions,
-    "recurrences": suite_recurrences,
-    "section4": suite_section4,
-    "routes": suite_routes,
-    "duality": suite_duality,
-    "fusion": suite_fusion,
-    "limits": suite_limits,
-    "walks": suite_walks,
+# Suite name -> (function, the SIZE_LIMITS key that bounds its max_n, or None
+# for a suite that reads no limit).
+_SUITES = {
+    "dimensions": (suite_dimensions, "basis"),
+    "recurrences": (suite_recurrences, "recurrences"),
+    "section4": (_classified(lambda max_n: _section4_pairs(range(-max_n, max_n + 1))), "basis"),
+    "routes": (_classified(_routes_pairs), "specialize"),
+    "duality": (_classified(_duality_pairs), "duality"),
+    "fusion": (suite_fusion, None),
+    "limits": (_classified(_limits_pairs), None),
+    "walks": (suite_walks, "walks"),
 }
-SUITES = tuple(_SUITE_FN)
-
-
-# The SIZE_LIMITS key that bounds each suite's max_n, checked before any
-# suite runs: section4 by the basis enumeration of its PBW side, routes by the
-# walk specialization.  The other suites read no limit.
-_SUITE_LIMIT = {"recurrences": "recurrences", "section4": "basis", "routes": "specialize",
-                "duality": "duality", "walks": "walks"}
+SUITES = tuple(_SUITES)
 
 
 def run_suites(suite, max_n):
-    """Run one suite or all of them; returns (entries, exit_code)."""
+    """Run one suite or all of them; returns (entries, exit_code).  Every
+    suite's limit is checked before any suite runs."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1, got %d" % max_n)
     names = SUITES if suite == "all" else (suite,)
     for name in names:
-        if name not in _SUITE_FN:
+        if name not in _SUITES:
             raise ValueError("unknown suite %r" % (name,))
-        if name in _SUITE_LIMIT:
-            check_size(_SUITE_LIMIT[name], max_n)
+        limit = _SUITES[name][1]
+        if limit is not None:
+            check_size(limit, max_n)
     errata = load_errata()
     conventions = load_conventions()
     entries = []
     for name in names:
-        entries.extend(_SUITE_FN[name](max_n, errata, conventions))
+        entries.extend(_SUITES[name][0](max_n, errata, conventions))
     exit_code = 2 if any(e["status"] == "MISMATCH" for e in entries) else 0
     return entries, exit_code
 
 
 # ---------------------------------------------------------------------------
-# Build-time generators for the frozen data files.
+# Build-time generators for the frozen data files, read off the same
+# comparison records the suites classify.
 
 
 def _outcome(lhs, rhs):
@@ -323,44 +327,25 @@ def _outcome(lhs, rhs):
 
 
 def derive_conventions(max_n=3):
-    """Which transform each comparison route needs, measured empirically."""
+    """Which transform each conventions key needs, measured empirically."""
     table = {}
-    for family in walks.FAMILIES:
-        for spec in ("t0", "tinf"):
-            for sign, ns in (("neg", range(-max_n, 0)), ("pos", range(1, max_n + 1))):
-                outcomes = {
-                    _outcome(ramyip.specialize(family, n, spec), cform.E_spec(family, n, spec))
-                    for n in ns
-                }
-                table["routes:%s:%s:%s" % (family, sign, spec)] = sorted(outcomes)
-    for twisted, label in ((False, "untwisted"), (True, "twisted")):
-        family = "A2" if twisted else "A2dagger"
-        outcomes = {
-            _outcome(
-                weylchar.pbw_character_specialized(n, twisted),
-                cform.E_spec(family, -n, "tinf"),
-            )
-            for n in range(1, max_n + 1)
-        }
-        table["pbw:%s" % label] = sorted(outcomes)
-    return table
+    for _, _, key, lhs, rhs in _comparison_pairs(max_n):
+        if key is not None:
+            table.setdefault(key, set()).add(_outcome(lhs, rhs))
+    return {key: sorted(outcomes) for key, outcomes in sorted(table.items())}
 
 
 def derive_errata(max_n=4):
-    """For each printed identity that fails at some 0 < n <= max_n, the
-    rule of ERRATA_RULES that explains it at every such n."""
-    printed = {
-        "pbw_twisted_vs_E_A2_tinf": lambda n: (
-            weylchar.pbw_character_specialized(n, twisted=True), cform.E_spec("A2", -n, "tinf")),
-        "walkroute_vs_cform_A2dagger_tinf": lambda n: (
-            ramyip.specialize("A2dagger", n, "tinf"), cform.E_spec("A2dagger", n, "tinf")),
-    }
+    """Each identity that fails at some n of the records at max_n, sorted,
+    with the first rule of ERRATA_RULES that explains all its failures."""
+    fails = {}
+    for identity, n, _, lhs, rhs in _comparison_pairs(max_n):
+        if _outcome(lhs, rhs) == "erratum":
+            fails.setdefault(identity, []).append((n, lhs, rhs))
     entries = []
-    for identity, sides in printed.items():
-        fails = [(n, *sides(n)) for n in range(1, max_n + 1)]
-        fails = [f for f in fails if f[1] != f[2]]
-        rules = [name for name, rule in ERRATA_RULES.items() if all(rule(*f) for f in fails)]
-        if fails and rules:
+    for identity, cases in sorted(fails.items()):
+        rules = [name for name, rule in ERRATA_RULES.items() if all(rule(*c) for c in cases)]
+        if rules:
             entries.append({"identity": identity, "rule": rules[0]})
     return entries
 

@@ -257,6 +257,7 @@ def test_size_limits_exit_three_fast(capsys):
         ("verify", "--suite", "recurrences", "--max-n", str(SIZE_LIMITS["recurrences"] + 1)),
         ("verify", "--suite", "duality", "--max-n", str(SIZE_LIMITS["duality"] + 1)),
         ("verify", "--suite", "section4", "--max-n", str(SIZE_LIMITS["basis"] + 1)),
+        ("verify", "--suite", "dimensions", "--max-n", str(SIZE_LIMITS["basis"] + 1)),
         ("verify", "--suite", "walks", "--max-n", str(SIZE_LIMITS["walks"] + 1)),
         ("verify", "--suite", "routes", "--max-n", str(SIZE_LIMITS["specialize"] + 1)),
         ("verify", "--suite", "all", "--max-n", "600", "--format", "json"),

@@ -40,6 +40,29 @@ def test_canonical_form_drops_zeros():
     assert XPolynomial({1: qp({})}).is_zero()
 
 
+def _no_zero_coefficient(poly):
+    return all(c for c in poly.terms.values())
+
+
+def test_sums_that_cancel_leave_no_zero_coefficient():
+    a = qp({0: 1, 1: 2, 3: -1})
+    total = a + qp({1: -2, 3: 1, 4: 5})
+    assert total.terms == {0: 1, 4: 5} and _no_zero_coefficient(total)
+    assert (a - a).terms == {} and (a + (-a)).is_zero()
+    x = XPolynomial({-1: qp({0: 1}), 2: qp({1: 3, 2: 1})})
+    total = x + XPolynomial({-1: qp({0: -1}), 2: qp({1: -3}), 5: qp({0: 1})})
+    assert total.terms == {2: qp({2: 1}), 5: qp({0: 1})} and _no_zero_coefficient(total)
+    assert (x - x).is_zero()
+    for total in (qp({0: 3, 1: 1}) + -3, -3 + qp({0: 3, 1: 1}), qp({0: 3}) - 3, qp({}) + 0):
+        assert _no_zero_coefficient(total) and 0 not in total.terms
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b = rand_qpoly(rng), rand_qpoly(rng)
+        for total in (a + b, a - b, b - a, a + (-a)):
+            assert _no_zero_coefficient(total)
+        assert a + b == QPolynomial.from_pairs([*a.terms.items(), *b.terms.items()])
+
+
 def test_substitute_q_inverse_examples():
     assert qp({0: 1, 1: 1}).scale_exponents(-1) == qp({0: 1, -1: 1})
     assert qp({0: 1}).scale_exponents(-1) == qp({0: 1})

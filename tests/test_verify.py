@@ -64,7 +64,7 @@ def test_errata_rules_hold_at_every_n_and_reject_mutants():
     def status(identity, n, lhs, rhs):
         return verify.classify(identity, n, lhs, rhs, errata)["status"]
 
-    for n in range(1, ramyip.DEFAULT_BOUND + 1):
+    for n in range(1, SIZE_LIMITS["specialize"] + 1):
         walk = ramyip.specialize("A2dagger", n, "tinf")
         printed = cform.E_spec("A2dagger", n, "tinf")
         assert status(DAGGER, n, walk, printed) == "KNOWN_ERRATUM"
@@ -149,6 +149,26 @@ def test_frozen_errata_are_fresh():
     assert verify.load_errata() == {PBW: "pbw_degree_doubled", DAGGER: "c1_dagger_reflected"}
 
 
+def test_derived_errata_name_identities_they_were_not_told_about(monkeypatch):
+    # E_spec("A2", n, "t0") gains one term for n > 0.  Two identities read
+    # it: section 4's twisted character and the A2 t = 0 walk route.
+    extra = XPolynomial({40: qp({0: 1})})
+    original = cform.E_spec
+
+    def mutated(family, n, spec):
+        poly = original(family, n, spec)
+        return poly + extra if (family, spec) == ("A2", "t0") and n > 0 else poly
+
+    monkeypatch.setattr(cform, "E_spec", mutated)
+    monkeypatch.setitem(verify.ERRATA_RULES, "demo_rule", lambda n, lhs, rhs: rhs - lhs == extra)
+    assert verify.derive_errata(4) == [
+        {"identity": "ch_Wsigma_vs_E_A2_t0", "rule": "demo_rule"},
+        {"identity": PBW, "rule": "pbw_degree_doubled"},
+        {"identity": "walkroute_vs_cform_A2_t0", "rule": "demo_rule"},
+        {"identity": DAGGER, "rule": "c1_dagger_reflected"},
+    ]
+
+
 def test_conventions_content():
     conv = verify.load_conventions()
     assert conv["routes:A2:neg:t0"] == ["identity"]
@@ -167,9 +187,18 @@ def test_run_all_suites_exit_zero():
 
 def test_suite_bounds_are_named_not_matched(monkeypatch):
     # A limit keyed like a suite does not bound that suite: only
-    # verify._SUITE_LIMIT says which limit bounds which suite.
+    # verify._SUITES says which limit bounds which suite.
     monkeypatch.setitem(SIZE_LIMITS, "limits", 1)
     assert verify.run_suites("all", 4)[1] == 0
+
+
+def test_dimensions_suite_checks_every_n_asked():
+    top = SIZE_LIMITS["basis"]
+    entries, code = verify.run_suites("dimensions", top)
+    assert code == 0 and {e["status"] for e in entries} == {"EQUAL"}
+    assert {e["identity"] for e in entries if e["n"] == top} == {
+        "basis_count_negative_3^n", "basis_count_positive", "classical_dimension_2^n"}
+    assert verify.run_suites("dimensions", 7)[0] == [e for e in entries if e["n"] <= 7]
 
 
 def test_walks_suite_reports_shifted_variant():
