@@ -291,21 +291,27 @@ def _cmd_fusion(args):
     return 0
 
 
+# One %-template per walk row, in walks.walk_rows' field order for JSON; the
+# folding lists come rendered at their indentation, by walk_rows' `lists`.
+_WALK_TEXT = "mask=%s wt=%-3d d=%d h=%s leg=%-2d J0+=%s J0-=%s J+=%s J-=%s"
+_WALK_JSON = "{%s\n    }" % ",".join(
+    '\n      "%s": %s' % field
+    for field in (("mask", '"%s"'), ("wt", "%d"), ("d", "%d"), ("J0+", "%s"), ("J0-", "%s"),
+                  ("J+", "%s"), ("J-", "%s"), ("h", '"%s"'), ("leg", "%d")))
+_WALK_JSON_LISTS = ("[\n        ", ",\n        ", "\n      ]")
+
+
 def _cmd_walks(args):
-    pairs = [(w, walks.traverse(w)) for w in walks.enumerate_walks(args.n)]
-    if args.filter:  # the qb_filter test, on the stats the records reuse
-        family, spec = args.filter.split("-")
-        pairs = [(w, stats) for w, stats in pairs if walks.surviving(stats, family, spec)]
-    records = [walks.walk_record(w, args.n, stats) for w, stats in pairs]
+    cut = walks.CUT_SIGN[tuple(args.filter.split("-"))] if args.filter else None
     if args.format == "json":
-        print(_dumps({"n": args.n, "walks": records}))
+        # Never empty: the walk that only crosses survives every filter.
+        rows = map(_WALK_JSON.__mod__, walks.walk_rows(args.n, _WALK_JSON_LISTS, cut))
+        print('{\n  "n": %d,\n  "walks": [\n    %s\n  ]\n}' % (args.n, ",\n    ".join(rows)))
     else:
-        for r in records:
-            print(
-                "mask=%s wt=%-3d d=%d h=%s leg=%-2d J0+=%s J0-=%s J+=%s J-=%s"
-                % (r["mask"], r["wt"], r["d"], r["h"], r["leg"], r["J0+"], r["J0-"], r["J+"], r["J-"])
-            )
-        print("count: %d" % len(records))
+        lines = [_WALK_TEXT % (mask, wt, d, h, leg, j0p, j0n, jp, jn)
+                 for mask, wt, d, j0p, j0n, jp, jn, h, leg in walks.walk_rows(args.n, cut=cut)]
+        lines.append("count: %d" % len(lines))
+        print("\n".join(lines))
     return 0
 
 

@@ -46,10 +46,12 @@ class BoundExceeded(ValueError):
 
 
 # Largest |n| each route accepts, so that an accepted input finishes in
-# seconds, not minutes, on a 2-core x86 VM.  walks.enumerate_walks lists 2^l
-# walks, l about 2|n|, and weylchar.enumerate_basis about 3^n monomials:
-# |n| = 9 walks take 8-15 s and 0.5 GB and n = 12 bases 14 s and 1.3 GB, and
-# each step further costs 3-4x more.  ramyip.specialize's two routes are
+# seconds, not minutes, on a 2-core x86 VM.  The walks (walks.walk_rows,
+# enumerate_walks) number 2^l, l about 2|n|: the `walks` dump in JSON takes
+# 1.6 s and 300 MB and prints 84 MB at n = -9 (0.9 s, 150 MB and 41 MB at
+# n = 9), so the limit is the output's size.  weylchar.enumerate_basis lists
+# about 3^n monomials: n = 12 bases take 14 s and 1.3 GB.  Each step further
+# costs 2-4x more.  ramyip.specialize's two routes are
 # polynomial in n, on packed rows 0.1-0.2 s together at |n| = 16 and 0.6-1.7 s
 # at |n| = 32 (A2dagger the slower); ramyip.ramyip_sum keeps every
 # v-exponent, and `epoly --spec full --format json` takes 0.25 s and prints

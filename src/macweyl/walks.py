@@ -19,7 +19,19 @@ reverses it, which is what the h-word encoding records.
 
 The geometric traversal here is the ground truth for wt, d and folding
 signs; the h-word combinatorics is derived from it and cross-checked in the
-test suite.
+test suite.  traverse and walk_rows take each step by one rule, step: which
+side the wall is on, and which folding set a folding joins.
+
+Two consumers never list the walks one by one:
+
+* walk_rows, the `walks` dump, is one depth-first pass over the mask tree,
+  folding (0) before crossing (1), so the rows come in enumerate_walks'
+  order.  Each prefix is stepped once, and its lo, four folding lists (each
+  already rendered), h-word and leg are shared by every walk below it.  A
+  survival filter prunes a subtree at its first cut s0-folding.
+* legprime_counts, the `verify --suite walks` side, is a dynamic program
+  over the states (lo, last h-letter, #1 - #2) holding {statistic: number
+  of walks}; its docstring derives the step weights.
 """
 
 from dataclasses import dataclass
@@ -63,9 +75,6 @@ class AlcoveWalk:
     def length(self):
         return len(self.word)
 
-    def mask_string(self):
-        return "".join(str(b) for b in self.mask)
-
 
 @dataclass(frozen=True)
 class WalkStats:
@@ -96,34 +105,33 @@ def wall_side(lo, letter):
     return -1 if (lo % 2 == 0) == (letter == S1) else +1
 
 
+def step(lo, letter):
+    """(side, folding set) of a step at the wall labelled `letter` of the
+    alcove (lo, lo+1).  A crossing moves lo by side and its arrow points
+    that way.  A folding keeps lo, its arrow bounces to -side, and it joins
+    the folding set 0 = J0+, 1 = J0-, 2 = J+ or 3 = J-: J0 for s0, J for s1,
+    positive when side is -1."""
+    side = wall_side(lo, letter)
+    return side, (0 if letter == S0 else 2) + (side > 0)
+
+
 def traverse(walk):
     """Run a walk from the alcove (0, 1) and classify its foldings."""
     lo = 0
-    j0p, j0n, jp, jn = set(), set(), set(), set()
+    folds = ([], [], [], [])
     arrows = []
     for i, (letter, bit) in enumerate(zip(walk.word, walk.mask), start=1):
         if letter not in (S0, S1):
             raise MalformedWalk("unknown letter %r at step %d" % (letter, i))
-        side = wall_side(lo, letter)
+        side, k = step(lo, letter)
         if bit:
             lo += side
             arrows.append(side)
         else:
             # Bounce: the arrow ends pointing away from the attempted wall.
             arrows.append(-side)
-            if letter == S0:
-                target = j0p if side < 0 else j0n
-            else:
-                target = jp if side < 0 else jn
-            target.add(i)
-    return WalkStats(
-        lo=lo,
-        J0_pos=frozenset(j0p),
-        J0_neg=frozenset(j0n),
-        J_pos=frozenset(jp),
-        J_neg=frozenset(jn),
-        arrows=tuple(arrows),
-    )
+            folds[k].append(i)
+    return WalkStats(lo, *map(frozenset, folds), tuple(arrows))
 
 
 def to_hword(walk, target_sign):
@@ -216,19 +224,82 @@ def qb_filter(walks, family, spec):
     return [w for w in walks if surviving(traverse(w), family, spec)]
 
 
-def walk_record(walk, target, stats):
-    """JSON-ready dict describing one walk (used by the CLI); stats is
-    traverse(walk)."""
-    wt, d = alcove_element(stats.lo)
-    h = to_hword(walk, 1 if target > 0 else -1)
-    return {
-        "mask": walk.mask_string(),
-        "wt": wt,
-        "d": d,
-        "J0+": sorted(stats.J0_pos),
-        "J0-": sorted(stats.J0_neg),
-        "J+": sorted(stats.J_pos),
-        "J-": sorted(stats.J_neg),
-        "h": "".join(str(v) for v in h),
-        "leg": leg(h),
-    }
+def walk_rows(target, lists=("[", ", ", "]"), cut=None):
+    """Every walk toward `target` as the row (mask, wt, d, J0+, J0-, J+, J-,
+    h, leg), in enumerate_walks' order: mask and h as digit strings, each
+    folding list rendered as head + sep.join(steps) + tail for lists =
+    (head, sep, tail), or "[]" when empty.  With cut = +-1, the walks with
+    an s0-folding of that sign (CUT_SIGN) are left out.
+
+    One depth-first pass over the mask tree steps each prefix once (see the
+    module docstring).  leg(h) sums l - i + 1 over the descents h[i-1] = 1,
+    h[i] = 2, and a descent is a folding whose arrow was rightward, so leg
+    grows there.
+    """
+    check_size("walks", target)
+    word = walk_word(target)
+    l = len(word)
+    head, sep, tail = lists
+    cut_set = None if cut is None else (0 if cut > 0 else 1)
+    rows = []
+
+    def visit(i, lo, mask, h, leg, js):
+        # i steps taken; h ends in h_i, js holds the four rendered lists.
+        if i == l:
+            rows.append((mask, *alcove_element(lo), *js, h, leg))
+            return
+        side, k = step(lo, word[i])
+        i += 1
+        if k != cut_set:
+            old = js[k]
+            new = (head if old == "[]" else old[: -len(tail)] + sep) + str(i) + tail
+            descent = h[-1] == "1"
+            visit(i, lo, mask + "0", h + ("2" if descent else "1"),
+                  leg + l - i + 1 if descent else leg, js[:k] + (new,) + js[k + 1:])
+        visit(i, lo + side, mask + "1", h + h[-1], leg, js)
+
+    visit(0, 0, "", "1" if target > 0 else "2", 0, ("[]",) * 4)
+    return rows
+
+
+def legprime_counts(target, cut, shift):
+    """{x_weight(h): {statistic: number of walks}} over the walks toward
+    `target` that have no s0-folding of sign `cut`, the statistic legprime
+    (shift 0) or legprime_shifted (shift 1) of their h-words.
+
+    legprime(h) sums j over the j with h[l-j] = 1, h[l-j-1] = 2.  Put
+    i = l - j: that is an ascent h[i-1] = 2, h[i] = 1 at step i, weighed
+    l - i, and j + 1 = l - i + 1 in legprime_shifted.  h_i is h_(i-1) after
+    a crossing and 3 - h_(i-1) after a folding, so an ascent is a folding
+    taken when the last letter is 2.  Both statistics are sums of such
+    step weights, and x_weight(h) = floor((#1 - #2 + 1) / 2) reads only
+    #1 - #2 over i > 0: a state (lo, last h-letter, #1 - #2) fixes how every
+    continuation changes them.  lo is needed for the cut alone, since the
+    sign of a folding is -wall_side(lo, letter).  So this dynamic program
+    over those states, walk counts added where two prefixes meet, gives the
+    table that listing the surviving walks would give.
+    """
+    word = walk_word(target)
+    l = len(word)
+    states = {(0, 1 if target > 0 else 2, 0): {0: 1}}
+    for i, letter in enumerate(word, start=1):
+        weight = l - i + shift
+        nxt = {}
+        for (lo, last, diff), counts in states.items():
+            side = wall_side(lo, letter)
+            moves = [((lo + side, last, diff + (1 if last == 1 else -1)), 0)]
+            if not (letter == S0 and -side == cut):
+                ascent = last == 2
+                moves.append(((lo, 3 - last, diff + (1 if ascent else -1)),
+                              weight if ascent else 0))
+            for key, dq in moves:
+                acc = nxt.setdefault(key, {})
+                for stat, c in counts.items():
+                    acc[stat + dq] = acc.get(stat + dq, 0) + c
+        states = nxt
+    table = {}
+    for (lo, last, diff), counts in states.items():
+        acc = table.setdefault((diff + 1) // 2, {})
+        for stat, c in counts.items():
+            acc[stat] = acc.get(stat, 0) + c
+    return table

@@ -79,12 +79,39 @@ def test_walks_filtered(capsys):
     assert len(doc["walks"]) == 3
 
 
-def test_walks_filter_traverses_each_walk_once(capsys, monkeypatch):
-    calls, real = [], walks.traverse
-    monkeypatch.setattr(walks, "traverse", lambda w: calls.append(w) or real(w))
-    code, out = run_cli(capsys, "walks", "--n", "-4", "--filter", "A2-t0", "--format", "json")
-    assert code == 0
-    assert len(calls) == len(walks.enumerate_walks(-4)) > len(json.loads(out)["walks"])
+def _walk_records(n):
+    """The per-walk path the dump replaced: one traverse per listed walk,
+    and its record dict."""
+    out = []
+    for walk in walks.enumerate_walks(n):
+        stats = walks.traverse(walk)
+        wt, d = walks.alcove_element(stats.lo)
+        h = walks.to_hword(walk, 1 if n > 0 else -1)
+        record = {
+            "mask": "".join(map(str, walk.mask)), "wt": wt, "d": d,
+            "J0+": sorted(stats.J0_pos), "J0-": sorted(stats.J0_neg),
+            "J+": sorted(stats.J_pos), "J-": sorted(stats.J_neg),
+            "h": "".join(map(str, h)), "leg": walks.leg(h),
+        }
+        out.append((stats, record))
+    return out
+
+
+def test_walks_dump_equals_record_reference(capsys):
+    for n in (*range(-6, 0), *range(1, 7)):
+        pairs = _walk_records(n)
+        for spec in (None, "A2-t0", "A2-tinf", "A2dagger-t0", "A2dagger-tinf"):
+            records = [r for stats, r in pairs
+                       if spec is None or walks.surviving(stats, *spec.split("-"))]
+            text = "".join(
+                "mask=%s wt=%-3d d=%d h=%s leg=%-2d J0+=%s J0-=%s J+=%s J-=%s\n"
+                % (r["mask"], r["wt"], r["d"], r["h"], r["leg"],
+                   r["J0+"], r["J0-"], r["J+"], r["J-"])
+                for r in records) + "count: %d\n" % len(records)
+            doc = json.dumps({"n": n, "walks": records}, indent=2) + "\n"
+            argv = ("walks", "--n", str(n)) + (("--filter", spec) if spec else ())
+            assert run_cli(capsys, *argv) == (0, text)
+            assert run_cli(capsys, *argv, "--format", "json") == (0, doc)
 
 
 def test_weylchar_and_basis(capsys):
@@ -258,7 +285,7 @@ def test_size_limits_exit_three_fast(capsys):
         ("verify", "--suite", "duality", "--max-n", str(SIZE_LIMITS["duality"] + 1)),
         ("verify", "--suite", "section4", "--max-n", str(SIZE_LIMITS["basis"] + 1)),
         ("verify", "--suite", "dimensions", "--max-n", str(SIZE_LIMITS["basis"] + 1)),
-        ("verify", "--suite", "walks", "--max-n", str(SIZE_LIMITS["walks"] + 1)),
+        ("verify", "--suite", "walks", "--max-n", str(SIZE_LIMITS["specialize"] + 1)),
         ("verify", "--suite", "routes", "--max-n", str(SIZE_LIMITS["specialize"] + 1)),
         ("verify", "--suite", "all", "--max-n", "600", "--format", "json"),
     ):

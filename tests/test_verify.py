@@ -202,13 +202,11 @@ def test_dimensions_suite_checks_every_n_asked():
 
 
 def test_walks_suite_reports_shifted_variant():
-    entries, code = verify.run_suites("walks", 3)
-    assert code == 0
-    for e in entries:
-        if e["identity"] == "legprime_shifted_matches_tinf_route":
-            assert e["transform"] == {"variant_matches": True}
-        if e["identity"] == "legprime_literal_matches_tinf_route":
-            assert e["transform"] == {"variant_matches": False}
+    entries, code = verify.run_suites("walks", 12)
+    assert code == 0 and {e["status"] for e in entries} == {"EQUAL"}
+    assert [(e["identity"], e["n"], e["transform"]) for e in entries] == [
+        ("legprime_%s_matches_tinf_route" % name, n, {"variant_matches": name == "shifted"})
+        for n in range(1, 13) for name in ("literal", "shifted")]
 
 
 def test_text_report_mentions_errata():

@@ -1,6 +1,7 @@
 import pytest
 
 from macweyl.walks import (
+    CUT_SIGN,
     S0,
     S1,
     AlcoveWalk,
@@ -10,6 +11,7 @@ from macweyl.walks import (
     enumerate_walks,
     leg,
     legprime,
+    legprime_counts,
     legprime_shifted,
     qb_filter,
     to_hword,
@@ -152,3 +154,32 @@ def test_malformed_walk():
         AlcoveWalk((S1, S0), (1,))
     with pytest.raises(MalformedWalk):
         traverse(AlcoveWalk((7,), (1,)))
+
+
+def _enumerated_tables(n, cut):
+    """{x_weight: {statistic: count}} for legprime and legprime_shifted over
+    the listed walks without an s0-folding of sign cut."""
+    tables = ({}, {})
+    for walk in enumerate_walks(n):
+        stats = traverse(walk)
+        if stats.J0_pos if cut > 0 else stats.J0_neg:
+            continue
+        h = to_hword(walk, 1 if n > 0 else -1)
+        for table, fn in zip(tables, (legprime, legprime_shifted)):
+            by_q = table.setdefault(x_weight(h), {})
+            by_q[fn(h)] = by_q.get(fn(h), 0) + 1
+    return tables
+
+
+def test_legprime_dp_equals_enumeration_and_rejects_mutants():
+    assert set(CUT_SIGN.values()) == {1, -1}
+    for n in (*range(-7, 0), *range(1, 8)):
+        for cut in (1, -1):
+            for shift, table in enumerate(_enumerated_tables(n, cut)):
+                assert legprime_counts(n, cut, shift) == table
+                # The other cut sign fails, and so does an ascent weighed one
+                # step off wherever a walk ascends (not at n = 1, l = 1).
+                assert legprime_counts(n, -cut, shift) != table
+                if n != 1:
+                    assert legprime_counts(n, cut, shift - 1) != table
+                    assert legprime_counts(n, cut, shift + 1) != table
