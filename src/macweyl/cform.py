@@ -1,9 +1,18 @@
 """Coefficient tables c_r / c_r-dagger and the eight specialized
 E-polynomial closed forms built from them.
 
-Each table exists twice: once by unrolling its defining recurrence (with
-memoization) and once in closed form as a q-power times a base-q^2
-trinomial.  The two must agree; the test suite checks this exhaustively.
+Each table exists twice: by its defining recurrence and in closed form as a
+q-power times a base-q^2 trinomial.  The two must agree; verify's
+recurrences suite and the tests check this exhaustively.  The recurrences
+are unrolled twice: c_rec and cdag_rec on QPolynomial dicts (memoized, the
+public API and the tests' reference), and rec_layers from the same rules
+written as data, _RECURRENCES, on packed integers at q = 2^(8 w) for the
+suite: one layer of index sum t from the one before, by integer shifts and
+adds, with no q-binomial.  This is carry-free when 3^t < 2^(8 w - 1).  The
+recurrences only add terms with nonnegative coefficients, and at q = 1 each
+is Pascal's rule for trinomial coefficients, so an entry of index sum t
+totals its trinomial coefficient, at most 3^t, at q = 1.  Every digit of an
+entry, and of each partial sum, is at most that total.
 
 The closed forms are computed on packed integers in Q = q^2: a polynomial in
 Q is one nonnegative integer whose base-2^(8 w) digit i is its Q^i
@@ -73,7 +82,8 @@ def _shift(family, r, k22, kmid):
 
 
 # The number of (total, width) trinomial tables kept: E_spec(n) reads one,
-# and the verify suites read at most two in turn at each n.
+# the duality and section-4 suites at most two in turn at each n, and the
+# recurrences suite one (t, 2 w) table per total t, once.
 _TABLES = 4
 
 
@@ -127,6 +137,49 @@ def cdag_rec(r, k22, k21, k11):
 
 def cdag_closed(r, k22, k21, k11):
     return _closed("A2dagger", r, k22, k21, k11)
+
+
+# The same two recurrences as data, for rec_layers: family -> r -> one
+# (source r, a, d) per index that steps down, in the order k22, kmid, k11:
+# entry r at (k22, kmid, k11) of index sum t is the sum of q^(a t + d) times
+# entry (source r) at that index minus one.
+_RECURRENCES = {
+    "A2": {1: ((2, 2, 0), (2, 2, -1), (1, 0, 0)),
+           2: ((2, 0, 0), (2, 2, -1), (1, 0, 0))},
+    "A2dagger": {1: ((2, 2, 0), (1, 2, 0), (1, 0, 0)),
+                 2: ((2, 0, 0), (1, 0, 0), (1, 0, 0))},
+}
+
+
+def rec_layers(family, bound, width):
+    """Yield the entries of index sum t = 0, ..., bound of both tables of
+    `family` by their recurrences: {r: rows}, rows[k22][kmid] the entry at
+    (k22, kmid, t - k22 - kmid) packed at q = 2^(8 width).  Each layer is
+    integer shifts and adds of the one before, the only one kept; every
+    digit reads back when 3^bound < 2^(8 width - 1) (the module
+    docstring)."""
+    bits = 8 * width
+    rules = _RECURRENCES[family]
+    layer = {1: [[1]], 2: [[1]]}
+    yield layer
+    for t in range(1, bound + 1):
+        prev, layer = layer, {}
+        for r, terms in rules.items():
+            (r22, s22), (rmid, smid), (r11, s11) = [
+                (source, bits * (a * t + d)) for source, a, d in terms]
+            rows = []
+            for k22 in range(t + 1):
+                # Steps down k22, kmid and k11 read rows k22 - 1, k22 and k22
+                # of the layer before.
+                down22 = prev[r22][k22 - 1] if k22 else ()
+                downmid, down11 = (prev[rmid][k22], prev[r11][k22]) if k22 < t else ((), ())
+                top = t - k22
+                rows.append([(down22[kmid] << s22 if k22 else 0)
+                             + (downmid[kmid - 1] << smid if kmid else 0)
+                             + (down11[kmid] << s11 if kmid < top else 0)
+                             for kmid in range(top + 1)])
+            layer[r] = rows
+        yield layer
 
 
 def _triples(total):

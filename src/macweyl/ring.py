@@ -63,14 +63,15 @@ class BoundExceeded(ValueError):
 # second at either sign; past it the negative weights are bound by memory
 # (about 700 MB of output at n = -128).  The table inputs are bounded by a
 # max_n: cform.ctable at 32 (2.8 s, 370 MB), and the verify suites
-# (verify._SUITES) at recurrences 28 (3.0 s) and duality 32 (1.6-2.4 s; 36
-# takes 5.3 s and 48 36 s).  weylchar.limit_char grows as qmax^1.5, the
-# partition series and the theta sum over it: at qmax 4096 a kind takes
-# 0.1-0.3 s at xmax 8 (8192: 0.2-0.6 s), and 1.4 s and 50 MB of JSON at any
-# xmax, as a theta sum reaches no |x-exponent| past 2 isqrt(qmax) + 2.
+# (verify._SUITES) at recurrences 40 (1.2-1.8 s and 110 MB, packed integers;
+# 48 takes 5.1 s) and duality 32 (1.6-2.4 s; 36 takes 5.3 s and 48 36 s).
+# weylchar.limit_char grows as qmax^1.5, the partition series and the theta
+# sum over it: at qmax 4096 a kind takes 0.1-0.3 s at xmax 8 (8192: 0.2-0.6
+# s), and 1.4 s and 50 MB of JSON at any xmax, as a theta sum reaches no
+# |x-exponent| past 2 isqrt(qmax) + 2.
 SIZE_LIMITS = {"walks": 9, "basis": 12, "specialize": 32, "sum": 12,
                "fusion_oracle": 7, "characters": 64, "ctable": 32,
-               "recurrences": 28, "duality": 32, "limitchar": 4096}
+               "recurrences": 40, "duality": 32, "limitchar": 4096}
 
 
 def check_size(name, n):

@@ -9,6 +9,9 @@ the outcome:
 * KNOWN_ERRATUM  -- an errata rule explains the difference exactly.
 * MISMATCH       -- anything else.
 
+The recurrences suite compares each coefficient-table entry by its
+recurrence with its closed form, as one packed integer a side
+(suite_recurrences).
 The comparison suites (section4, routes, duality, fusion, limits) are
 generators of records (identity, n, conventions key or None, lhs, rhs).  The
 errata table (which rule explains each printed identity that fails) and the
@@ -24,7 +27,7 @@ import json
 from importlib import resources
 
 from macweyl import cform, fusion, qcomb, ramyip, walks, weylchar
-from macweyl.ring import XPolynomial, check_size
+from macweyl.ring import XPolynomial, check_size, packed_width
 
 
 def _data_text(name):
@@ -225,18 +228,32 @@ def suite_dimensions(max_n, errata, conventions):
 
 
 def suite_recurrences(max_n, errata, conventions):
+    """Both tables of each family to index sum max(max_n, 8), recurrence
+    against closed form, each entry compared as one integer at q = 2^(8 w):
+    cform.rec_layers against the trinomial of the closed form, packed in
+    Q = q^2 at 2 w bytes a digit (the q-packing at w bytes with zero odd
+    digits), shifted by its q-power.
+
+    This is exact, with 3^bound < 2^(8 w - 1).  No digit of rec_layers
+    carries (the cform docstring), and a digit of the closed-form side is
+    one coefficient of a trinomial of total t <= bound, at most 3^t.  So
+    both integers have the coefficients as their digits, and they are equal
+    exactly when the polynomials are."""
     bound = max(max_n, 8)
-    ok_c = ok_d = True
-    for total in range(bound + 1):
-        for k22, k12, k11 in cform._triples(total):
-            for r in (1, 2):
-                if cform.c_rec(r, k22, k12, k11) != cform.c_closed(r, k22, k12, k11):
-                    ok_c = False
-                if cform.cdag_rec(r, k22, k12, k11) != cform.cdag_closed(r, k22, k12, k11):
-                    ok_d = False
+    width = packed_width(3**bound)
+    bits = 8 * width
+    ok = dict.fromkeys(walks.FAMILIES, True)
+    layers = zip(*(cform.rec_layers(family, bound, width) for family in walks.FAMILIES))
+    for total, family_layers in enumerate(layers):
+        table = cform._trinomials(total, 2 * width)
+        for family, layer in zip(walks.FAMILIES, family_layers):
+            ok[family] = ok[family] and all(
+                rows[k22][kmid] == entry << bits * cform._shift(family, r, k22, kmid)
+                for r, rows in layer.items()
+                for k22, row in enumerate(table) for kmid, entry in enumerate(row))
     return [
-        _equal_entry("c_recurrence_equals_closed_form", bound, ok_c),
-        _equal_entry("cdag_recurrence_equals_closed_form", bound, ok_d),
+        _equal_entry("c_recurrence_equals_closed_form", bound, ok["A2"]),
+        _equal_entry("cdag_recurrence_equals_closed_form", bound, ok["A2dagger"]),
     ]
 
 

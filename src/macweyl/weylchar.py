@@ -52,6 +52,19 @@ of t^N, times (Q;Q)_N and divided by 1 - Q^N, is the recurrence above.
   ch_W_sigma(-(n-1)): the n <= 0 sum at m = n-1, mirrored in x, and that
   character is x-symmetric.
 
+Only the x^k coefficients with k >= 0 are computed.  The factor x + q^c / x
++ q^(b j + e) and the x-free second term of the recurrence are invariant
+under x -> q^c / x, and so are G_0 and G_(-1); by induction so is every
+G_j.  Comparing the coefficients of x^(-k) in G_j(x) = G_j(q^c / x) gives
+
+    G_j[-k] = q^(c k) G_j[k].
+
+So _packed_recurrence updates x^0, ..., x^j alone, and reads the one
+coefficient of the other half that the x^0 update needs, G_(j-1)[-1], as
+G_(j-1)[1] times q^c.  _character fills in the other half: a shift by c k
+digits for c > 0, and for c = 0 (n <= 0) the same decoded coefficient at
+x^k and x^-k.
+
 Each x-coefficient is kept as one packed integer whose base-2^(8 w) digit i
 is its q^i coefficient, so a q-shift is an integer shift and the recurrence
 is integer shifts and adds; no polynomial product is formed.  Integer
@@ -251,43 +264,58 @@ def ch_D(n):
 
 
 def _packed_recurrence(m, b, c, e, width):
-    """The x-coefficients of G_m as packed integers: {x: value} whose
-    base-2^(8 width) digit i is the q^i coefficient, where G_0 = 1,
-    G_(-1) = 0 and
+    """The x^k coefficients, k >= 0, of G_m as packed integers: a list whose
+    entry k has base-2^(8 width) digit i equal to the q^i coefficient of
+    x^k, where G_0 = 1, G_(-1) = 0 and
 
         G_j = (x + q^c / x + q^(b j + e)) G_(j-1) - q^c (1 - q^(b (j-1))) G_(j-2).
 
     Multiplying by q^k is a shift by 8 width k bits, so each step is integer
-    shifts and adds; see the module docstring for the cases and for why the
-    digits read back exactly.
+    shifts and adds.  The other half is G_j[-k] = q^(c k) G_j[k] (the module
+    docstring), which is all the x^0 update reads of it.
     """
     bits = 8 * width
     cross = bits * c
-    prev, cur = {}, {0: 1}
+    # Two zeros past the top entry, so that k + 1 and G_(j-2)'s k never
+    # fall off the end.
+    prev, cur = [0] * (m + 2), [1] + [0] * (m + 1)
     for j in range(1, m + 1):
         up, down = bits * (b * j + e), bits * b * (j - 1)
-        nxt = {}
-        for x in range(-j, j + 1):
-            p = prev.get(x, 0) << cross
-            nxt[x] = (cur.get(x - 1, 0) + (cur.get(x + 1, 0) << cross)
-                      + (cur.get(x, 0) << up) + (p << down) - p)
+        nxt = [0] * (m + 2)
+        for k in range(j + 1):
+            p = prev[k] << cross
+            below = cur[k - 1] if k else cur[1] << cross
+            nxt[k] = below + (cur[k + 1] << cross) + (cur[k] << up) + (p << down) - p
         prev, cur = cur, nxt
-    return cur
+    return cur[:m + 1]
 
 
 def _character(n, b):
     """ch_W(n) (b = 1) or ch_W_sigma(n) (b = 2) at any integer weight n."""
     if n <= 0:
+        # c = 0: the character is x-symmetric, so x^k and x^-k share one
+        # coefficient.
         width = packed_width(3**-n)
-        sums = _packed_recurrence(-n, b, 0, -1, width)
-    else:
-        width = packed_width(b * 3**n)
-        # (c, e) = (1, 0) untwisted, (2, -1) twisted; the module docstring.
-        sums = {x + 1: v for x, v in _packed_recurrence(n - 1, b, b, 1 - b, width).items()}
-        if b == 2:
-            shift = 8 * width * (2 * n - 1)
-            for x, v in _packed_recurrence(n - 1, 2, 0, -1, width).items():
-                sums[x] = sums.get(x, 0) + (v << shift)
+        coeffs = {}
+        for k, v in enumerate(_packed_recurrence(-n, b, 0, -1, width)):
+            coeffs[k] = coeffs[-k] = QPolynomial.from_packed(v, width)
+        return XPolynomial(coeffs)
+    width = packed_width(b * 3**n)
+    bits = 8 * width
+    # (c, e) = (1, 0) untwisted, (2, -1) twisted, so c = b; the module
+    # docstring.  In x G_(n-1), the coefficient of x^(1-k) is q^(c k) times
+    # that of x^(1+k).
+    sums = {}
+    for k, v in enumerate(_packed_recurrence(n - 1, b, b, 1 - b, width)):
+        sums[1 + k] = v
+        if k:
+            sums[1 - k] = v << bits * b * k
+    if b == 2:
+        shift = bits * (2 * n - 1)
+        for k, v in enumerate(_packed_recurrence(n - 1, 2, 0, -1, width)):
+            v <<= shift
+            for x in {k, -k}:
+                sums[x] = sums.get(x, 0) + v
     return XPolynomial({x: QPolynomial.from_packed(v, width) for x, v in sums.items()})
 
 

@@ -45,6 +45,20 @@ def test_recurrence_equals_closed_form_sum_le_14():
     assert count == 680
 
 
+def test_packed_recurrence_layers_equal_dict_recurrences_le_14():
+    width = packed_width(3**14)
+    for family, rec in (("A2", c_rec), ("A2dagger", cdag_rec)):
+        count = 0
+        for total, layer in enumerate(cform.rec_layers(family, 14, width)):
+            for k22, kmid, k11 in _triples(total):
+                count += 1
+                for r in (1, 2):
+                    value = layer[r][k22][kmid]
+                    assert QPolynomial.from_packed(value, width) == rec(r, k22, kmid, k11), (
+                        family, r, k22, kmid, k11)
+        assert count == 680
+
+
 def test_E_spec_examples():
     assert E_spec("A2", -1, "t0") == XPolynomial(
         {-1: qp({0: 1}), 0: qp({1: 1}), 1: qp({0: 1})}

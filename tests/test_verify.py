@@ -112,6 +112,46 @@ def test_mutated_printed_identity_exits_two(monkeypatch, suite, module, name, hi
     assert {e["status"] for e in mutated_entries} == {"MISMATCH"}
 
 
+def _assert_recurrences_mismatch_only(family):
+    # The suite exits 2, with MISMATCH on the mutated family's identity alone.
+    entries, code = verify.run_suites("recurrences", 8)
+    assert code == 2
+    mismatched = {"A2": "c_recurrence_equals_closed_form",
+                  "A2dagger": "cdag_recurrence_equals_closed_form"}[family]
+    assert {e["identity"]: e["status"] for e in entries} == {
+        "c_recurrence_equals_closed_form": "EQUAL",
+        "cdag_recurrence_equals_closed_form": "EQUAL", mismatched: "MISMATCH"}
+
+
+def _off_by_one(rule, term):
+    # One (source r, a, d) term of a recurrence rule with its q-power q^(a t + d)
+    # one higher.
+    source, a, d = rule[term]
+    return rule[:term] + ((source, a, d + 1),) + rule[term + 1:]
+
+
+@pytest.mark.parametrize("family, r, term", [("A2", 1, 0), ("A2", 2, 1), ("A2dagger", 1, 1),
+                                             ("A2dagger", 2, 2)])
+def test_recurrence_q_power_off_by_one_mismatches_its_own_table(monkeypatch, family, r, term):
+    rules = cform._RECURRENCES[family]
+    monkeypatch.setitem(rules, r, _off_by_one(rules[r], term))
+    _assert_recurrences_mismatch_only(family)
+
+
+@pytest.mark.parametrize("family", ["A2", "A2dagger"])
+def test_closed_form_shift_off_by_one_mismatches_its_own_table(monkeypatch, family):
+    shift = cform._shift
+    monkeypatch.setattr(cform, "_shift", lambda fam, r, k22, kmid: (
+        shift(fam, r, k22, kmid) + (fam == family and (r, k22, kmid) == (2, 1, 1))))
+    _assert_recurrences_mismatch_only(family)
+
+
+def test_recurrences_suite_exits_zero_at_its_limit():
+    entries, code = verify.run_suites("recurrences", SIZE_LIMITS["recurrences"])
+    assert code == 0
+    assert {e["status"] for e in entries} == {"EQUAL"}
+
+
 def _times_q(poly):
     return poly.map_coeffs(lambda c: QPolynomial.q_power(1) * c)
 

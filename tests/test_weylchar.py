@@ -1,11 +1,11 @@
 import time
 from collections import Counter
+from math import comb
 
 import pytest
 
 from macweyl import weylchar
 from macweyl.cform import E_spec
-from macweyl.qcomb import q_binomial
 from macweyl.ring import SIZE_LIMITS, BoundExceeded, QPolynomial, XPolynomial
 from macweyl.weylchar import (
     KINDS,
@@ -114,45 +114,86 @@ def test_basis_inequalities_hold():
             assert all(a % 2 == 0 and 0 <= a <= 2 * (n - k - s) for a in m.e_degrees)
 
 
-def _closed_form_sum(m, b):
-    # The double sum of the paper at weight -m, binomials in base q^b.
-    terms = {}
-    for k in range(m + 1):
-        outer = qp({b * k * (k - 1) // 2 + (b - 1) * k: 1}) * q_binomial(m, k, b)
-        for s in range(m - k + 1):
-            x = -m + k + 2 * s
-            terms[x] = terms.get(x, qp({})) + outer * q_binomial(m - k, s, b)
-    return XPolynomial(terms)
+def _gauss_rows(top, Q):
+    """rows[N][j] = [N, j] at the integer Q, for j <= N <= top, by the
+    product formula: [N, j] = [N, j - 1] (Q^(N-j+1) - 1) / (Q^j - 1), an
+    exact division; at Q = 1 the binomial coefficients."""
+    rows = []
+    for N in range(top + 1):
+        row = [1]
+        for j in range(1, N + 1):
+            if Q == 1:
+                row.append(comb(N, j))
+            else:
+                value, rest = divmod(row[-1] * (Q ** (N - j + 1) - 1), Q**j - 1)
+                assert rest == 0
+                row.append(value)
+        rows.append(row)
+    return rows
+
+
+def _double_sum_at(n, b, q):
+    """The paper's double sum for ch_W (b = 1) or ch_W_sigma (b = 2) of
+    weight n, binomials in base q^b, evaluated at the integer q:
+    {x-exponent: value}."""
+    out = {}
+
+    def put(x, v):
+        out[x] = out.get(x, 0) + v
+
+    if n <= 0:
+        m = -n
+        gauss = _gauss_rows(m, q**b)
+        for k in range(m + 1):
+            outer = q ** (b * k * (k - 1) // 2 + (b - 1) * k) * gauss[m][k]
+            for s in range(m - k + 1):
+                put(-m + k + 2 * s, outer * gauss[m - k][s])
+        return out
+    gauss = _gauss_rows(n - 1, q**b)
+    for k in range(n):
+        outer = q ** (k * (k + 1) // 2 if b == 1 else k * k) * gauss[n - 1][k]
+        for s in range(n - k):
+            inner = outer * gauss[n - k - 1][s]
+            put(n - k - 2 * s, q ** (b * s) * inner)
+            if b == 2:
+                put(n - k - 2 * s - 1, q ** (2 * n - 1) * inner)
+    return out
+
+
+def _at_power_of_two(poly, width):
+    """poly at q = 2^(8 width), written digit by digit: to_bytes raises
+    unless every coefficient lies in [0, 2^(8 width))."""
+    assert min(poly.terms) >= 0
+    digits = [poly.terms.get(e, 0) for e in range(max(poly.terms) + 1)]
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in digits), "little")
+
+
+def _assert_equals_double_sum(n, b):
+    """ch_W(n) (b = 1) or ch_W_sigma(n) (b = 2) equals the paper's double
+    sum, both evaluated at q = B = 2^(8 w) above the sum's total at q = 1.
+    Every term of the sum has nonnegative coefficients, so no coefficient
+    of it reaches B, and its value at B has them as its base-B digits; the
+    character's side is written digit by digit.  So the values are equal
+    exactly when the polynomials are."""
+    total = sum(_double_sum_at(n, b, 1).values())
+    assert total == (3**-n if n <= 0 else b * 3 ** (n - 1))
+    width = total.bit_length() // 8 + 1
+    char = (ch_W if b == 1 else ch_W_sigma)(n)
+    assert ({x: _at_power_of_two(c, width) for x, c in char.terms.items()}
+            == _double_sum_at(n, b, 1 << 8 * width)), (n, b)
 
 
 def test_lowest_weight_recurrence_equals_closed_form_sum():
     for m in list(range(13)) + [29, 40]:
-        assert ch_W(-m) == _closed_form_sum(m, 1)
-        assert ch_W_sigma(-m) == _closed_form_sum(m, 2)
+        for b in (1, 2):
+            _assert_equals_double_sum(-m, b)
 
 
-def _dict_product_highest_weight(n, b):
-    # The double sum of the paper at weight n >= 1, binomials in base q^b.
-    terms = {}
-
-    def put(x, c):
-        terms[x] = terms.get(x, qp({})) + c
-
-    for k in range(n):
-        outer = qp({k * (k + 1) // 2 if b == 1 else k * k: 1}) * q_binomial(n - 1, k, b)
-        for s in range(n - k):
-            inner = outer * q_binomial(n - k - 1, s, b)
-            put(n - k - 2 * s, qp({b * s: 1}) * inner)
-            if b == 2:
-                put(n - k - 2 * s - 1, qp({2 * n - 1: 1}) * inner)
-    return XPolynomial(terms)
-
-
-def test_packed_highest_weight_equals_dict_product_sum():
+def test_packed_highest_weight_equals_closed_form_sum():
     # packed_width(2 * 3^n) is 8 bytes up to n = 39 and wider from n = 40.
     for n in list(range(1, 17)) + [39, 40]:
-        assert ch_W(n) == _dict_product_highest_weight(n, 1)
-        assert ch_W_sigma(n) == _dict_product_highest_weight(n, 2)
+        for b in (1, 2):
+            _assert_equals_double_sum(n, b)
 
 
 def character_from_basis(kind, n):
@@ -225,6 +266,9 @@ def test_characters_stop_at_size_limit():
 
 
 def test_symmetry_of_negative_characters():
+    """Holds by construction: _character computes the x^k coefficients,
+    k >= 0, of a negative weight and reads x^-k off the same value.  The
+    real check is the double-sum references above."""
     for n in range(1, 7):
         assert ch_W(-n) == ch_W(-n).mirror_x()
         assert ch_W_sigma(-n) == ch_W_sigma(-n).mirror_x()
