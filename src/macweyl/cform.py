@@ -24,8 +24,11 @@ coefficient.  Every table entry of index sum t is
 so the trinomials of one total t serve both families and both r.
 _trinomials builds them once per (t, w) into a table T[k22][kmid], each the
 product of two packed binomials at spacing 1, formed once per set of lower
-indices (the trinomial is symmetric in them).  A shift s = 2 a + p is a
-shift by a digits of Q times q^p, p the parity of s.  c_closed and
+indices (the trinomial is symmetric in them).  The binomials are the
+Pascal rows m <= t of [m, j]_Q = [m - 1, j]_Q + Q^(m - j) [m - 1, j - 1]_Q
+(Andrews, The Theory of Partitions, ch. 3), one shift and one add an entry,
+and share no code with qcomb, the tests' reference.  A shift s = 2 a + p is
+a shift by a digits of Q times q^p, p the parity of s.  c_closed and
 cdag_closed read one entry back.  E_spec keeps two accumulators per
 x-coefficient, one per parity p of the q-shift, each the sum of Q^a T over
 its terms: every term costs one shift and one add, and digit i of the
@@ -38,23 +41,23 @@ entries of one E_spec(n) total 3^|n|, 3^(|n|-1) or 2 * 3^(|n|-1) at q = x =
 its terms; the terms of the other parity have none, so it sums a subset of
 the same nonnegative coefficients as that coefficient of the result, and
 any partial sum a subset of those: it is at most the total.  A digit of a
-table entry is one trinomial coefficient, at most 3^t.  These are the
-bounds of a packing in q at spacing 2, unchanged: with 2 * 3^|n| <
-2^(8 w - 1) (E_spec) or 3^t < 2^(8 w - 1) (c_closed), no digit reaches the
-sign bit of its w bytes, digits never carry into each other, and
-QPolynomial.from_packed reads each one back.  Packing in Q halves the
+table entry is one trinomial coefficient, at most 3^t; a digit of
+[m, j]_Q, m <= t, is at most (m choose j) < 3^t.  These are the bounds of a
+packing in q at spacing 2, unchanged: with 2 * 3^|n| < 2^(8 w - 1) (E_spec)
+or 3^t < 2^(8 w - 1) (c_closed), no digit reaches the sign bit of its w
+bytes, digits never carry into each other, and QPolynomial.from_packed
+reads each one back.  Packing in Q halves the
 digits and drops the zero ones that spacing 2 leaves between them.
 
 Memory: an lru_cache keeps at most _TABLES tables.  The table of (t, w)
 holds (t + 1)(t + 2) / 2 entries, about a sixth of them distinct, of at
 most t^2 / 3 + 1 digits of w bytes each: under 1 MB at t = 32 and 8 bytes.
-The binomials it multiplies are kept by qcomb.packed_q_binomial's own
-cache.
+The Pascal rows live only while a table is built: about t^4 / 24 digits,
+10 MB at t = 64 and 13 bytes (E_spec at |n| = 64).
 """
 
 from functools import lru_cache
 
-from macweyl.qcomb import packed_q_binomial
 from macweyl.ring import QPolynomial, XPolynomial, check_size, packed_width
 from macweyl.walks import FAMILIES, normalize_spec
 
@@ -93,6 +96,11 @@ def _trinomials(total, width):
     `width` bytes a digit, Q = q^2; see the module docstring.  A trinomial
     is symmetric in its three lower indices, so it is formed once, as
     [total, a]_Q [total - a, b]_Q for its indices sorted a <= b <= c."""
+    bits = 8 * width
+    pascal = [[1]]
+    for m in range(1, total + 1):
+        prev = pascal[-1]
+        pascal.append([1] + [prev[j] + (prev[j - 1] << bits * (m - j)) for j in range(1, m)] + [1])
     products = {}
     table = []
     for k22 in range(total + 1):
@@ -100,8 +108,7 @@ def _trinomials(total, width):
         for kmid in range(total - k22 + 1):
             a, b, _ = key = tuple(sorted((k22, kmid, total - k22 - kmid)))
             if key not in products:
-                products[key] = (packed_q_binomial(total, a, width)
-                                 * packed_q_binomial(total - a, b, width))
+                products[key] = pascal[total][a] * pascal[total - a][b]
             row.append(products[key])
         table.append(row)
     return table

@@ -35,25 +35,10 @@ def q_binomial(n, m, base_exponent=1):
     return p.scale_exponents(base_exponent)
 
 
-@lru_cache(maxsize=None)
-def packed_q_binomial(n, m, width):
-    """[n choose m] as one nonnegative integer whose base-2^(8*width) digit i
-    is its q^i coefficient; 0 when m is outside [0, n].
-
-    The caller picks `width` so that every digit of the sums and products it
-    forms stays below 2^(8*width-1) (see ring.packed_width), and reads the
-    result back with QPolynomial.from_packed.
-    """
-    if m < 0 or m > n:
-        return 0
-    # Every coefficient from q^0 to q^(m (n - m)) is positive, so the sorted
-    # terms are the digits.
-    digits = [c for _, c in _gauss(n, m).sorted_terms()]
-    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in digits]), "little")
-
-
 def q_multinomial(k1, k2, k3, base_exponent=2):
-    """Trinomial (k1+k2+k3 ; k1, k2, k3) in the given base; 0 on negatives."""
+    """Trinomial (k1+k2+k3 ; k1, k2, k3) in the given base; 0 on negatives.
+    Public API, and the tests' reference for the cform tables, which share
+    no code with it."""
     if k1 < 0 or k2 < 0 or k3 < 0:
         return QPolynomial.zero()
     n = k1 + k2 + k3

@@ -12,18 +12,18 @@ then cancels the den_j that divide it exactly.
 
 Packed rows.  A numerator is held as {v-exponent: row}, one row per v-slice.
 The row (base, packed) stands for sum_i c_i q^(base + i), where packed =
-sum_i c_i 2^(W i) is the slice evaluated at q = 2^W and divided by q^base.
-Evaluation is a ring map and Python ints are exact, so sums of rows (the one
-with the larger base shifted left by W times the difference), multiples by
-+-1 and base shifts are exact whatever the coefficients.  The width W
-matters only where a row is decoded or compared with 0: when every
-|c_i| < 2^(W-1), the signed base-2^W digits of packed are the c_i, and
-packed == 0 iff the slice is 0.  A transfer step's factor term c q^dq v^dv
-moves a slice to v + dv, adds dq to its base and multiplies packed by c.
-Division by 1 - q^a v^b is the slice recurrence r[v] = p[v] + q^a r[v - b],
-one add per slice, and leaves a remainder iff a slice above v_max(p) - b is
-nonzero.  W is the least multiple of 8 that puts the following bound on the
-mass (the sum of |coefficients|) under 2^(W-1):
+sum_i c_i 2^(8 w i) is the slice evaluated at q = 2^(8 w), w the width in
+bytes, and divided by q^base.  Evaluation is a ring map and Python ints are
+exact, so sums of rows (the one with the larger base shifted left by 8 w
+bits times the difference), multiples by +-1 and base shifts are exact
+whatever the coefficients.  w matters only where a row is decoded (by ring,
+_decode) or compared with 0: when every |c_i| < 2^(8 w - 1), the signed
+base-2^(8 w) digits of packed are the c_i, and packed == 0 iff the slice is
+0.  A transfer step's factor term c q^dq v^dv moves a slice to v + dv, adds
+dq to its base and multiplies packed by c.  Division by 1 - q^a v^b is the
+slice recurrence r[v] = p[v] + q^a r[v - b], one add per slice, and leaves a
+remainder iff a slice above v_max(p) - b is nonzero.  w is ring.packed_width
+of the following bound on the mass (the sum of |coefficients|):
 
 * The transfer's mass is at most 4^l.  It starts at 1; each step sends an
   alcove's numerator along two moves, each times a factor of two terms
@@ -106,6 +106,7 @@ from macweyl.ring import (
     RationalFunction,
     XPolynomial,
     check_size,
+    packed_width,
 )
 from macweyl.walks import (
     CUT_SIGN,
@@ -209,35 +210,31 @@ def _add_row(rows, ve, base, packed, sign, width):
         return
     b0, p0 = old
     if b0 <= base:
-        packed <<= width * (base - b0)
+        packed <<= 8 * width * (base - b0)
         base = b0
     else:
-        p0 <<= width * (b0 - base)
+        p0 <<= 8 * width * (b0 - base)
     rows[ve] = (base, p0 + packed if sign > 0 else p0 - packed)
 
 
 def _decode(row, width):
-    """{q-exponent: coefficient} of a row whose digits all lie strictly
-    between -2^(width-1) and 2^(width-1), width a multiple of 8.
-
-    Adding 2^(width-1) to every digit makes them all positive, so the biased
-    integer's bytes split into the digits with no borrow between them.  A
-    row whose top digit is at position t has |packed| > 2^(t width - 1),
-    so its bit length // width + 1 digits hold them all."""
+    """The QPolynomial of a row whose digits all lie strictly between
+    -2^(8 width - 1) and 2^(8 width - 1).  Adding 2^(8 width - 1) to each
+    digit leaves no borrow between them; xor with that bias then leaves each
+    digit's `width` bytes in two's complement.  A row whose top digit is at
+    position t has |packed| > 2^(8 width t - 1), so the bias covers it with
+    bit length // (8 width) + 1 digits."""
     base, packed = row
-    size, half = width // 8, 1 << (width - 1)
-    count = packed.bit_length() // width + 1
-    biased = packed + int.from_bytes(half.to_bytes(size, "little") * count, "little")
-    raw = biased.to_bytes(size * count, "little")
-    digits = (int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size))
-    return {base + i: c for i, c in enumerate(digits) if c}
+    count = packed.bit_length() // (8 * width) + 1
+    bias = int.from_bytes(b"\x80".rjust(width, b"\0") * count, "little")
+    return QPolynomial.from_packed((packed + bias) ^ bias, width, offset=base)
 
 
 def _digit_width(family, steps, divisions):
-    """Row width W, a multiple of 8, with the module docstring's bound on
-    every coefficient that is decoded or compared with 0 below 2^(W-1):
-    4^l for the transfer, times the number of k in N^l with
-    sum_j k_j b_j <= S when the binomials are divided out."""
+    """Row width w in bytes, ring.packed_width of the module docstring's
+    bound on every coefficient that is decoded or compared with 0: 4^l for
+    the transfer, times the number of k in N^l with sum_j k_j b_j <= S when
+    the binomials are divided out."""
     bound = 4 ** len(steps)
     if divisions:
         span = 1
@@ -250,7 +247,7 @@ def _digit_width(family, steps, divisions):
             for s in range(b, span + 1):
                 series[s] += series[s - b]
         bound *= sum(series)
-    return 8 * (bound.bit_length() // 8 + 1)
+    return packed_width(bound)
 
 
 def _transfer(family, steps, width, window=None):
@@ -310,7 +307,7 @@ def _cancel(rows, dens, width):
             rows = _divide(rows, a, b, width)
         except NotPolynomial:
             kept = kept * _binomial(a, b)
-    num = {(qe, ve): c for ve, row in rows.items() for qe, c in _decode(row, width).items()}
+    num = {(qe, ve): c for ve, row in rows.items() for qe, c in _decode(row, width).terms.items()}
     return RationalFunction(BiPolynomial(num), kept)
 
 
@@ -425,12 +422,12 @@ def _exact_route(family, n, spec):
         if t0:
             if min(rows) < 0:
                 raise RouteDiverges(family, n, spec, "value diverges at v=0")
-            out[x] = QPolynomial(_decode(rows.get(0, (0, 0)), width))
+            out[x] = _decode(rows.get(0, (0, 0)), width)
         else:
             if max(rows) > deg_d:
                 raise RouteDiverges(family, n, spec, "numerator v-degree exceeds denominator")
             top = _decode(rows.get(deg_d, (0, 0)), width)
-            out[x] = QPolynomial({q_top - qe: sign * c for qe, c in top.items()})
+            out[x] = QPolynomial({q_top - qe: sign * c for qe, c in top.terms.items()})
     return XPolynomial(out)
 
 

@@ -28,12 +28,13 @@ performed; equality is decided by cross-multiplication.
 
 A ``QPolynomial`` product shifts and scales the other operand's terms when
 one operand is an int, zero or a single term, and runs the schoolbook double
-loop otherwise.  Callers with large products work on packed integers
-instead: ``packed_width`` picks a digit width w that keeps a coefficient
-bound below 2^(8w-1), and ``QPolynomial.from_packed`` reads a nonnegative
-integer whose base-2^(8w) digits are coefficients back as a polynomial, in
-q or, digit i at q^(2i + offset), in q^2 (``weylchar`` characters, the
-``cform`` tables and ``E_spec``).
+loop otherwise.  Callers with large products work on packed integers in the
+one format defined here: ``packed_width`` picks a width of w bytes that keeps
+a coefficient bound below 2^(8w-1), and ``QPolynomial.from_packed`` reads an
+integer whose each w-byte group, read in two's complement, is one coefficient
+back as a polynomial, in q or, group i at q^(2i + offset), in q^2
+(``weylchar`` characters, the ``cform`` tables, ``E_spec`` and ``ramyip``'s
+signed rows, biased into that form).
 """
 
 from __future__ import annotations
@@ -178,9 +179,10 @@ class QPolynomial(_Laurent):
 
     @classmethod
     def from_packed(cls, value, width, step=1, offset=0):
-        """sum_i d_i q^(offset + step i), d_i the base-2^(8*width) digits of
-        the nonnegative integer `value`; every digit must lie below
-        2^(8*width-1).  step = 2 reads a polynomial packed in Q = q^2."""
+        """sum_i d_i q^(offset + step i), d_i the i-th `width`-byte group of
+        the nonnegative integer `value` read in two's complement: its
+        base-2^(8*width) digit when every digit lies below 2^(8*width-1).
+        step = 2 reads a polynomial packed in Q = q^2."""
         raw = value.to_bytes(-(-value.bit_length() // (8 * width)) * width, "little")
         digits = _bytes_to_digits(raw, width)
         exps = range(offset, offset + step * len(digits), step)

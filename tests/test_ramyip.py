@@ -37,6 +37,7 @@ from macweyl.ring import (
     QPolynomial,
     RationalFunction,
     XPolynomial,
+    packed_width,
 )
 from macweyl.walks import (
     CUT_SIGN,
@@ -399,7 +400,7 @@ def _packed(p, width):
 
 def _unpacked(rows, width):
     return BiPolynomial(
-        {(qe, ve): c for ve, row in rows.items() for qe, c in _decode(row, width).items()}
+        {(qe, ve): c for ve, row in rows.items() for qe, c in _decode(row, width).terms.items()}
     )
 
 
@@ -473,7 +474,8 @@ def _series_monomials(bs, span):
 def test_coefficients_stay_below_proven_bound():
     # Module docstring: every N_x has mass <= 4^l, every dividend in the chain
     # mass <= 4^l T, every digit a division forms is at most its dividend's
-    # mass, and the bound lies below 2^(W-1) for the width the routes use.
+    # mass, and the bound lies below 2^(8w - 1) for the width w, in bytes,
+    # that the routes use.
     for family in FAMILIES:
         for n in [m for m in range(-12, 13) if m != 0]:
             steps = _steps(n)
@@ -484,9 +486,9 @@ def test_coefficients_stay_below_proven_bound():
                 span += max(f.v_max() for f in factors) - min(f.v_min() for f in factors)
             transfer_bound = 4 ** len(steps)
             bound = transfer_bound * _series_monomials(tuple(b for _, b in dens), span)
-            assert transfer_bound < 2 ** (_digit_width(family, steps, False) - 1)
+            assert transfer_bound < 2 ** (8 * _digit_width(family, steps, False) - 1)
             width = _digit_width(family, steps, True)
-            assert bound < 2 ** (width - 1)
+            assert bound < 2 ** (8 * width - 1)
             # the packed transfer equals the dict reference (tests above)
             for x, rows in _numerators(family, n, steps, True, width).items():
                 num = _unpacked(rows, width)
@@ -512,7 +514,7 @@ def _rand_bipoly(rng):
 def _packed_division(p, a, b):
     """p / (1 - q^a v^b) on packed rows, at the width the dividend's mass
     sets: every digit the division forms is at most that mass."""
-    width = 8 * (_mass(p).bit_length() // 8 + 1)
+    width = packed_width(_mass(p))
     return _unpacked(_divide(_packed(p, width), a, b, width), width)
 
 
@@ -538,12 +540,21 @@ def test_binomial_division():
 
 
 def test_decode_reads_extreme_signed_digits():
+    # Widths in bytes: every struct code (1, 2, 4, 8) and widths on both
+    # sides of them.  Each row has extreme digits, a negative top digit and
+    # a zero digit between nonzero ones.
     rng = random.Random(23)
-    for width in (8, 16, 24, 104):
-        top = 2 ** (width - 1) - 1
+    for width in (1, 2, 3, 4, 8, 9, 13):
+        top = 2 ** (8 * width - 1) - 1
         for _ in range(50):
-            p = BiPolynomial({
-                (e, 0): rng.choice((top, -top, 1, -1, rng.randint(-top, top)))
-                for e in range(rng.randint(-5, 5), rng.randint(6, 20))
-            })
+            lo = rng.randint(-5, 5)
+            hi = rng.randint(lo + 2, lo + 15)
+            terms = {
+                (e, 0): rng.choice((top, -top, 1, -1, 0, rng.randint(-top, top)))
+                for e in range(lo, hi)
+            }
+            terms[lo, 0] = rng.choice((top, -top))
+            terms[lo + 1, 0] = 0
+            terms[hi, 0] = rng.choice((-top, -1))
+            p = BiPolynomial(terms)
             assert _unpacked(_packed(p, width), width) == p
