@@ -4,21 +4,25 @@ Subcommands: epoly, ctable, weylchar, basis, limitchar, fusion, walks,
 verify.  All but ctable, which prints JSON only, take --format text|json.
 Text output uses the canonical term ordering.  JSON follows the schemas
 documented in the README and is byte for byte what json.dumps(obj,
-indent=2) prints, with sorted keys where the subcommand sorts them.
-Polynomial term lists do not go through the stdlib's pure-Python indenting
+indent=2) prints, with sorted keys where the subcommand sorts them (those
+subcommands print through _emit).  Every document is rendered by _dumps, and
+its lists of flat rows do not go through the stdlib's pure-Python indenting
 encoder: a list of {coeff, q, x} rows is rendered one x block at a time, by
 one %-template that repeats the row once per q-term with that block's x
-already written in, and the other term lists by one %-template per row.
+already written in, and every other flat row list (the other term lists, the
+walks, the basis monomials) by one %-template per row.
 Exit codes: 0 success, 1 usage error, 2 verification mismatch that no
 errata rule explains (including disagreeing specialization routes in epoly,
 and a limit that diverges on the exact route), 3 an input beyond the size a
-route is configured to compute.
+route is configured to compute; main() exits 141 when the reader of stdout
+closes the pipe early.
 
 run() may be called any number of times in one process.  All calls share one
 parser, built on the first call; build_parser() returns a fresh one.
 """
 
 import argparse
+import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -37,7 +41,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 # A JSON list of flat objects that share one key set: `fields` holds (key,
-# %-format) pairs and `values` one tuple per object, in field order.
+# %-format) pairs and `values` one tuple per object, in field order.  Keys
+# print in the order given, also under sort_keys; the one caller whose output
+# sorts its keys, _bi_rows, gives (coeff, q, v), which is sorted already.
 _Rows = namedtuple("_Rows", "fields values")
 
 # The {coeff, q, x} rows of an XPolynomial over QPolynomial, x-major, q
@@ -48,6 +54,9 @@ _QRows = namedtuple("_QRows", "poly")
 
 
 _COEFF_Q_V = (("coeff", '"%d"'), ("q", "%d"), ("v", "%d"))
+# The (head, separator, tail) of an int list inside a row of a _Rows that is
+# the value of a top-level key, at that row's indentation.
+_ROW_LISTS = ("[\n        ", ",\n        ", "\n      ]")
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
@@ -68,7 +77,7 @@ def _encode(obj, nl, sort_keys, out):
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, _Rows):
-        out.append(_encode_rows(obj, nl, sort_keys))
+        out.append(_encode_rows(obj, nl))
     elif isinstance(obj, _QRows):
         out.append(_encode_q_rows(obj.poly, nl))
     elif isinstance(obj, dict):
@@ -97,15 +106,10 @@ def _encode(obj, nl, sort_keys, out):
         raise TypeError("cannot encode %r as JSON" % (obj,))
 
 
-def _encode_rows(rows, nl, sort_keys):
-    if not rows.values:
+def _encode_rows(rows, nl):
+    fields, values = rows
+    if not values:
         return "[]"
-    fields, values = rows.fields, rows.values
-    if sort_keys:
-        order = sorted(range(len(fields)), key=lambda i: fields[i][0])
-        if order != list(range(len(fields))):
-            fields = [fields[i] for i in order]
-            values = [tuple(v[i] for i in order) for v in values]
     row_nl = nl + "  "
     key_nl = row_nl + "  "
     template = "{%s%s}" % (
@@ -153,34 +157,17 @@ def _emit(args, text_fn, json_obj):
 
 
 def _cmd_epoly(args):
+    doc = {"family": args.family, "n": args.n, "spec": args.spec}
     if args.spec == "full":
         poly = ramyip.ramyip_sum(args.family, args.n, normalize=not args.no_normalize)
-        _emit(
-            args,
-            poly.render,
-            {
-                "family": args.family,
-                "n": args.n,
-                "spec": "full",
-                "normalized": not args.no_normalize,
-                "terms": _rf_terms_json(poly),
-            },
-        )
-        return 0
-    if args.no_normalize:
-        sys.stderr.write("note: --no-normalize only affects --spec full; "
-                         "specializations always use the normalized sum\n")
-    poly = ramyip.specialize(args.family, args.n, args.spec)
-    _emit(
-        args,
-        poly.render,
-        {
-            "family": args.family,
-            "n": args.n,
-            "spec": args.spec,
-            "terms": _QRows(poly),
-        },
-    )
+        doc.update(normalized=not args.no_normalize, terms=_rf_terms_json(poly))
+    else:
+        if args.no_normalize:
+            sys.stderr.write("note: --no-normalize only affects --spec full; "
+                             "specializations always use the normalized sum\n")
+        poly = ramyip.specialize(args.family, args.n, args.spec)
+        doc["terms"] = _QRows(poly)
+    _emit(args, poly.render, doc)
     return 0
 
 
@@ -219,27 +206,28 @@ def _cmd_weylchar(args):
     return 0
 
 
+_BASIS_TEXT = "e=%-16s g=%-16s weight=%-3d tdeg=%-3d pbw=%d"
+_BASIS_FIELDS = (("e", "%s"), ("g", "%s"), ("weight", "%d"), ("tdeg", "%d"), ("pbw", "%d"))
+
+
+def _row_list(values):
+    # An int list in a basis row, as _dumps indents it there.
+    head, sep, tail = _ROW_LISTS
+    return head + sep.join(map(str, values)) + tail if values else "[]"
+
+
 def _cmd_basis(args):
     monomials = weylchar.enumerate_basis(args.kind, args.n)
-    rows = [
-        {
-            "e": list(m.e_degrees),
-            "g": list(m.g_degrees),
-            "weight": m.weight,
-            "tdeg": m.t_degree,
-            "pbw": m.pbw_degree,
-        }
-        for m in monomials
-    ]
     if args.format == "json":
-        print(_dumps({"kind": args.kind, "n": args.n, "count": len(rows), "monomials": rows}))
+        rows = [(_row_list(m.e_degrees), _row_list(m.g_degrees), m.weight, m.t_degree,
+                 m.pbw_degree) for m in monomials]
+        print(_dumps({"kind": args.kind, "n": args.n, "count": len(rows),
+                      "monomials": _Rows(_BASIS_FIELDS, rows)}))
     else:
-        for r in rows:
-            print(
-                "e=%-16s g=%-16s weight=%-3d tdeg=%-3d pbw=%d"
-                % (r["e"], r["g"], r["weight"], r["tdeg"], r["pbw"])
-            )
-        print("count: %d" % len(rows))
+        lines = [_BASIS_TEXT % (list(m.e_degrees), list(m.g_degrees), m.weight, m.t_degree,
+                                m.pbw_degree) for m in monomials]
+        lines.append("count: %d" % len(lines))
+        print("\n".join(lines))
     return 0
 
 
@@ -291,22 +279,18 @@ def _cmd_fusion(args):
     return 0
 
 
-# One %-template per walk row, in walks.walk_rows' field order for JSON; the
-# folding lists come rendered at their indentation, by walk_rows' `lists`.
+# The walk rows, in walks.walk_rows' field order; for JSON the folding lists
+# come rendered by walk_rows' `lists`.
 _WALK_TEXT = "mask=%s wt=%-3d d=%d h=%s leg=%-2d J0+=%s J0-=%s J+=%s J-=%s"
-_WALK_JSON = "{%s\n    }" % ",".join(
-    '\n      "%s": %s' % field
-    for field in (("mask", '"%s"'), ("wt", "%d"), ("d", "%d"), ("J0+", "%s"), ("J0-", "%s"),
-                  ("J+", "%s"), ("J-", "%s"), ("h", '"%s"'), ("leg", "%d")))
-_WALK_JSON_LISTS = ("[\n        ", ",\n        ", "\n      ]")
+_WALK_FIELDS = (("mask", '"%s"'), ("wt", "%d"), ("d", "%d"), ("J0+", "%s"), ("J0-", "%s"),
+                ("J+", "%s"), ("J-", "%s"), ("h", '"%s"'), ("leg", "%d"))
 
 
 def _cmd_walks(args):
     cut = walks.CUT_SIGN[tuple(args.filter.split("-"))] if args.filter else None
     if args.format == "json":
-        # Never empty: the walk that only crosses survives every filter.
-        rows = map(_WALK_JSON.__mod__, walks.walk_rows(args.n, _WALK_JSON_LISTS, cut))
-        print('{\n  "n": %d,\n  "walks": [\n    %s\n  ]\n}' % (args.n, ",\n    ".join(rows)))
+        rows = walks.walk_rows(args.n, _ROW_LISTS, cut)
+        print(_dumps({"n": args.n, "walks": _Rows(_WALK_FIELDS, rows)}))
     else:
         lines = [_WALK_TEXT % (mask, wt, d, h, leg, j0p, j0n, jp, jn)
                  for mask, wt, d, j0p, j0n, jp, jn, h, leg in walks.walk_rows(args.n, cut=cut)]
@@ -317,22 +301,11 @@ def _cmd_walks(args):
 
 def _cmd_verify(args):
     entries, exit_code = verify.run_suites(args.suite, args.max_n)
-    if args.format == "json":
-        print(
-            _dumps(
-                {
-                    "suite": args.suite,
-                    "max_n": args.max_n,
-                    "exit_code": exit_code,
-                    "entries": entries,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(verify.format_text_report(entries))
-        print("")
-        print("exit code: %d" % exit_code)
+    _emit(
+        args,
+        lambda: "%s\n\nexit code: %d" % (verify.format_text_report(entries), exit_code),
+        {"suite": args.suite, "max_n": args.max_n, "exit_code": exit_code, "entries": entries},
+    )
     return exit_code
 
 
@@ -438,7 +411,17 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone (`macweyl walks ... | head`).  As in
+        # the "Note on SIGPIPE" of Python's signal docs, stdout is pointed at
+        # devnull so that the flush at exit does not fail again.  141 = 128 +
+        # SIGPIPE is the status a shell reports for `cat` in the same place.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

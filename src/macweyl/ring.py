@@ -51,8 +51,9 @@ class BoundExceeded(ValueError):
 # enumerate_walks) number 2^l, l about 2|n|: the `walks` dump in JSON takes
 # 1.6 s and 300 MB and prints 84 MB at n = -9 (0.9 s, 150 MB and 41 MB at
 # n = 9), so the limit is the output's size.  weylchar.enumerate_basis lists
-# about 3^n monomials: n = 12 bases take 14 s and 1.3 GB.  Each step further
-# costs 2-4x more.  ramyip.specialize's two routes are
+# about 3^n monomials: `basis --kind untwisted_neg --n 12` takes 4.5 s and
+# 530 MB in JSON (4.1 s and 260 MB in text).  Each step further costs 2-4x
+# more.  ramyip.specialize's two routes are
 # polynomial in n, on packed rows 0.1-0.2 s together at |n| = 16 and 0.6-1.7 s
 # at |n| = 32 (A2dagger the slower); ramyip.ramyip_sum keeps every
 # v-exponent, and `epoly --spec full --format json` takes 0.25 s and prints

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -355,6 +356,22 @@ def test_build_parser_returns_a_fresh_parser():
     assert cli._parser() is cli._parser()
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_pipe_exits_141_without_traceback():
+    # The dump is megabytes, far more than a pipe buffers, so the process is
+    # still writing when the reader closes its end after a few bytes.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "macweyl.cli", "walks", "--n", "-7", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.read(100).startswith(b'{\n  "n": -7,')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (128 + signal.SIGPIPE, b"")
+
+
 @pytest.mark.parametrize(
     "argv, sort_keys",
     [
@@ -413,13 +430,17 @@ def test_dumps_matches_stdlib():
         [True, False, None, 0, -7, 2**70],
         {"quote\"back\\slash": "tab\t new\nline é ☃ \U0001d11e", "z": "", "a": "\x00\x1f"},
         rows,
-        {"outer": [{"x": 1, "num": rows, "den": unsorted}, {"inner": {"deep": [rows]}}]},
-        {"z": 1, "a": {"y": unsorted, "b": (1, "2")}},
     ]
-    for obj in cases:
-        for sort_keys in (False, True):
-            expected = json.dumps(_expand(obj), indent=2, sort_keys=sort_keys)
-            assert cli._dumps(obj, sort_keys) == expected
+    checks = [(obj, sort_keys) for obj in cases for sort_keys in (False, True)]
+    # A _Rows prints its keys in the order given, so the rows with unsorted
+    # keys stand for what json.dumps prints without sort_keys only.
+    checks += [
+        ({"outer": [{"x": 1, "num": rows, "den": unsorted}, {"inner": {"deep": [rows]}}]}, False),
+        ({"z": 1, "a": {"y": unsorted, "b": (1, "2")}}, False),
+    ]
+    for obj, sort_keys in checks:
+        expected = json.dumps(_expand(obj), indent=2, sort_keys=sort_keys)
+        assert cli._dumps(obj, sort_keys) == expected
 
 
 def test_dumps_of_per_x_rows_matches_stdlib():

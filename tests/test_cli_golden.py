@@ -15,7 +15,7 @@ import os
 import re
 import shlex
 
-from macweyl import cli
+from macweyl import cli, weylchar
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "cli_golden.json")
@@ -49,7 +49,18 @@ def _argvs():
     for family in ("A2", "A2dagger"):
         for spec in ("t0", "tinf"):
             for n in (-4, 4):
-                argvs.append(["walks", "--n", str(n), "--filter", "%s-%s" % (family, spec)])
+                base = ["walks", "--n", str(n), "--filter", "%s-%s" % (family, spec)]
+                argvs += [base, base + ["--format", "json"]]
+    for kind in weylchar.KINDS:
+        base = ["basis", "--kind", kind, "--n", "3"]
+        argvs += [base, base + ["--format", "json"]]
+    for family in ("A2", "A2dagger"):
+        for n in (-3, 3):
+            base = ["epoly", "--family", family, "--n", str(n), "--spec", "full", "--format", "json"]
+            argvs += [base, base + ["--no-normalize"]]
+    for suite in ("walks", "dimensions"):
+        base = ["verify", "--suite", suite, "--max-n", "3"]
+        argvs += [base, base + ["--format", "json"]]
     # The CI fusion points, truncated to the first n.
     ci_points = ["1/2", "-3", "5/3", "-7/2", "2/5", "4"]
     for n in range(1, 5):
