@@ -15,7 +15,8 @@ Exit codes: 0 success, 1 usage error, 2 verification mismatch that no
 errata rule explains (including disagreeing specialization routes in epoly,
 and a limit that diverges on the exact route), 3 an input beyond the size a
 route is configured to compute; main() exits 141 when the reader of stdout
-closes the pipe early.
+closes the pipe early, and 74 (EX_IOERR) when any other write to stdout
+fails.
 
 run() may be called any number of times in one process.  All calls share one
 parser, built on the first call; build_parser() returns a fresh one.
@@ -160,7 +161,8 @@ def _cmd_epoly(args):
     doc = {"family": args.family, "n": args.n, "spec": args.spec}
     if args.spec == "full":
         poly = ramyip.ramyip_sum(args.family, args.n, normalize=not args.no_normalize)
-        doc.update(normalized=not args.no_normalize, terms=_rf_terms_json(poly))
+        if args.format == "json":  # text prints poly.render() only
+            doc.update(normalized=not args.no_normalize, terms=_rf_terms_json(poly))
     else:
         if args.no_normalize:
             sys.stderr.write("note: --no-normalize only affects --spec full; "
@@ -414,13 +416,22 @@ def main():
     try:
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader of stdout has gone (`macweyl walks ... | head`).  As in
-        # the "Note on SIGPIPE" of Python's signal docs, stdout is pointed at
-        # devnull so that the flush at exit does not fail again.  141 = 128 +
-        # SIGPIPE is the status a shell reports for `cat` in the same place.
+    except OSError as exc:
+        if exc.filename is not None:  # a file the program reads, not stdout
+            raise
+        # A write to stdout failed.  As in the "Note on SIGPIPE" of Python's
+        # signal docs, stdout is pointed at devnull so that the flush at exit
+        # does not fail again.  When the reader has gone (`macweyl walks ... |
+        # head`), exit silently with 141 = 128 + SIGPIPE, the status a shell
+        # reports for `cat` in the same place; on any other failure (a full
+        # disk, `> /dev/full`), print one line and exit 74, EX_IOERR in
+        # sysexits.h.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141
+        if isinstance(exc, BrokenPipeError):
+            code = 141
+        else:
+            sys.stderr.write("error: cannot write output: %s\n" % (exc.strerror or exc))
+            code = 74
     sys.exit(code)
 
 

@@ -69,8 +69,20 @@ j >= 0 of the lifts at (d, w - j step), mirrored to -w.  The cyclic
 submodule is a module over the degree-0 currents too, so it is all of V
 once every Q_w is full.
 
-Each quotient map is built once per weight, by sparse fraction-free
-Gauss-Jordan on the images Z e_s (at most n entries, each +-1), and stored
+Only the scalars of the applied currents depend on the points, so what does
+not is built once per process and cached: the states of each weight w <= 0
+and their index (_states, per n), the unit current tables (_unit_table, per
+(n, name, w): per state, the target, factor and Koszul sign times matrix
+entry of name(x)1) and the quotient maps (_quotient_maps, per (n, twisted)).
+fusion_character checks the size first, so n <= 7 bounds the keys: at most
+7 state sets, 49 unit tables and 14 map sets, about 1.8 MB in all at n = 7.
+The cached values are tuples, or dicts and _QuotientMaps of tuples that no
+caller writes to.  A call scales a unit table by a current's scalars when a
+lift first applies that current at that weight; the scaled tables, weight
+spaces and lifts live for one call.
+
+Each quotient map is built by sparse fraction-free Gauss-Jordan on the
+images Z e_s (the unit table of Z: at most n entries, each +-1), and stored
 by pivot row, so projecting a vector skips its zero entries.  An image is
 computed only when its target quotient is not yet full, and each quotient
 keeps its vectors in fraction-free reduced echelon form (see _WeightSpace).
@@ -82,7 +94,7 @@ from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
 
-from macweyl.ring import QPolynomial, XPolynomial, check_size
+from macweyl.ring import XPolynomial, check_size
 
 
 class RelationViolation(ArithmeticError):
@@ -222,35 +234,44 @@ def _currents(points, twisted):
             yield "e", 1, [p - points[0] for p in points]
 
 
+@cache
 def _states(n):
-    """The tensor states of each weight w <= 0, and each state's index among
-    the states of its weight."""
+    """The tensor states of each weight w <= 0, as a tuple, and each state's
+    index among the states of its weight."""
     states = {}
     for state in product(range(3), repeat=n):
         w = sum(state) - n
         if w <= 0:
             states.setdefault(w, []).append(state)
+    states = {w: tuple(group) for w, group in states.items()}
     index = {s: i for group in states.values() for i, s in enumerate(group)}
     return states, index
 
 
-def _action(name, scalars, states, index, w):
-    """Per state of weight w, the (target index, coefficient) pairs of the
-    current that acts on factor i as scalars[i] times the matrix `name`; each
-    coefficient carries the Koszul sign, the matrix entry and scalars[i]."""
+@cache
+def _unit_table(n, name, w):
+    """Per state of weight w, the (target index, factor i, coefficient)
+    triples of name(x)1, read from the checked column maps; each coefficient
+    carries the Koszul sign and the matrix entry.  A current that acts on
+    factor i as scalars[i] times the matrix scales them (see _scaled)."""
+    states, index = _states(n)
     colmap, odd = _relation_gate()[name], _PARITY[name] == ODD
     table = []
     for state in states[w]:
-        pairs, sign = [], 1
+        triples, sign = [], 1
         for i, s in enumerate(state):
             for row, val in colmap[s]:
-                coeff = sign * val * scalars[i]
-                if coeff:
-                    pairs.append((index[state[:i] + (row,) + state[i + 1 :]], coeff))
+                triples.append((index[state[:i] + (row,) + state[i + 1 :]], i, sign * val))
             if odd and _STATE_PARITY[s] == ODD:
                 sign = -sign
-        table.append(pairs)
-    return table
+        table.append(tuple(triples))
+    return tuple(table)
+
+
+def _scaled(unit, scalars):
+    """A unit table as (target index, coefficient) pairs per state, each
+    coefficient times the scalar of its factor; zero coefficients dropped."""
+    return [[(t, v * scalars[i]) for t, i, v in triples if scalars[i]] for triples in unit]
 
 
 def _combine(a, x, u, y):
@@ -296,14 +317,14 @@ class _QuotientMap:
                 if u:
                     rows[q] = _combine(a, r, u, row)
             rows[p] = row
-        self.free = [f for f in range(size) if f not in rows]
+        self.free = tuple(f for f in range(size) if f not in rows)
         column = {f: i for i, f in enumerate(self.free)}
         self.scale = lcm(*(r[p] for p, r in rows.items()))
         # pivot -> [(free column position, -(L / a_p) r_p[f])]
-        self.rows = [
-            (p, [(column[f], -self.scale // r[p] * v) for f, v in r.items() if f != p])
+        self.rows = tuple(
+            (p, tuple((column[f], -self.scale // r[p] * v) for f, v in r.items() if f != p))
             for p, r in rows.items()
-        ]
+        )
 
     def __call__(self, vec):
         out = [self.scale * vec[f] for f in self.free]
@@ -315,15 +336,17 @@ class _QuotientMap:
         return out
 
 
-def _quotient_maps(states, index, twisted):
-    """weight w <= 0 -> the _QuotientMap of V_w whose kernel is Z V_(w-step)."""
+@cache
+def _quotient_maps(n, twisted):
+    """weight w <= 0 -> the _QuotientMap of V_w whose kernel is Z V_(w-step),
+    from the unit table of Z = z(x)1 (every scalar 1)."""
     z = "e" if twisted else "g+"
-    ones = [1] * -min(states)  # Z = z(x)1 on each of the n factors; -n is the lowest weight
+    states, _ = _states(n)
     maps = {}
     for w, group in states.items():
         below = w - _RAISE[z]
-        images = _action(z, ones, states, index, below) if below in states else []
-        maps[w] = _QuotientMap([dict(pairs) for pairs in images], len(group))
+        units = _unit_table(n, z, below) if below in states else ()
+        maps[w] = _QuotientMap([{t: v for t, _, v in triples} for triples in units], len(group))
     return maps
 
 
@@ -344,24 +367,22 @@ def fusion_character(n, points, twisted=False):
     scale = lcm(*(p.denominator for p in points))
     points = [int(p * scale) for p in points]
     step = _RAISE["e" if twisted else "g+"]
-    states, index = _states(n)
-    pi = _quotient_maps(states, index, twisted)
+    _relation_gate()  # guards every call, also one served from the caches below
+    states, _ = _states(n)
+    pi = _quotient_maps(n, twisted)
     spaces = {w: _WeightSpace(len(pi[w].free)) for w in states}
     remaining = sum(len(pi[w].free) for w in states)  # columns still to fill
 
     currents = list(_currents(points, twisted))
-    # (current, source weight) -> _action table, where the target weight is <= 0
-    tables = {(i, w): _action(name, scalars, states, index, w)
-              for i, (name, _, scalars) in enumerate(currents)
-              for w in states if w + _RAISE[name] <= 0}
+    tables = {}  # (current, source weight) -> its scaled unit table, built on first use
     lifts = {}  # (degree, weight) -> number of lifts
-    pending = {}  # degree -> [(target weight, current table, source lift)]
+    pending = {}  # degree -> [(target weight, current, source weight, source lift)]
 
     def keep(degree, w, vec):
         lifts[degree, w] = lifts.get((degree, w), 0) + 1
         for i, (name, k, _) in enumerate(currents):
-            if (i, w) in tables:
-                pending.setdefault(degree + k, []).append((w + _RAISE[name], tables[i, w], vec))
+            if w + _RAISE[name] <= 0:
+                pending.setdefault(degree + k, []).append((w + _RAISE[name], i, w, vec))
 
     spaces[-n].add([1])
     keep(0, -n, [1])
@@ -369,10 +390,14 @@ def fusion_character(n, points, twisted=False):
     degree = 0
     while pending and remaining:
         degree += 1
-        for target, table, vec in pending.pop(degree, ()):
+        for target, i, w, vec in pending.pop(degree, ()):
             space = spaces[target]
             if not space.free:  # a full quotient gains nothing: skip the image
                 continue
+            table = tables.get((i, w))
+            if table is None:
+                name, _, scalars = currents[i]
+                table = tables[i, w] = _scaled(_unit_table(n, name, w), scalars)
             img = [0] * len(states[target])
             for c, pairs in zip(vec, table):
                 if c:
@@ -387,18 +412,15 @@ def fusion_character(n, points, twisted=False):
                 keep(degree, target, [x // g for x in img] if g > 1 else img)
                 remaining -= 1
 
-    char = {}
+    char = {}  # weight w <= 0 -> {degree: multiplicity}
     for (d, u), m in lifts.items():
         for w in range(u, 1, step):
-            char[d, w] = char.get((d, w), 0) + m
+            row = char.setdefault(w, {})
+            row[d] = row.get(d, 0) + m
     if remaining:
-        dim = sum(m * (2 if w else 1) for (_, w), m in char.items())
+        dim = sum((2 if w else 1) * sum(row.values()) for w, row in char.items())
         raise NotCyclic(
             "filtration stabilized at dimension %d < %d" % (dim, 3 ** n)
         )
 
-    return XPolynomial.from_pairs(
-        (sign * w, QPolynomial.monomial(mult, deg))
-        for (deg, w), mult in char.items()
-        for sign in ((1, -1) if w else (1,))
-    )
+    return XPolynomial.from_q_terms({**char, **{-w: row for w, row in char.items()}})

@@ -34,7 +34,7 @@ Two consumers never list the walks one by one:
   of walks}; its docstring derives the step weights.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from macweyl.ring import check_size
@@ -62,28 +62,30 @@ def alcove_element(lo):
     return (lo + 1) // 2, lo % 2
 
 
-@dataclass(frozen=True)
-class AlcoveWalk:
-    word: tuple
-    mask: tuple  # 1 = crossing, 0 = folding
+class AlcoveWalk(namedtuple("AlcoveWalk", "word mask")):
+    """A letter word and a mask of the same length: 1 = crossing, 0 = folding."""
 
-    def __post_init__(self):
-        if len(self.word) != len(self.mask):
+    __slots__ = ()
+
+    def __new__(cls, word, mask):
+        if len(word) != len(mask):
             raise MalformedWalk("mask length differs from word length")
+        return super().__new__(cls, word, mask)
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's own skips __new__, and _replace calls it
+        return cls(*iterable)
 
     @property
     def length(self):
         return len(self.word)
 
 
-@dataclass(frozen=True)
-class WalkStats:
-    lo: int  # the final alcove (lo, lo+1)
-    J0_pos: frozenset
-    J0_neg: frozenset
-    J_pos: frozenset
-    J_neg: frozenset
-    arrows: tuple  # per-step final direction, +1 right / -1 left
+class WalkStats(namedtuple("WalkStats", "lo J0_pos J0_neg J_pos J_neg arrows")):
+    """The final alcove (lo, lo+1), the four folding sets (frozensets of step
+    numbers) and the per-step final arrow directions, +1 right / -1 left."""
+
+    __slots__ = ()
 
     @property
     def J(self):

@@ -75,7 +75,7 @@ b * 3^n (n > 0) below 2^(8 w - 1), so every coefficient of the result is one
 digit, and QPolynomial.from_packed reads it back exactly.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -94,14 +94,7 @@ KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class BasisMonomial:
-    kind: str
-    e_degrees: tuple
-    g_degrees: tuple
-    weight: int
-    t_degree: int
-    pbw_degree: int
+BasisMonomial = namedtuple("BasisMonomial", "kind e_degrees g_degrees weight t_degree pbw_degree")
 
 
 def enumerate_basis(kind, n):

@@ -372,6 +372,43 @@ def test_closed_stdout_pipe_exits_141_without_traceback():
     assert (proc.wait(), err) == (128 + signal.SIGPIPE, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_stdout_write_exits_74_without_traceback():
+    # Every write to /dev/full fails with ENOSPC: a full disk, not a closed
+    # pipe, so one error line and EX_IOERR.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "macweyl.cli", "walks", "--n", "1"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+    assert done.returncode == 74
+    assert done.stderr.startswith("error: cannot write output: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def test_main_passes_a_failed_file_read_through(monkeypatch):
+    # Only a failed write to stdout exits 74; an OSError that names a file
+    # (a missing data file) is not one.
+    def run():
+        raise FileNotFoundError(2, "No such file or directory", "errata.json")
+
+    monkeypatch.setattr(cli, "run", run)
+    with pytest.raises(FileNotFoundError):
+        cli.main()
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # dataclasses pulls in inspect, ast, dis and tokenize at start-up; the
+    # records are namedtuples instead.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, macweyl.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
 @pytest.mark.parametrize(
     "argv, sort_keys",
     [

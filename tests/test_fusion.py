@@ -1,3 +1,4 @@
+import copy
 import time
 from fractions import Fraction
 from itertools import product
@@ -224,9 +225,10 @@ def test_quotient_map_kernel_is_the_degree_zero_image():
     # D_w - D_(w-step), so its kernel is exactly Z V_(w - step).
     for n in range(1, 6):
         states, index = _tensor_states(n, lowest_only=True)
+        assert fusion._states(n) == ({w: tuple(g) for w, g in states.items()}, index)
         for twisted in (False, True):
             z, step = ("e", 2) if twisted else ("g+", 1)
-            maps = fusion._quotient_maps(states, index, twisted)
+            maps = fusion._quotient_maps(n, twisted)
             assert sorted(maps) == sorted(states)
             for w, group in states.items():
                 below = states.get(w - step, [])
@@ -270,3 +272,56 @@ def test_not_cyclic_message_counts_every_weight():
         assert str(err.value) == "filtration stabilized at dimension " + dims
         found = _all_weights_character(n, points, twisted).eval_at_ones()
         assert found == int(dims.split()[0])
+
+
+# Point sets of five with distinct squares and no point 0, so every prefix is
+# cyclic for both kinds.
+CACHE_POINT_SETS = (
+    [1, -2, 3, Fraction(5, 2), Fraction(-1, 3)],
+    MIXED_POINTS,
+    [2, Fraction(1, 3), -4, Fraction(3, 2), 5],
+)
+
+
+def test_cached_skeleton_serves_interleaved_calls():
+    # One process, cold caches, n and the kind changing from call to call:
+    # each call reads the tables another call built, scaled by its own points.
+    for cached in (fusion._states, fusion._unit_table, fusion._quotient_maps):
+        cached.cache_clear()
+    for points in CACHE_POINT_SETS:
+        for n in (2, 5, 1, 4, 3):
+            for twisted in ((False, True) if n % 2 else (True, False)):
+                expected = ch_W_sigma(-n) if twisted else ch_W(-n)
+                assert fusion_character(n, points[:n], twisted=twisted) == expected
+
+
+@pytest.mark.parametrize("twisted, repeated", ((False, [1, 1, 2]), (True, [1, -1, 2])))
+def test_no_points_leak_between_calls(twisted, repeated):
+    expected = ch_W_sigma(-3) if twisted else ch_W(-3)
+    assert fusion_character(3, [1, 2, 3], twisted=twisted) == expected
+    with pytest.raises(NotCyclic):
+        fusion_character(3, repeated, twisted=twisted)
+    assert fusion_character(3, [1, 2, 3], twisted=twisted) == expected
+
+
+def _cached_snapshot(n):
+    """Deep copies of everything cached for n: the states and their index,
+    both kinds' quotient maps, and every unit table."""
+    states, index = fusion._states(n)
+    maps = {tw: {w: (m.free, m.scale, m.rows) for w, m in fusion._quotient_maps(n, tw).items()}
+            for tw in (False, True)}
+    units = {(name, w): fusion._unit_table(n, name, w)
+             for name, raise_by in fusion._RAISE.items() for w in states if w + raise_by <= 0}
+    return copy.deepcopy((states, index, maps, units))
+
+
+def test_calls_leave_the_cached_tables_unchanged():
+    for n in (3, 4):
+        before = _cached_snapshot(n)
+        maps = fusion._quotient_maps(n, False)
+        for twisted in (False, True):
+            fusion_character(n, MIXED_POINTS[:n], twisted=twisted)
+        with pytest.raises(NotCyclic):
+            fusion_character(n, [1, 1] + MIXED_POINTS[: n - 2])
+        assert fusion._quotient_maps(n, False) is maps  # served from the cache
+        assert _cached_snapshot(n) == before

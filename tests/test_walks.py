@@ -153,6 +153,8 @@ def test_malformed_walk():
     with pytest.raises(MalformedWalk):
         AlcoveWalk((S1, S0), (1,))
     with pytest.raises(MalformedWalk):
+        AlcoveWalk((S1, S0), (1, 1))._replace(mask=(1,))
+    with pytest.raises(MalformedWalk):
         traverse(AlcoveWalk((7,), (1,)))
 
 
