@@ -353,7 +353,9 @@ def build_parser():
             sys.stderr.write("error: %s\n" % message)
             raise SystemExit(1)
 
-    parser = _Parser(prog="macweyl", description=__doc__)
+    parser = _Parser(prog="macweyl", description="Exact osp(1|2) Weyl-module characters and "
+                     "rank-one Macdonald specializations, cross-verified by independent routes. "
+                     "Exit codes: 0 success, 1 usage error, 2 mismatch, 3 input too large.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, fn, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)

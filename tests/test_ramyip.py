@@ -8,20 +8,21 @@ import pytest
 from macweyl.cform import E_spec
 from macweyl.qcomb import q_multinomial
 from macweyl.ramyip import (
+    _FOLD_SET,
     _FOLD_XI_POWER,
     _STAT_SETS,
     NotPolynomial,
-    _add_row,
-    _binomial,
+    RouteMismatch,
+    _count_width,
     _decode,
     _den_exponents,
     _digit_width,
     _divide,
     _exact_route,
-    _fold_numerator,
     _moves,
     _numerators,
     _prefactor_v,
+    _specialized,
     _statistic_route,
     _step_factors,
     _steps,
@@ -50,12 +51,23 @@ from macweyl.walks import (
     qb_filter,
     surviving,
     traverse,
+    walk_word,
+    wall_side,
 )
 from macweyl.weylchar import ch_W_sigma
 
 
 def qp(d):
     return QPolynomial(d)
+
+
+def _bipoly(terms):
+    """The BiPolynomial of (dq, dv, coefficient) terms, as _step_factors gives them."""
+    return BiPolynomial({(dq, dv): c for dq, dv, c in terms})
+
+
+def _binomial(a, b):
+    return BiPolynomial({(0, 0): 1, (a, b): -1})
 
 
 @dataclass(frozen=True)
@@ -78,11 +90,8 @@ def ramyip_terms(family, n):
         stats = traverse(walk)
         factors = []
         for j in stats.folds:
-            letter, deg = walk.word[j - 1], beta_degree(j, walk.length)
-            factors.append(RationalFunction(
-                _fold_numerator(family, letter, stats.arrows[j - 1], deg),
-                _binomial(*_den_exponents(letter, deg)),
-            ))
+            step = _step_factors(family, walk.word[j - 1], beta_degree(j, walk.length))
+            factors.append(RationalFunction(_bipoly(step[stats.arrows[j - 1]]), _bipoly(step[None])))
         wt, d = alcove_element(stats.lo)
         out.append(RamYipTerm(walk, _prefactor_v(n, d, False), tuple(factors), wt))
     return out
@@ -101,16 +110,50 @@ def test_term_structure_n_plus_1():
     assert sorted(t.x_exponent for t in terms) == [0, 1]
 
 
-def test_route_mismatch_raised_on_disagreement(monkeypatch):
+def _break_stat_sets(monkeypatch):
     import macweyl.ramyip as mod
 
     broken = dict(mod._STAT_SETS)
     broken[("A2", "t0")] = ("J0_pos", "J_neg")
     monkeypatch.setattr(mod, "_STAT_SETS", broken)
-    with pytest.raises(mod.RouteMismatch) as exc:
+
+
+@pytest.mark.usefixtures("fresh_specialize")
+def test_route_mismatch_raised_on_disagreement(monkeypatch):
+    _break_stat_sets(monkeypatch)
+    with pytest.raises(RouteMismatch) as exc:
         specialize("A2", -1, "t0")
     assert not exc.value.exact_route.is_zero()
     assert not exc.value.stat_route.is_zero()
+
+
+@pytest.mark.usefixtures("fresh_specialize")
+def test_specialize_keeps_results_but_not_errors(monkeypatch):
+    first = specialize("A2", -3, "t0")
+    assert specialize("A2", -3, "t0") is first
+    _specialized.cache_clear()
+    again = specialize("A2", -3, "t0")
+    assert again is not first and again == first
+    # A key whose call raised is computed again once the fault is gone.
+    _break_stat_sets(monkeypatch)
+    with pytest.raises(RouteMismatch):
+        specialize("A2", -2, "t0")
+    monkeypatch.undo()
+    assert specialize("A2", -2, "t0") == E_spec("A2", -2, "t0")
+
+
+@pytest.mark.usefixtures("fresh_specialize")
+def test_routes_decode_independently(monkeypatch):
+    # ring's decoder, which only the exact route reads, drops its top digit.
+    from_packed = QPolynomial.from_packed.__func__
+
+    def dropped(cls, *args, **kwargs):
+        p = from_packed(cls, *args, **kwargs)
+        return cls({e: c for e, c in p.terms.items() if e != max(p.terms)})
+
+    monkeypatch.setattr(QPolynomial, "from_packed", classmethod(dropped))
+    with pytest.raises(RouteMismatch):
+        specialize("A2", -5, "t0")
 
 
 def test_normalized_all_crossing_coefficient():
@@ -168,6 +211,61 @@ def _walk_statistics(n):
             by_q = terms.setdefault(alcove_element(stats.lo)[0], {})
             by_q[qe] = by_q.get(qe, 0) + 1
     return {key: XPolynomial.from_q_terms(terms) for key, terms in counts.items()}
+
+
+def _dict_statistic_route(family, n, spec):
+    """The statistic route on {q-exponent: number of walks} tables, one
+    Python operation per count: the reference for the packed counts."""
+    cut = CUT_SIGN[(family, spec)]
+    stat = _STAT_SETS[(family, spec)]
+    word = walk_word(n)
+    states = {0: {0: 1}}
+    for j, letter in enumerate(word, start=1):
+        deg = beta_degree(j, len(word))
+        nxt = {}
+        for lo, counts in states.items():
+            side = wall_side(lo, letter)
+            sign = -side
+            moves = [(lo + side, 0)]
+            if not (letter == S0 and sign == cut):
+                moves.append((lo, deg if _FOLD_SET[letter, sign] in stat else 0))
+            for target, dq in moves:
+                acc = nxt.setdefault(target, {})
+                for qe, c in counts.items():
+                    acc[qe + dq] = acc.get(qe + dq, 0) + c
+        states = nxt
+    terms = {}
+    for lo, counts in states.items():
+        acc = terms.setdefault(alcove_element(lo)[0], {})
+        for qe, c in counts.items():
+            acc[qe] = acc.get(qe, 0) + c
+    return XPolynomial.from_q_terms(terms)
+
+
+def test_packed_statistic_route_equals_dict_reference():
+    for family in FAMILIES:
+        for n in [m for m in range(-16, 17) if m != 0]:
+            for spec in SPECS:
+                want = _dict_statistic_route(family, n, spec)
+                assert _statistic_route(family, n, spec) == want, (family, n, spec)
+    for n in (-32, 32):
+        assert _statistic_route("A2", n, "t0") == _dict_statistic_route("A2", n, "t0"), n
+
+
+def test_packed_statistic_route_mutants_fail(monkeypatch):
+    import macweyl.ramyip as mod
+
+    want = _dict_statistic_route("A2", -32, "t0")
+    # The proven width, 9 bytes at l = 64, is 3 bytes wider than the largest
+    # count needs, so the mutant narrows to one byte less than that need.
+    need = (max(c for p in want.terms.values() for c in p.terms.values()).bit_length() + 7) // 8
+    assert _count_width(64) >= need
+    monkeypatch.setattr(mod, "_count_width", lambda length: need - 1)
+    assert _statistic_route("A2", -32, "t0") != want
+    monkeypatch.undo()
+    # Every listed fold shifted one digit too far.
+    monkeypatch.setattr(mod, "beta_degree", lambda j, length: beta_degree(j, length) + 1)
+    assert _statistic_route("A2", -32, "t0") != want
 
 
 def test_dynamic_programs_equal_walk_enumeration():
@@ -372,7 +470,7 @@ def _dict_transfer(family, steps, window=None):
         for lo, num in states.items():
             for target, sign in _moves(lo, letter):
                 acc = nxt.setdefault(target, {})
-                for (dq, dv), fc in factor[sign].terms.items():
+                for dq, dv, fc in factor[sign]:
                     for ve, row in num.items():
                         ve += dv
                         if (least is not None and ve < least) or (
@@ -391,10 +489,15 @@ def _dict_transfer(family, steps, window=None):
 
 
 def _packed(p, width):
-    """The rows of a BiPolynomial."""
-    rows = {}
+    """The rows of a BiPolynomial: per v-slice, (base, packed) with base its
+    least q-exponent."""
+    slices = {}
     for (qe, ve), c in p.terms.items():
-        _add_row(rows, ve, qe, c, 1, width)
+        slices.setdefault(ve, {})[qe] = c
+    rows = {}
+    for ve, row in slices.items():
+        base = min(row)
+        rows[ve] = (base, sum(c << 8 * width * (qe - base) for qe, c in row.items()))
     return rows
 
 
@@ -410,9 +513,11 @@ def _mass(p):
 
 def _assert_packed_transfer_equals_reference(family, n, spec=None):
     steps = _steps(n)
-    window = None if spec is None else _window(family, n, steps, spec == "t0")
-    width = _digit_width(family, steps, divisions=False)
-    packed = _transfer(family, steps, width, window)
+    factors = [_step_factors(family, letter, deg) for letter, deg in steps]
+    deg_d = sum(_den_exponents(letter, deg)[1] for letter, deg in steps)
+    window = None if spec is None else _window(n, factors, deg_d, spec == "t0")
+    width = _digit_width(factors, ())
+    packed = _transfer(steps, factors, width, window)
     want = _dict_transfer(family, steps, window)
     assert sorted(packed) == sorted(want), (family, n, spec)
     for lo, rows in packed.items():
@@ -479,18 +584,19 @@ def test_coefficients_stay_below_proven_bound():
     for family in FAMILIES:
         for n in [m for m in range(-12, 13) if m != 0]:
             steps = _steps(n)
+            factors = [_step_factors(family, letter, deg) for letter, deg in steps]
             dens = [_den_exponents(letter, deg) for letter, deg in steps]
             span = 1
-            for letter, deg in steps:
-                factors = _step_factors(family, letter, deg).values()
-                span += max(f.v_max() for f in factors) - min(f.v_min() for f in factors)
+            for factor in factors:
+                dvs = [dv for terms in factor.values() for _, dv, _ in terms]
+                span += max(dvs) - min(dvs)
             transfer_bound = 4 ** len(steps)
             bound = transfer_bound * _series_monomials(tuple(b for _, b in dens), span)
-            assert transfer_bound < 2 ** (8 * _digit_width(family, steps, False) - 1)
-            width = _digit_width(family, steps, True)
+            assert transfer_bound < 2 ** (8 * _digit_width(factors, ()) - 1)
+            width = _digit_width(factors, dens)
             assert bound < 2 ** (8 * width - 1)
             # the packed transfer equals the dict reference (tests above)
-            for x, rows in _numerators(family, n, steps, True, width).items():
+            for x, rows in _numerators(n, steps, factors, True, width).items():
                 num = _unpacked(rows, width)
                 assert _mass(num) <= transfer_bound, (family, n, x)
                 assert num.v_max() - num.v_min() <= span, (family, n, x)
