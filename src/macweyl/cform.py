@@ -3,16 +3,15 @@ E-polynomial closed forms built from them.
 
 Each table exists twice: by its defining recurrence and in closed form as a
 q-power times a base-q^2 trinomial.  The two must agree; verify's
-recurrences suite and the tests check this exhaustively.  The recurrences
-are unrolled twice: c_rec and cdag_rec on QPolynomial dicts (memoized, the
-public API and the tests' reference), and rec_layers from the same rules
-written as data, _RECURRENCES, on packed integers at q = 2^(8 w) for the
-suite: one layer of index sum t from the one before, by integer shifts and
-adds, with no q-binomial.  This is carry-free when 3^t < 2^(8 w - 1).  The
-recurrences only add terms with nonnegative coefficients, and at q = 1 each
-is Pascal's rule for trinomial coefficients, so an entry of index sum t
-totals its trinomial coefficient, at most 3^t, at q = 1.  Every digit of an
-entry, and of each partial sum, is at most that total.
+recurrences suite and the tests check this exhaustively.  rec_layers
+unrolls the recurrences, written as data in _RECURRENCES, on packed
+integers at q = 2^(8 w): one layer of index sum t from the one before, by
+integer shifts and adds, with no q-binomial.  This is carry-free when
+3^t < 2^(8 w - 1).  The recurrences only add terms with nonnegative
+coefficients, and at q = 1 each is Pascal's rule for trinomial
+coefficients, so an entry of index sum t totals its trinomial coefficient,
+at most 3^t, at q = 1.  Every digit of an entry, and of each partial sum,
+is at most that total.
 
 The closed forms are computed on packed integers in Q = q^2: a polynomial in
 Q is one nonnegative integer whose base-2^(8 w) digit i is its Q^i
@@ -60,20 +59,6 @@ from functools import lru_cache
 
 from macweyl.ring import QPolynomial, XPolynomial, check_size, packed_width
 from macweyl.walks import FAMILIES, normalize_spec
-
-
-@lru_cache(maxsize=None)
-def c_rec(r, k22, k12, k11):
-    if k22 < 0 or k12 < 0 or k11 < 0:
-        return QPolynomial.zero()
-    if (k22, k12, k11) == (0, 0, 0):
-        return QPolynomial.one()
-    n = k22 + k12 + k11
-    mid = QPolynomial.q_power(2 * n - 1) * c_rec(2, k22, k12 - 1, k11)
-    last = c_rec(1, k22, k12, k11 - 1)
-    if r == 1:
-        return QPolynomial.q_power(2 * n) * c_rec(2, k22 - 1, k12, k11) + mid + last
-    return c_rec(2, k22 - 1, k12, k11) + mid + last
 
 
 def _shift(family, r, k22, kmid):
@@ -128,26 +113,13 @@ def c_closed(r, k22, k12, k11):
     return _closed("A2", r, k22, k12, k11)
 
 
-@lru_cache(maxsize=None)
-def cdag_rec(r, k22, k21, k11):
-    if k22 < 0 or k21 < 0 or k11 < 0:
-        return QPolynomial.zero()
-    if (k22, k21, k11) == (0, 0, 0):
-        return QPolynomial.one()
-    n = k22 + k21 + k11
-    last = cdag_rec(1, k22, k21, k11 - 1)
-    if r == 1:
-        q2n = QPolynomial.q_power(2 * n)
-        return q2n * cdag_rec(2, k22 - 1, k21, k11) + q2n * cdag_rec(1, k22, k21 - 1, k11) + last
-    return cdag_rec(2, k22 - 1, k21, k11) + cdag_rec(1, k22, k21 - 1, k11) + last
-
-
 def cdag_closed(r, k22, k21, k11):
     return _closed("A2dagger", r, k22, k21, k11)
 
 
-# The same two recurrences as data, for rec_layers: family -> r -> one
-# (source r, a, d) per index that steps down, in the order k22, kmid, k11:
+# The defining recurrences of c_r (A2) and c_r-dagger (A2dagger), for
+# rec_layers: family -> r -> one (source r, a, d) per index that steps
+# down, in the order k22, kmid, k11:
 # entry r at (k22, kmid, k11) of index sum t is the sum of q^(a t + d) times
 # entry (source r) at that index minus one.
 _RECURRENCES = {

@@ -1,4 +1,4 @@
-"""Gaussian binomials, q-multinomials, truncated q-series products and theta sums.
+"""Gaussian binomials, truncated q-series products and theta sums.
 
 A truncated series is a plain XPolynomial cut to 0 <= q-exponent <= q_bound
 and |x-exponent| <= x_bound; every coefficient it keeps is exact, so none is
@@ -33,16 +33,6 @@ def q_binomial(n, m, base_exponent=1):
     if base_exponent == 1 or p.is_zero():
         return p
     return p.scale_exponents(base_exponent)
-
-
-def q_multinomial(k1, k2, k3, base_exponent=2):
-    """Trinomial (k1+k2+k3 ; k1, k2, k3) in the given base; 0 on negatives.
-    Public API, and the tests' reference for the cform tables, which share
-    no code with it."""
-    if k1 < 0 or k2 < 0 or k3 < 0:
-        return QPolynomial.zero()
-    n = k1 + k2 + k3
-    return q_binomial(n, k1, base_exponent) * q_binomial(n - k1, k2, base_exponent)
 
 
 def _one_side_product(exponents, q_bound, x_bound):

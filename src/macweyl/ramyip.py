@@ -22,8 +22,9 @@ base-2^(8 w) digits of packed are the c_i, and packed == 0 iff the slice is
 0.  A transfer step's factor term c q^dq v^dv moves a slice to v + dv, adds
 dq to its base and multiplies packed by c.  Division by 1 - q^a v^b is the
 slice recurrence r[v] = p[v] + q^a r[v - b], one add per slice, and leaves a
-remainder iff a slice above v_max(p) - b is nonzero.  w is ring.packed_width
-of the following bound on the mass (the sum of |coefficients|):
+remainder iff a slice above v = top - b is nonzero, top the largest
+v-exponent of p.  w is ring.packed_width of the following bound on the mass
+(the sum of |coefficients|):
 
 * The transfer's mass is at most 4^l.  It starts at 1; each step sends an
   alcove's numerator along two moves, each times a factor of two terms

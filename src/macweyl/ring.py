@@ -47,8 +47,8 @@ class BoundExceeded(ValueError):
 
 
 # Largest |n| each route accepts, so that an accepted input finishes in
-# seconds, not minutes, on a 2-core x86 VM.  The walks (walks.walk_rows,
-# enumerate_walks) number 2^l, l about 2|n|: the `walks` dump in JSON takes
+# seconds, not minutes, on a 2-core x86 VM.  The walks that walks.walk_rows
+# lists number 2^l, l about 2|n|: the `walks` dump in JSON takes
 # 1.6 s and 300 MB and prints 84 MB at n = -9 (0.9 s, 150 MB and 41 MB at
 # n = 9), so the limit is the output's size.  weylchar.enumerate_basis lists
 # about 3^n monomials: `basis --kind untwisted_neg --n 12` takes 4.5 s and
@@ -190,10 +190,6 @@ class QPolynomial(_Laurent):
         return cls._nonzero({e: c for e, c in zip(exps, digits) if c})
 
     @classmethod
-    def monomial(cls, coeff, exp=0):
-        return cls({exp: coeff})
-
-    @classmethod
     def q_power(cls, exp):
         return cls({exp: 1})
 
@@ -285,12 +281,6 @@ class BiPolynomial(_Laurent):
         return BiPolynomial(out)
 
     __rmul__ = __mul__
-
-    def v_min(self):
-        return min(ve for (_, ve) in self.terms) if self.terms else None
-
-    def v_max(self):
-        return max(ve for (_, ve) in self.terms) if self.terms else None
 
     @staticmethod
     def _term_str(c, key):

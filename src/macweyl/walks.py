@@ -15,17 +15,17 @@ post-fold arrow points rightward.
 Walks towards weight -n use the letter word (s1, s0, ..., s1, s0) of length
 2n; walks towards +n use (s0, s1, ..., s1, s0) of length 2n-1.  Because the
 words alternate, a crossing keeps the current arrow direction and a folding
-reverses it, which is what the h-word encoding records.
+reverses it.  The h-word (h_0, ..., h_l) records the direction after each
+step, 1 = rightward and 2 = leftward, from h_0 = 1 toward a positive weight
+and 2 toward a negative one.
 
-The geometric traversal here is the ground truth for wt, d and folding
-signs; the h-word combinatorics is derived from it and cross-checked in the
-test suite.  traverse and walk_rows take each step by one rule, step: which
-side the wall is on, and which folding set a folding joins.
-
-Two consumers never list the walks one by one:
+wall_side says which side of the alcove a wall is on, and step adds which
+folding set a folding joins.  Neither consumer below lists the walks one by
+one; the tests compare both with a walk-by-walk reference that steps by the
+geometry alone.
 
 * walk_rows, the `walks` dump, is one depth-first pass over the mask tree,
-  folding (0) before crossing (1), so the rows come in enumerate_walks'
+  folding (0) before crossing (1), so the rows come in lexicographic mask
   order.  Each prefix is stepped once, and its lo, four folding lists (each
   already rendered), h-word and leg are shared by every walk below it.  A
   survival filter prunes a subtree at its first cut s0-folding.
@@ -34,15 +34,7 @@ Two consumers never list the walks one by one:
   of walks}; its docstring derives the step weights.
 """
 
-from collections import namedtuple
-from itertools import product
-
 from macweyl.ring import check_size
-
-
-class MalformedWalk(ValueError):
-    pass
-
 
 S0 = 0
 S1 = 1
@@ -60,40 +52,6 @@ def walk_word(target):
 def alcove_element(lo):
     """(wt, d) of the group element 2wt X * s1^d in the alcove (lo, lo+1)."""
     return (lo + 1) // 2, lo % 2
-
-
-class AlcoveWalk(namedtuple("AlcoveWalk", "word mask")):
-    """A letter word and a mask of the same length: 1 = crossing, 0 = folding."""
-
-    __slots__ = ()
-
-    def __new__(cls, word, mask):
-        if len(word) != len(mask):
-            raise MalformedWalk("mask length differs from word length")
-        return super().__new__(cls, word, mask)
-
-    @classmethod
-    def _make(cls, iterable):  # namedtuple's own skips __new__, and _replace calls it
-        return cls(*iterable)
-
-    @property
-    def length(self):
-        return len(self.word)
-
-
-class WalkStats(namedtuple("WalkStats", "lo J0_pos J0_neg J_pos J_neg arrows")):
-    """The final alcove (lo, lo+1), the four folding sets (frozensets of step
-    numbers) and the per-step final arrow directions, +1 right / -1 left."""
-
-    __slots__ = ()
-
-    @property
-    def J(self):
-        return self.J0_pos | self.J0_neg | self.J_pos | self.J_neg
-
-    @property
-    def folds(self):
-        return sorted(self.J)
 
 
 def wall_side(lo, letter):
@@ -117,82 +75,11 @@ def step(lo, letter):
     return side, (0 if letter == S0 else 2) + (side > 0)
 
 
-def traverse(walk):
-    """Run a walk from the alcove (0, 1) and classify its foldings."""
-    lo = 0
-    folds = ([], [], [], [])
-    arrows = []
-    for i, (letter, bit) in enumerate(zip(walk.word, walk.mask), start=1):
-        if letter not in (S0, S1):
-            raise MalformedWalk("unknown letter %r at step %d" % (letter, i))
-        side, k = step(lo, letter)
-        if bit:
-            lo += side
-            arrows.append(side)
-        else:
-            # Bounce: the arrow ends pointing away from the attempted wall.
-            arrows.append(-side)
-            folds[k].append(i)
-    return WalkStats(lo, *map(frozenset, folds), tuple(arrows))
-
-
-def to_hword(walk, target_sign):
-    """Direction word (h_0, ..., h_l): 1 = rightward, 2 = leftward.
-
-    h_0 is fixed by the sign of the target weight; a crossing keeps the
-    previous direction and a folding flips it.
-    """
-    if target_sign not in (1, -1):
-        raise ValueError("target_sign must be +1 or -1")
-    h = [1 if target_sign > 0 else 2]
-    for bit in walk.mask:
-        prev = h[-1]
-        h.append(prev if bit else 3 - prev)
-    return tuple(h)
-
-
-def x_weight(h):
-    """floor((#{i>0: h_i=1} - #{i>0: h_i=2} + 1) / 2)."""
-    ones = sum(1 for v in h[1:] if v == 1)
-    twos = len(h) - 1 - ones
-    return (ones - twos + 1) // 2
-
-
-def leg(h):
-    """Descent statistic: sum of j over pairs h[l-j]=1, h[l-j+1]=2."""
-    l = len(h) - 1
-    return sum(j for j in range(1, l + 1) if h[l - j] == 1 and h[l - j + 1] == 2)
-
-
-def legprime(h):
-    """Literal ascent statistic: sum of j over h[l-j]=1, h[l-j-1]=2.
-
-    The index set starts at j = 0, so an ascent at the last step contributes
-    nothing; see legprime_shifted for the variant that weights every ascent
-    by its full wall depth.
-    """
-    l = len(h) - 1
-    return sum(j for j in range(0, l) if h[l - j] == 1 and h[l - j - 1] == 2)
-
-
-def legprime_shifted(h):
-    """Ascent statistic with every index shifted up by one."""
-    l = len(h) - 1
-    return sum(j + 1 for j in range(0, l) if h[l - j] == 1 and h[l - j - 1] == 2)
-
-
 def beta_degree(j, l):
     """Affine degree of the root crossed at step j of a length-l word."""
     if not 1 <= j <= l:
         raise ValueError("step index out of range")
     return l - j + 1
-
-
-def enumerate_walks(target):
-    """All 2^l walks for the target weight, in lexicographic mask order."""
-    check_size("walks", target)
-    word = walk_word(target)
-    return [AlcoveWalk(word, mask) for mask in product((0, 1), repeat=len(word))]
 
 
 FAMILIES = ("A2", "A2dagger")
@@ -213,30 +100,17 @@ def normalize_spec(spec):
     raise ValueError("unknown specialization %r" % (spec,))
 
 
-def surviving(stats, family, spec):
-    """True when the walk contributes to the given specialization."""
-    positive = CUT_SIGN[(family, normalize_spec(spec))] > 0
-    return not (stats.J0_pos if positive else stats.J0_neg)
-
-
-def qb_filter(walks, family, spec):
-    """Walks whose term survives the t=0 or t=infinity limit."""
-    if family not in FAMILIES:
-        raise ValueError("unknown family %r" % (family,))
-    return [w for w in walks if surviving(traverse(w), family, spec)]
-
-
 def walk_rows(target, lists=("[", ", ", "]"), cut=None):
     """Every walk toward `target` as the row (mask, wt, d, J0+, J0-, J+, J-,
-    h, leg), in enumerate_walks' order: mask and h as digit strings, each
+    h, leg), in lexicographic mask order: mask and h as digit strings, each
     folding list rendered as head + sep.join(steps) + tail for lists =
     (head, sep, tail), or "[]" when empty.  With cut = +-1, the walks with
     an s0-folding of that sign (CUT_SIGN) are left out.
 
     One depth-first pass over the mask tree steps each prefix once (see the
-    module docstring).  leg(h) sums l - i + 1 over the descents h[i-1] = 1,
-    h[i] = 2, and a descent is a folding whose arrow was rightward, so leg
-    grows there.
+    module docstring).  leg, the descent statistic, sums l - i + 1 over the
+    descents h[i-1] = 1, h[i] = 2, and a descent is a folding whose arrow
+    was rightward, so leg grows there.
     """
     check_size("walks", target)
     word = walk_word(target)
@@ -265,17 +139,18 @@ def walk_rows(target, lists=("[", ", ", "]"), cut=None):
 
 
 def legprime_counts(target, cut, shift):
-    """{x_weight(h): {statistic: number of walks}} over the walks toward
-    `target` that have no s0-folding of sign `cut`, the statistic legprime
-    (shift 0) or legprime_shifted (shift 1) of their h-words.
+    """{x-weight: {statistic: number of walks}} over the walks toward
+    `target` that have no s0-folding of sign `cut`.  For the h-word h of a
+    walk, the x-weight is floor((#1 - #2 + 1) / 2), counting the letters
+    h_i, i > 0, and the statistic legprime sums j + shift over the j with
+    h[l-j] = 1, h[l-j-1] = 2: shift 0 is the literal statistic, shift 1
+    weighs every ascent by its full wall depth.
 
-    legprime(h) sums j over the j with h[l-j] = 1, h[l-j-1] = 2.  Put
-    i = l - j: that is an ascent h[i-1] = 2, h[i] = 1 at step i, weighed
-    l - i, and j + 1 = l - i + 1 in legprime_shifted.  h_i is h_(i-1) after
-    a crossing and 3 - h_(i-1) after a folding, so an ascent is a folding
-    taken when the last letter is 2.  Both statistics are sums of such
-    step weights, and x_weight(h) = floor((#1 - #2 + 1) / 2) reads only
-    #1 - #2 over i > 0: a state (lo, last h-letter, #1 - #2) fixes how every
+    Put i = l - j: that is an ascent h[i-1] = 2, h[i] = 1 at step i, weighed
+    l - i + shift.  h_i is h_(i-1) after a crossing and 3 - h_(i-1) after a
+    folding, so an ascent is a folding taken when the last letter is 2.  The
+    statistic is a sum of such step weights, and the x-weight reads only
+    #1 - #2: a state (lo, last h-letter, #1 - #2) fixes how every
     continuation changes them.  lo is needed for the cut alone, since the
     sign of a folding is -wall_side(lo, letter).  So this dynamic program
     over those states, walk counts added where two prefixes meet, gives the

@@ -97,27 +97,27 @@ KINDS = (
 BasisMonomial = namedtuple("BasisMonomial", "kind e_degrees g_degrees weight t_degree pbw_degree")
 
 
-def enumerate_basis(kind, n):
-    """All basis monomials of the given kind for parameter n."""
-    if kind == "twisted_pos":
-        return enumerate_basis("twisted_pos_1", n) + enumerate_basis("twisted_pos_2", n)
-    return [BasisMonomial(kind, *m) for m in _basis_tuples(kind, n)]
-
-
-def _check_basis(kind, n):
-    if kind not in KINDS or kind == "twisted_pos":
+def _parts(kind, n):
+    """The kinds whose bases, in turn, make up the basis of `kind` at n:
+    twisted_pos is the union of twisted_pos_1 and twisted_pos_2.  Raises
+    ValueError naming `kind` for an unknown kind or an n out of its range."""
+    if kind not in KINDS:
         raise ValueError("unknown basis kind %r" % (kind,))
-    positive_kind = kind in ("untwisted_pos", "twisted_pos_1", "twisted_pos_2")
-    if n < 0 or (positive_kind and n < 1):
+    if n < 0 or ("_pos" in kind and n < 1):
         raise ValueError("n out of range for kind %s" % kind)
     check_size("basis", n)
+    return ("twisted_pos_1", "twisted_pos_2") if kind == "twisted_pos" else (kind,)
+
+
+def enumerate_basis(kind, n):
+    """All basis monomials of the given kind for parameter n."""
+    return [BasisMonomial(part, *m) for part in _parts(kind, n) for m in _basis_tuples(part, n)]
 
 
 def _basis_tuples(kind, n):
     """Yield (e_degrees, g_degrees, weight, t_degree, pbw_degree) for every
-    basis monomial of one kind (not the union "twisted_pos")."""
-    _check_basis(kind, n)
-
+    basis monomial of one kind (not the union "twisted_pos"), n in its
+    range (_parts)."""
     if kind == "untwisted_neg":
         for k in range(n + 1):
             for bs in combinations(range(n), k):
@@ -170,8 +170,7 @@ def _blocks(kind, n):
     block's monomials are the k-subsets of g_values times the s-multisets
     of e_values, and a monomial's t-degree is t_offset plus the two sums.
     These are the inequalities of _basis_tuples, written out a second time;
-    e_values is never empty."""
-    _check_basis(kind, n)
+    e_values is never empty.  n must be in the kind's range (_parts)."""
     if kind == "untwisted_neg":
         return [(-n + k + 2 * s, k + s, 0, range(n), k, range(n - k - s + 1), s)
                 for k in range(n + 1) for s in range(n - k + 1)]
@@ -201,10 +200,8 @@ def _blocks(kind, n):
 def basis_count(kind, n):
     """len(enumerate_basis(kind, n)), counted block by block: C(|g_values|, k)
     subsets times C(|e_values| + s - 1, s) multisets."""
-    if kind == "twisted_pos":
-        return basis_count("twisted_pos_1", n) + basis_count("twisted_pos_2", n)
     return sum(comb(len(g), k) * comb(len(e) + s - 1, s)
-               for _, _, _, g, k, e, s in _blocks(kind, n))
+               for part in _parts(kind, n) for _, _, _, g, k, e, s in _blocks(part, n))
 
 
 def _sum_tables(values, top, repeat):
@@ -232,7 +229,8 @@ def pbw_counts(n, twisted=False):
     subset-sum table of the g-degrees and a multiset-sum table of the
     e-degrees, each table built once per range of values.
     """
-    blocks = _blocks("twisted_neg" if twisted else "untwisted_neg", n)
+    (kind,) = _parts("twisted_neg" if twisted else "untwisted_neg", n)
+    blocks = _blocks(kind, n)
     subsets, multisets = {}, {}
     for _, _, _, g, k, e, s in blocks:
         subsets[g] = max(subsets.get(g, 0), k)

@@ -6,6 +6,7 @@ import json
 import time
 
 from macweyl import cform, cli, fusion, qcomb, ramyip, verify, weylchar
+from references import c_rec, cdag_rec
 
 
 def report(number, description, ok):
@@ -40,8 +41,8 @@ def test_criterion_2_recurrences():
                 k11 = total - k22 - k12
                 count += 1
                 for r in (1, 2):
-                    ok = ok and cform.c_rec(r, k22, k12, k11) == cform.c_closed(r, k22, k12, k11)
-                    ok = ok and cform.cdag_rec(r, k22, k12, k11) == cform.cdag_closed(r, k22, k12, k11)
+                    ok = ok and c_rec(r, k22, k12, k11) == cform.c_closed(r, k22, k12, k11)
+                    ok = ok and cdag_rec(r, k22, k12, k11) == cform.cdag_closed(r, k22, k12, k11)
     ok = ok and count == 165
     report(2, "recurrence = closed form on %d triples x 2 x 2" % count, ok)
 

@@ -11,6 +11,7 @@ import pytest
 
 from macweyl import cli, ramyip, verify, walks
 from macweyl.ring import SIZE_LIMITS, QPolynomial, XPolynomial
+from references import hword, leg, surviving, traverse, walks_toward
 
 
 def run_cli(capsys, *argv):
@@ -82,39 +83,53 @@ def test_walks_filtered(capsys):
     assert len(doc["walks"]) == 3
 
 
-def _walk_records(n):
-    """The per-walk path the dump replaced: one traverse per listed walk,
-    and its record dict."""
-    out = []
-    for walk in walks.enumerate_walks(n):
-        stats = walks.traverse(walk)
-        wt, d = walks.alcove_element(stats.lo)
-        h = walks.to_hword(walk, 1 if n > 0 else -1)
-        record = {
-            "mask": "".join(map(str, walk.mask)), "wt": wt, "d": d,
-            "J0+": sorted(stats.J0_pos), "J0-": sorted(stats.J0_neg),
-            "J+": sorted(stats.J_pos), "J-": sorted(stats.J_neg),
-            "h": "".join(map(str, h)), "leg": walks.leg(h),
-        }
-        out.append((stats, record))
-    return out
+def _reference_dump(n, spec=None):
+    """The text and JSON stdout of `walks --n n [--filter spec]`, built walk
+    by walk."""
+    records = []
+    for word, mask in walks_toward(n):
+        lo, folds, _ = traverse(word, mask)
+        if spec is None or surviving(folds, *spec.split("-")):
+            (wt, d), h = walks.alcove_element(lo), hword(mask, n)
+            records.append({
+                "mask": "".join(map(str, mask)), "wt": wt, "d": d,
+                "J0+": folds["J0_pos"], "J0-": folds["J0_neg"], "J+": folds["J_pos"],
+                "J-": folds["J_neg"], "h": "".join(map(str, h)), "leg": leg(h)})
+    text = "".join(
+        "mask=%s wt=%-3d d=%d h=%s leg=%-2d J0+=%s J0-=%s J+=%s J-=%s\n"
+        % (r["mask"], r["wt"], r["d"], r["h"], r["leg"], r["J0+"], r["J0-"], r["J+"], r["J-"])
+        for r in records) + "count: %d\n" % len(records)
+    return text, json.dumps({"n": n, "walks": records}, indent=2) + "\n"
 
 
 def test_walks_dump_equals_record_reference(capsys):
     for n in (*range(-6, 0), *range(1, 7)):
-        pairs = _walk_records(n)
         for spec in (None, "A2-t0", "A2-tinf", "A2dagger-t0", "A2dagger-tinf"):
-            records = [r for stats, r in pairs
-                       if spec is None or walks.surviving(stats, *spec.split("-"))]
-            text = "".join(
-                "mask=%s wt=%-3d d=%d h=%s leg=%-2d J0+=%s J0-=%s J+=%s J-=%s\n"
-                % (r["mask"], r["wt"], r["d"], r["h"], r["leg"],
-                   r["J0+"], r["J0-"], r["J+"], r["J-"])
-                for r in records) + "count: %d\n" % len(records)
-            doc = json.dumps({"n": n, "walks": records}, indent=2) + "\n"
+            text, doc = _reference_dump(n, spec)
             argv = ("walks", "--n", str(n)) + (("--filter", spec) if spec else ())
             assert run_cli(capsys, *argv) == (0, text)
             assert run_cli(capsys, *argv, "--format", "json") == (0, doc)
+
+
+def _swap_j0(step):
+    def swapped(lo, letter):
+        side, k = step(lo, letter)
+        return side, k ^ (k < 2)  # folding set 0 = J0+ <-> 1 = J0-
+
+    return swapped
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("wall_side", lambda wall_side: lambda lo, letter: -wall_side(lo, letter)),
+    ("step", _swap_j0),
+])
+def test_walks_dump_differs_from_reference_under_step_mutants(capsys, monkeypatch, name, mutant):
+    # The reference is built under the mutant too: it steps by the geometry
+    # alone, so a fault in walks' step rule shows in the dump only.
+    monkeypatch.setattr(walks, name, mutant(getattr(walks, name)))
+    for n in (-3, 3):
+        text, _ = _reference_dump(n)
+        assert run_cli(capsys, "walks", "--n", str(n)) != (0, text)
 
 
 def test_weylchar_and_basis(capsys):
@@ -281,6 +296,15 @@ def test_weylchar_negative_n_is_usage_error(capsys):
         code = cli.run(["weylchar", "--module", module, "--n", "-2"])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", "error: n must be nonnegative\n")
+
+
+def test_basis_n_out_of_range_names_the_kind_asked_for(capsys):
+    # twisted_pos is listed as two kinds; the error names the one asked for.
+    for kind in ("twisted_pos", "twisted_pos_1", "untwisted_pos"):
+        code = cli.run(["basis", "--kind", kind, "--n", "0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: n out of range for kind %s\n" % kind
 
 
 # An option value `--`: argparse before Python 3.13 drops it and hands the

@@ -216,7 +216,7 @@ def _all_weights_character(n, points, twisted=False):
                     )
         degree += 1
     return XPolynomial.from_pairs(
-        (w, QPolynomial.monomial(mult, deg)) for (deg, w), mult in char.items()
+        (w, QPolynomial({deg: mult})) for (deg, w), mult in char.items()
     )
 
 

@@ -4,10 +4,10 @@ from macweyl.qcomb import (
     euler_product_truncated,
     inv_pochhammer_truncated,
     q_binomial,
-    q_multinomial,
     wedge_lhs_truncated,
 )
 from macweyl.ring import QPolynomial, XPolynomial
+from references import q_multinomial
 
 
 def qp(d):

@@ -6,7 +6,6 @@ from functools import lru_cache
 import pytest
 
 from macweyl.cform import E_spec
-from macweyl.qcomb import q_multinomial
 from macweyl.ramyip import (
     _FOLD_SET,
     _FOLD_XI_POWER,
@@ -47,14 +46,11 @@ from macweyl.walks import (
     SPECS,
     alcove_element,
     beta_degree,
-    enumerate_walks,
-    qb_filter,
-    surviving,
-    traverse,
     walk_word,
     wall_side,
 )
 from macweyl.weylchar import ch_W_sigma
+from references import q_multinomial, surviving, traverse, walks_toward
 
 
 def qp(d):
@@ -70,11 +66,19 @@ def _binomial(a, b):
     return BiPolynomial({(0, 0): 1, (a, b): -1})
 
 
+def _v_min(p):
+    return min(ve for _, ve in p.terms)
+
+
+def _v_max(p):
+    return max(ve for _, ve in p.terms)
+
+
 @dataclass(frozen=True)
 class RamYipTerm:
     """One walk's term: v^v_exponent times the product of `factors`."""
 
-    walk: object
+    folds: dict  # references.traverse's folding sets
     v_exponent: int
     factors: tuple  # one RationalFunction per folding, in step order
     x_exponent: int
@@ -86,14 +90,15 @@ def ramyip_terms(family, n):
     if n == 0:
         return []
     out = []
-    for walk in enumerate_walks(n):
-        stats = traverse(walk)
+    for word, mask in walks_toward(n):
+        lo, folds, arrows = traverse(word, mask)
         factors = []
-        for j in stats.folds:
-            step = _step_factors(family, walk.word[j - 1], beta_degree(j, walk.length))
-            factors.append(RationalFunction(_bipoly(step[stats.arrows[j - 1]]), _bipoly(step[None])))
-        wt, d = alcove_element(stats.lo)
-        out.append(RamYipTerm(walk, _prefactor_v(n, d, False), tuple(factors), wt))
+        for j, bit in enumerate(mask, start=1):
+            if not bit:
+                step = _step_factors(family, word[j - 1], beta_degree(j, len(word)))
+                factors.append(RationalFunction(_bipoly(step[arrows[j - 1]]), _bipoly(step[None])))
+        wt, d = alcove_element(lo)
+        out.append(RamYipTerm(folds, _prefactor_v(n, d, False), tuple(factors), wt))
     return out
 
 
@@ -102,7 +107,7 @@ def test_term_structure_n_minus_1():
     assert sorted(t.x_exponent for t in terms) == [-1, 0, 0, 1]
     # one rational factor per folded step
     for t in terms:
-        assert len(t.factors) == sum(1 for b in t.walk.mask if b == 0)
+        assert len(t.factors) == sum(map(len, t.folds.values()))
 
 
 def test_term_structure_n_plus_1():
@@ -173,7 +178,7 @@ def test_unnormalized_sum_keeps_literal_prefactor():
     full = ramyip_sum("A2", -1, normalize=False)
     # the all-crossing walk carries v^-1 under the printed prefactor
     rf = full.terms[-1]
-    assert rf.num.v_min() - rf.den.v_min() == -1
+    assert _v_min(rf.num) - _v_min(rf.den) == -1
 
 
 def test_specialize_examples():
@@ -200,15 +205,15 @@ def _walk_statistics(n):
     """{(family, spec): specialization} summed walk by walk, each walk
     traversed once: the reference for both dynamic programs."""
     counts = {(family, spec): {} for family in FAMILIES for spec in SPECS}
-    for walk in enumerate_walks(n):
-        stats = traverse(walk)
+    for word, mask in walks_toward(n):
+        lo, folds, _ = traverse(word, mask)
         for (family, spec), terms in counts.items():
-            if not surviving(stats, family, spec):
+            if not surviving(folds, family, spec):
                 continue
             qe = 0
             for name in _STAT_SETS[(family, spec)]:
-                qe += sum(beta_degree(j, walk.length) for j in getattr(stats, name))
-            by_q = terms.setdefault(alcove_element(stats.lo)[0], {})
+                qe += sum(beta_degree(j, len(word)) for j in folds[name])
+            by_q = terms.setdefault(alcove_element(lo)[0], {})
             by_q[qe] = by_q.get(qe, 0) + 1
     return {key: XPolynomial.from_q_terms(terms) for key, terms in counts.items()}
 
@@ -284,14 +289,14 @@ def _limits(rf):
     off the slices once the denominator is checked to allow it."""
     num, den = rf.num, rf.den
     # den = 1 + O(v): the value at v = 0 is num's v^0 slice
-    assert den.v_min() == 0 and _v_slice(den, 0) == {0: 1}
+    assert _v_min(den) == 0 and _v_slice(den, 0) == {0: 1}
     # den's top v-term is one +-q^A v^B: the limit is num's v^B slice over it
-    top = den.v_max()
+    top = _v_max(den)
     lead = _v_slice(den, top)
     assert len(lead) == 1
     ((q_top, sign),) = lead.items()
     assert sign in (1, -1)
-    assert 0 <= num.v_min() and num.v_max() <= top
+    assert 0 <= _v_min(num) and _v_max(num) <= top
     t0 = QPolynomial(_v_slice(num, 0))
     tinf = QPolynomial({q_top - qe: sign * c for qe, c in _v_slice(num, top).items()})
     return t0, tinf
@@ -322,19 +327,19 @@ def test_normalized_t0_survivors_sit_at_valuation_zero():
     # once normalized, and every cut walk above it.
     for family in FAMILIES:
         for n in [m for m in range(-7, 8) if m != 0]:
-            for walk in enumerate_walks(n):
-                stats = traverse(walk)
-                folds = sum(
-                    2 * _FOLD_XI_POWER[family, walk.word[j - 1], stats.arrows[j - 1]] - 1
-                    for j in stats.folds
+            for word, mask in walks_toward(n):
+                lo, folds, arrows = traverse(word, mask)
+                valuation = sum(
+                    2 * _FOLD_XI_POWER[family, word[j - 1], arrows[j - 1]] - 1
+                    for j, bit in enumerate(mask, start=1) if not bit
                 )
-                _, d = alcove_element(stats.lo)
-                raw = _prefactor_v(n, d, False) + folds
-                normalized = _prefactor_v(n, d, True) + folds
-                if surviving(stats, family, "t0"):
-                    assert (raw, normalized) == (_sign(n), 0), (family, n, walk.mask)
+                _, d = alcove_element(lo)
+                raw = _prefactor_v(n, d, False) + valuation
+                normalized = _prefactor_v(n, d, True) + valuation
+                if surviving(folds, family, "t0"):
+                    assert (raw, normalized) == (_sign(n), 0), (family, n, mask)
                 else:
-                    assert raw > _sign(n) and normalized > 0, (family, n, walk.mask)
+                    assert raw > _sign(n) and normalized > 0, (family, n, mask)
 
 
 def _least_t0_valuation(family, n):
@@ -381,14 +386,14 @@ def _at(rf, q, v):
 
 
 def _valuation(term):
-    return term.v_exponent + sum(f.num.v_min() - f.den.v_min() for f in term.factors)
+    return term.v_exponent + sum(_v_min(f.num) - _v_min(f.den) for f in term.factors)
 
 
 def test_transfer_sum_equals_walk_enumeration():
     for family in ("A2", "A2dagger"):
         for n in [m for m in range(-5, 6) if m != 0]:
             terms = ramyip_terms(family, n)
-            t0 = [surviving(traverse(t.walk), family, "t0") for t in terms]
+            t0 = [surviving(t.folds, family, "t0") for t in terms]
             shift = -min(_valuation(t) for t, keep in zip(terms, t0) if keep)
             for q, v in POINTS:
                 at = {}  # a walk's factors repeat across walks: evaluate each once
@@ -410,7 +415,7 @@ def test_transfer_sum_equals_walk_enumeration():
             for t, keep in zip(terms, t0):
                 assert (_valuation(t) + shift == 0) if keep else (_valuation(t) + shift > 0)
             full = ramyip_sum(family, n)
-            assert min(rf.num.v_min() - rf.den.v_min() for rf in full.terms.values()) == 0
+            assert min(_v_min(rf.num) - _v_min(rf.den) for rf in full.terms.values()) == 0
 
 
 def test_mass_and_symmetry_negative_n():
@@ -423,7 +428,8 @@ def test_mass_and_symmetry_negative_n():
 
 def test_survivor_count_matches_multinomial_count():
     for n in range(1, 5):
-        survivors = qb_filter(enumerate_walks(-n), "A2", "t0")
+        survivors = [mask for word, mask in walks_toward(-n)
+                     if surviving(traverse(word, mask)[1], "A2", "t0")]
         total = 0
         for k22 in range(n + 1):
             for k12 in range(n - k22 + 1):
@@ -599,7 +605,7 @@ def test_coefficients_stay_below_proven_bound():
             for x, rows in _numerators(n, steps, factors, True, width).items():
                 num = _unpacked(rows, width)
                 assert _mass(num) <= transfer_bound, (family, n, x)
-                assert num.v_max() - num.v_min() <= span, (family, n, x)
+                assert _v_max(num) - _v_min(num) <= span, (family, n, x)
                 for a, b in dens:
                     quotient, formed = _reference_division(num, a, b)
                     assert formed <= _mass(num) <= bound, (family, n, x, a, b)

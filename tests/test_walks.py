@@ -1,24 +1,7 @@
 import pytest
 
-from macweyl.walks import (
-    CUT_SIGN,
-    S0,
-    S1,
-    AlcoveWalk,
-    MalformedWalk,
-    alcove_element,
-    beta_degree,
-    enumerate_walks,
-    leg,
-    legprime,
-    legprime_counts,
-    legprime_shifted,
-    qb_filter,
-    to_hword,
-    traverse,
-    walk_word,
-    x_weight,
-)
+from macweyl.walks import CUT_SIGN, S0, S1, alcove_element, beta_degree, legprime_counts, walk_word
+from references import hword, leg, legprime, surviving, traverse, walks_toward, x_weight
 
 
 def test_walk_words():
@@ -32,16 +15,16 @@ def test_walk_words():
 
 
 def test_traverse_examples():
-    s = traverse(AlcoveWalk(walk_word(-1), (1, 1)))
-    assert (s.lo, *alcove_element(s.lo)) == (-2, -1, 0)
-    assert not s.J
+    lo, folds, _ = traverse(walk_word(-1), (1, 1))
+    assert (lo, *alcove_element(lo)) == (-2, -1, 0)
+    assert not any(folds.values())
 
-    s = traverse(AlcoveWalk(walk_word(-1), (0, 1)))
-    assert (s.lo, *alcove_element(s.lo)) == (1, 1, 1)
-    assert s.J == {1} and s.J_pos == {1}
+    lo, folds, _ = traverse(walk_word(-1), (0, 1))
+    assert (lo, *alcove_element(lo)) == (1, 1, 1)
+    assert folds == {"J0_pos": [], "J0_neg": [], "J_pos": [1], "J_neg": []}
 
-    s = traverse(AlcoveWalk(walk_word(1), (1,)))
-    assert (s.lo, *alcove_element(s.lo)) == (1, 1, 1)
+    lo, _, _ = traverse(walk_word(1), (1,))
+    assert (lo, *alcove_element(lo)) == (1, 1, 1)
 
 
 def test_alcove_element_reads_the_alcove():
@@ -52,10 +35,9 @@ def test_alcove_element_reads_the_alcove():
 
 
 def test_hword_examples():
-    word = walk_word(-1)
-    assert to_hword(AlcoveWalk(word, (1, 1)), -1) == (2, 2, 2)
-    assert to_hword(AlcoveWalk(word, (0, 1)), -1) == (2, 1, 1)
-    assert to_hword(AlcoveWalk(word, (0, 0)), -1) == (2, 1, 2)
+    assert hword((1, 1), -1) == (2, 2, 2)
+    assert hword((0, 1), -1) == (2, 1, 1)
+    assert hword((0, 0), -1) == (2, 1, 2)
 
 
 def test_x_weight_examples():
@@ -67,8 +49,8 @@ def test_x_weight_examples():
 def test_leg_examples():
     assert leg((2, 1, 2)) == 1
     assert leg((2, 2, 2)) == 0
-    assert legprime((2, 2, 1)) == 0
-    assert legprime_shifted((2, 2, 1)) == 1
+    assert legprime((2, 2, 1), 0) == 0
+    assert legprime((2, 2, 1), 1) == 1
 
 
 def test_beta_degree():
@@ -80,51 +62,44 @@ def test_beta_degree():
 
 
 def test_enumeration_counts():
-    assert len(enumerate_walks(-1)) == 4
-    assert len(enumerate_walks(1)) == 2
-    assert len(enumerate_walks(-2)) == 16
+    assert len(walks_toward(-1)) == 4
+    assert len(walks_toward(1)) == 2
+    assert len(walks_toward(-2)) == 16
     for n in (-3, 3, -4):
         l = len(walk_word(n))
-        assert len(enumerate_walks(n)) == 2**l
+        assert len(walks_toward(n)) == 2**l
 
 
 def test_enumeration_is_lexicographic():
-    masks = [w.mask for w in enumerate_walks(-1)]
+    masks = [mask for _, mask in walks_toward(-1)]
     assert masks == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def _cut_masks(n, family, spec):
+    return [mask for word, mask in walks_toward(n)
+            if not surviving(traverse(word, mask)[1], family, spec)]
+
+
 def test_qb_filter_examples():
-    walks = enumerate_walks(-1)
-    assert len(qb_filter(walks, "A2", "t0")) == 3
-    cut = [w for w in walks if w not in qb_filter(walks, "A2", "t0")]
-    assert cut[0].mask == (1, 0)
-    assert len(qb_filter(walks, "A2", "tinf")) == 3
-    cut = [w for w in walks if w not in qb_filter(walks, "A2", "tinf")]
-    assert cut[0].mask == (0, 0)
-    assert len(qb_filter(enumerate_walks(1), "A2", "t0")) == 2
-    assert len(qb_filter(enumerate_walks(1), "A2dagger", "t0")) == 1
+    assert _cut_masks(-1, "A2", "t0") == [(1, 0)]
+    assert _cut_masks(-1, "A2", "tinf") == [(0, 0)]
+    assert _cut_masks(1, "A2", "t0") == []
+    assert len(_cut_masks(1, "A2dagger", "t0")) == 1
 
 
 def test_hword_round_trip_reproduces_fold_classification():
     for n in [m for m in range(-4, 5) if m != 0]:
-        word = walk_word(n)
-        sign = 1 if n > 0 else -1
-        for walk in enumerate_walks(n):
-            stats = traverse(walk)
-            h = to_hword(walk, sign)
+        for word, mask in walks_toward(n):
+            _, folds, arrows = traverse(word, mask)
+            h = hword(mask, n)
             # geometric arrows agree with the flip rule
-            assert tuple(1 if a > 0 else 2 for a in stats.arrows) == h[1:]
-            j0p, j0n, jp, jn = set(), set(), set(), set()
+            assert tuple(1 if a > 0 else 2 for a in arrows) == h[1:]
+            want = {"J0_pos": [], "J0_neg": [], "J_pos": [], "J_neg": []}
             for i in range(1, len(h)):
-                if h[i] == h[i - 1]:
-                    continue
-                positive = h[i] == 1
-                if word[i - 1] == S0:
-                    (j0p if positive else j0n).add(i)
-                else:
-                    (jp if positive else jn).add(i)
-            assert j0p == stats.J0_pos and j0n == stats.J0_neg
-            assert jp == stats.J_pos and jn == stats.J_neg
+                if h[i] != h[i - 1]:
+                    name = ("J0" if word[i - 1] == S0 else "J") + ("_pos" if h[i] == 1 else "_neg")
+                    want[name].append(i)
+            assert folds == want
 
 
 def test_s0_step_positions():
@@ -139,37 +114,24 @@ def test_direction_count_identity():
     # #1's - #2's over i>0 equals 2*wt minus one when the target is positive;
     # consequently the printed x-exponent formula reproduces wt exactly.
     for n in [m for m in range(-4, 5) if m != 0]:
-        sign = 1 if n > 0 else -1
-        for walk in enumerate_walks(n):
-            wt, _ = alcove_element(traverse(walk).lo)
-            h = to_hword(walk, sign)
-            ones = sum(1 for v in h[1:] if v == 1)
-            twos = len(h) - 1 - ones
-            assert ones - twos == 2 * wt - (1 if n > 0 else 0)
+        for word, mask in walks_toward(n):
+            wt, _ = alcove_element(traverse(word, mask)[0])
+            h = hword(mask, n)
+            assert h[1:].count(1) - h[1:].count(2) == 2 * wt - (1 if n > 0 else 0)
             assert x_weight(h) == wt
 
 
-def test_malformed_walk():
-    with pytest.raises(MalformedWalk):
-        AlcoveWalk((S1, S0), (1,))
-    with pytest.raises(MalformedWalk):
-        AlcoveWalk((S1, S0), (1, 1))._replace(mask=(1,))
-    with pytest.raises(MalformedWalk):
-        traverse(AlcoveWalk((7,), (1,)))
-
-
 def _enumerated_tables(n, cut):
-    """{x_weight: {statistic: count}} for legprime and legprime_shifted over
+    """{x_weight: {statistic: count}} for legprime at shifts 0 and 1 over
     the listed walks without an s0-folding of sign cut."""
     tables = ({}, {})
-    for walk in enumerate_walks(n):
-        stats = traverse(walk)
-        if stats.J0_pos if cut > 0 else stats.J0_neg:
+    for word, mask in walks_toward(n):
+        if traverse(word, mask)[1]["J0_pos" if cut > 0 else "J0_neg"]:
             continue
-        h = to_hword(walk, 1 if n > 0 else -1)
-        for table, fn in zip(tables, (legprime, legprime_shifted)):
+        h = hword(mask, n)
+        for shift, table in enumerate(tables):
             by_q = table.setdefault(x_weight(h), {})
-            by_q[fn(h)] = by_q.get(fn(h), 0) + 1
+            by_q[legprime(h, shift)] = by_q.get(legprime(h, shift), 0) + 1
     return tables
 
 

@@ -70,6 +70,8 @@ def test_counts_keep_the_enumeration_limits():
             fn(*args)
     with pytest.raises(BoundExceeded):
         pbw_counts(SIZE_LIMITS["basis"] + 1, True)
+    with pytest.raises(ValueError, match="kind twisted_pos$"):
+        basis_count("twisted_pos", 0)
 
 
 @pytest.mark.parametrize("field, kind", [(3, "untwisted_neg"), (5, "untwisted_neg"),
@@ -316,7 +318,7 @@ def test_pbw_mass():
 
 def test_pbw_specialized_closed_forms():
     # independent double-sum forms of the PBW specializations
-    from macweyl.qcomb import q_multinomial
+    from references import q_multinomial
 
     for n in range(6):
         untw, tw = {}, {}
