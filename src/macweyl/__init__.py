@@ -19,6 +19,5 @@ from macweyl.weylchar import (
     approximant,
 )
 from macweyl.fusion import build_rep, fusion_character
-from macweyl.verify import verify_section4
 
 __version__ = "0.1.0"

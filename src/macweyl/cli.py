@@ -344,6 +344,28 @@ _COMMANDS = {
 }
 
 
+# The option a capacity limit bounds, per subcommand ("|--n|" where --n takes
+# either sign), and for limitchar per SIZE_LIMITS key.
+_BOUNDED = {"epoly": "|--n|", "ctable": "--max-n", "weylchar": "|--n|", "basis": "--n",
+            "limitchar": {"limitchar": "--qmax", "characters": "--approx"},
+            "fusion": "--n", "walks": "|--n|", "verify": "--max-n"}
+# The option that picks the route, where a subcommand's routes differ in limit.
+_ROUTE = {"epoly": "--spec", "weylchar": "--module", "verify": "--suite"}
+
+
+def _limit_message(args, exc):
+    """Exit 3's message: what was asked for, the option bounded and its
+    limit, e.g. `epoly --spec full is limited to |--n| <= 12`."""
+    option = _BOUNDED[args.command]
+    if isinstance(option, dict):
+        option = option[exc.name]
+    asked = args.command
+    if args.command in _ROUTE:
+        route = _ROUTE[args.command]
+        asked += " %s %s" % (route, getattr(args, route[2:]))
+    return "%s is limited to %s <= %d" % (asked, option, exc.limit)
+
+
 def build_parser():
     import argparse
 
@@ -444,7 +466,7 @@ def run(argv=None):
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except BoundExceeded as exc:
-        sys.stderr.write("error: %s\n" % exc)
+        sys.stderr.write("error: %s\n" % _limit_message(args, exc))
         return 3
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -43,7 +43,12 @@ from struct import unpack
 
 
 class BoundExceeded(ValueError):
-    """An input lies beyond the size a route is configured to compute."""
+    """An input lies beyond the size a route is configured to compute: past
+    `limit` = SIZE_LIMITS[name]."""
+
+    def __init__(self, name, limit):
+        super().__init__("%s is limited to |n| <= %d" % (name, limit))
+        self.name, self.limit = name, limit
 
 
 # Largest |n| each route accepts, so that an accepted input finishes in
@@ -53,7 +58,11 @@ class BoundExceeded(ValueError):
 # n = 9), so the limit is the output's size.  weylchar.enumerate_basis lists
 # about 3^n monomials: `basis --kind untwisted_neg --n 12` takes 4.5 s and
 # 530 MB in JSON (4.1 s and 260 MB in text).  Each step further costs 2-4x
-# more.  ramyip.specialize's two routes are
+# more.  weylchar.basis_count and pbw_counts count the same monomials without
+# listing them, and "counts" bounds them and the suites that read only them:
+# `verify --suite section4` takes 1.2-2.1 s at --max-n 20 and 3.8-6.3 s at
+# 24 (its PBW side and closed forms), `--suite dimensions` 0.1 s at 32, and
+# `weylchar --module grW` 0.4 s at 24.  ramyip.specialize's two routes are
 # polynomial in n, on packed ints 0.01-0.03 s together at |n| = 16 and 0.3-1.0 s
 # at |n| = 32 (A2dagger the slower); ramyip.ramyip_sum keeps every
 # v-exponent, and `epoly --spec full --format json` takes 0.25 s and prints
@@ -71,7 +80,7 @@ class BoundExceeded(ValueError):
 # sum over it: at qmax 4096 a kind takes 0.1-0.3 s at xmax 8 (8192: 0.2-0.6
 # s), and 1.4 s and 50 MB of JSON at any xmax, as a theta sum reaches no
 # |x-exponent| past 2 isqrt(qmax) + 2.
-SIZE_LIMITS = {"walks": 9, "basis": 12, "specialize": 32, "sum": 12,
+SIZE_LIMITS = {"walks": 9, "basis": 12, "counts": 20, "specialize": 32, "sum": 12,
                "fusion_oracle": 7, "characters": 64, "ctable": 32,
                "recurrences": 40, "duality": 32, "limitchar": 4096}
 
@@ -79,7 +88,7 @@ SIZE_LIMITS = {"walks": 9, "basis": 12, "specialize": 32, "sum": 12,
 def check_size(name, n):
     """Raise BoundExceeded, before any work, when |n| > SIZE_LIMITS[name]."""
     if abs(n) > SIZE_LIMITS[name]:
-        raise BoundExceeded("%s is limited to |n| <= %d" % (name, SIZE_LIMITS[name]))
+        raise BoundExceeded(name, SIZE_LIMITS[name])
 
 
 class _Laurent:

@@ -27,7 +27,7 @@ import json
 from importlib import resources
 
 from macweyl import cform, fusion, qcomb, ramyip, walks, weylchar
-from macweyl.ring import XPolynomial, check_size, packed_width
+from macweyl.ring import SIZE_LIMITS, XPolynomial, check_size, packed_width
 
 
 def _data_text(name):
@@ -257,17 +257,6 @@ def suite_recurrences(max_n, errata, conventions):
     ]
 
 
-def verify_section4(n_values, errata=None, conventions=None):
-    """Compare character formulas with the specialized E-polynomials (the
-    records of _section4_pairs), mirrored in x where the conventions table
-    says so.  Mismatches become report entries, never exceptions."""
-    if errata is None:
-        errata = load_errata()
-    if conventions is None:
-        conventions = load_conventions()
-    return _classify_pairs(_section4_pairs(n_values), errata, conventions)
-
-
 def suite_fusion(max_n, errata, conventions):
     entries = _classify_pairs(_fusion_pairs(max_n), errata, conventions)
     try:
@@ -297,9 +286,9 @@ def suite_walks(max_n, errata, conventions):
 # Suite name -> (function, the SIZE_LIMITS key that bounds its max_n, or None
 # for a suite that reads no limit).
 _SUITES = {
-    "dimensions": (suite_dimensions, "basis"),
+    "dimensions": (suite_dimensions, "counts"),
     "recurrences": (suite_recurrences, "recurrences"),
-    "section4": (_classified(lambda max_n: _section4_pairs(range(-max_n, max_n + 1))), "basis"),
+    "section4": (_classified(lambda max_n: _section4_pairs(range(-max_n, max_n + 1))), "counts"),
     "routes": (_classified(_routes_pairs), "specialize"),
     "duality": (_classified(_duality_pairs), "duality"),
     "fusion": (suite_fusion, None),
@@ -310,17 +299,18 @@ SUITES = tuple(_SUITES)
 
 
 def run_suites(suite, max_n):
-    """Run one suite or all of them; returns (entries, exit_code).  Every
-    suite's limit is checked before any suite runs."""
+    """Run one suite or all of them; returns (entries, exit_code).  The
+    smallest limit of the suites to run, which bounds them all, is checked
+    before any suite runs."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1, got %d" % max_n)
     names = SUITES if suite == "all" else (suite,)
     for name in names:
         if name not in _SUITES:
             raise ValueError("unknown suite %r" % (name,))
-        limit = _SUITES[name][1]
-        if limit is not None:
-            check_size(limit, max_n)
+    limits = [_SUITES[name][1] for name in names if _SUITES[name][1] is not None]
+    if limits:
+        check_size(min(limits, key=SIZE_LIMITS.get), max_n)
     errata = load_errata()
     conventions = load_conventions()
     entries = []

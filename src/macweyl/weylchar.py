@@ -1,25 +1,24 @@
 """Characters and bases of the Weyl modules for the osp(1|2) current
 superalgebra, twisted and untwisted, for negative and positive weights;
-PBW-graded characters; and truncated limit characters.  (The comparison
-of these characters with the specialized E-polynomials is
-verify.verify_section4.)
+PBW-graded characters; and truncated limit characters.
 
 Basis monomials apply e-generators (weight +2 each) and odd g-generators
 (weight +1 each) to a lowest- or highest-weight vector; the inequalities on
-the generator t-degrees depend on the module family ("kind").
-enumerate_basis lists the monomials (the `basis` command and the tests).
-The PBW characters and the basis sizes count them instead, without listing
-3^n monomials and without qcomb's q-binomials.  _blocks writes each kind's
-inequalities a second time, as blocks: for fixed numbers k of g- and s of
-e-generators, the monomials are the k-subsets of a range of g-degrees times
-the s-multisets of a range of e-degrees, and weight and PBW degree are
-fixed.  basis_count sums C(#g-degrees, k) C(#e-degrees + s - 1, s) over the
-blocks.  pbw_counts convolves, per block, a subset-sum table of the
-g-degrees with a multiset-sum table of the e-degrees (_sum_tables: the
-number of j-element subsets or multisets with each sum, one knapsack pass
-per value), each table built once per range, into the count of every
-(weight, t-degree, PBW degree) triple.  The tests compare both with
-enumeration.
+the generator t-degrees depend on the module family ("kind").  _blocks
+states each kind's inequalities once, as blocks: for fixed numbers k of g-
+and s of e-generators, the monomials are the k-subsets of a range of
+g-degrees (with twisted_pos_2's fixed g-degree 2n - 1) times the
+s-multisets of a range of e-degrees, and weight and PBW degree are fixed.
+The enumeration, the sizes and the PBW triples all read that one block
+table.  enumerate_basis lists the monomials (the `basis` command) block by
+block.  basis_count sums C(#g-degrees, k) C(#e-degrees + s - 1, s) over the
+blocks, without listing 3^n monomials.  pbw_counts convolves, per block, a
+subset-sum table of the g-degrees with a multiset-sum table of the
+e-degrees (_sum_tables: the number of j-element subsets or multisets with
+each sum, one knapsack pass per value), each table built once per range,
+into the count of every (weight, t-degree, PBW degree) triple.  The tests
+compare all three with a generator that writes the inequalities out as
+loops, in tests/references.py.
 
 The closed-form characters ch_W (b = 1) and ch_W_sigma (b = 2) are the
 paper's double sums of Gaussian binomials in base Q = q^b.  They are not
@@ -76,8 +75,9 @@ digit, and QPolynomial.from_packed reads it back exactly.
 """
 
 from collections import namedtuple
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
+from operator import itemgetter
 
 from macweyl.qcomb import euler_product_truncated, q_binomial
 from macweyl.ring import QPolynomial, XPolynomial, check_size, packed_width
@@ -97,111 +97,80 @@ KINDS = (
 BasisMonomial = namedtuple("BasisMonomial", "kind e_degrees g_degrees weight t_degree pbw_degree")
 
 
-def _parts(kind, n):
+def _parts(kind, n, limit):
     """The kinds whose bases, in turn, make up the basis of `kind` at n:
     twisted_pos is the union of twisted_pos_1 and twisted_pos_2.  Raises
-    ValueError naming `kind` for an unknown kind or an n out of its range."""
+    ValueError naming `kind` for an unknown kind or an n out of its range,
+    and BoundExceeded for an n past SIZE_LIMITS[limit]."""
     if kind not in KINDS:
         raise ValueError("unknown basis kind %r" % (kind,))
     if n < 0 or ("_pos" in kind and n < 1):
         raise ValueError("n out of range for kind %s" % kind)
-    check_size("basis", n)
+    check_size(limit, n)
     return ("twisted_pos_1", "twisted_pos_2") if kind == "twisted_pos" else (kind,)
-
-
-def enumerate_basis(kind, n):
-    """All basis monomials of the given kind for parameter n."""
-    return [BasisMonomial(part, *m) for part in _parts(kind, n) for m in _basis_tuples(part, n)]
-
-
-def _basis_tuples(kind, n):
-    """Yield (e_degrees, g_degrees, weight, t_degree, pbw_degree) for every
-    basis monomial of one kind (not the union "twisted_pos"), n in its
-    range (_parts)."""
-    if kind == "untwisted_neg":
-        for k in range(n + 1):
-            for bs in combinations(range(n), k):
-                for s in range(n - k + 1):
-                    for a in combinations_with_replacement(range(n - k - s + 1), s):
-                        yield (a, bs, -n + k + 2 * s, sum(a) + sum(bs), k + s)
-    elif kind == "twisted_neg":
-        for k in range(n + 1):
-            for bs in combinations(range(1, 2 * n, 2), k):
-                for s in range(n - k + 1):
-                    vals = range(0, 2 * (n - k - s) + 1, 2)
-                    for a in combinations_with_replacement(vals, s):
-                        yield (a, bs, -n + k + 2 * s, sum(a) + sum(bs), s)
-    elif kind == "untwisted_pos":
-        for k in range(n):
-            for bs in combinations(range(1, n), k):
-                for s in range(n - k):
-                    for a in combinations_with_replacement(range(1, n - k - s + 1), s):
-                        yield (a, bs, n - k - 2 * s, sum(a) + sum(bs), k + s)
-    elif kind == "twisted_pos_1":
-        for k in range(n):
-            for bs in combinations(range(1, 2 * n - 2, 2), k):
-                for s in range(n - k):
-                    vals = range(2, 2 * (n - s - k) + 1, 2)
-                    for a in combinations_with_replacement(vals, s):
-                        yield (a, bs, n - k - 2 * s, sum(a) + sum(bs), s)
-    elif kind == "twisted_pos_2":
-        for k in range(1, n + 1):
-            for bs in combinations(range(1, 2 * n - 2, 2), k - 1):
-                full = bs + (2 * n - 1,)
-                for s in range(n - k + 1):
-                    vals = range(0, 2 * (n - s - k) + 1, 2)
-                    for a in combinations_with_replacement(vals, s):
-                        yield (a, full, n - k - 2 * s, sum(a) + sum(full), s)
-    elif kind == "classical":
-        for k in range(n + 1):
-            for a in combinations_with_replacement(range(n - k + 1), k):
-                yield (a, (), -n + 2 * k, sum(a), k)
-    else:  # limit: odd generators truncated below t-degree n, renormalized grading
-        for k in range(n + 1):
-            for cs in combinations(range(n), k):
-                for s in range(k + 1):
-                    for a in combinations_with_replacement(range(k - s + 1), s):
-                        yield (a, cs, -k + 2 * s, sum(cs) - sum(a), 0)
 
 
 def _blocks(kind, n):
     """The (k, s) blocks of one kind's basis (not the union "twisted_pos"),
-    as tuples (weight, pbw_degree, t_offset, g_values, k, e_values, s): the
-    block's monomials are the k-subsets of g_values times the s-multisets
-    of e_values, and a monomial's t-degree is t_offset plus the two sums.
-    These are the inequalities of _basis_tuples, written out a second time;
-    e_values is never empty.  n must be in the kind's range (_parts)."""
+    as tuples (weight, pbw_degree, fixed, g_values, k, e_values, s, e_sign):
+    the block's monomials have the g-degrees `fixed` plus a k-subset of
+    g_values, and an s-multiset of e_values; a monomial's t-degree is the sum
+    of its g-degrees and its e_values, and its e-degrees are e_sign times its
+    e_values.
+    Blocks come k-major, then in s order, and every block of one k has the
+    same fixed and g_values; e_values is never empty.  n must be in the
+    kind's range (_parts)."""
     if kind == "untwisted_neg":
-        return [(-n + k + 2 * s, k + s, 0, range(n), k, range(n - k - s + 1), s)
+        return [(-n + k + 2 * s, k + s, (), range(n), k, range(n - k - s + 1), s, 1)
                 for k in range(n + 1) for s in range(n - k + 1)]
     if kind == "twisted_neg":
-        return [(-n + k + 2 * s, s, 0, range(1, 2 * n, 2), k,
-                 range(0, 2 * (n - k - s) + 1, 2), s)
+        return [(-n + k + 2 * s, s, (), range(1, 2 * n, 2), k,
+                 range(0, 2 * (n - k - s) + 1, 2), s, 1)
                 for k in range(n + 1) for s in range(n - k + 1)]
     if kind == "untwisted_pos":
-        return [(n - k - 2 * s, k + s, 0, range(1, n), k, range(1, n - k - s + 1), s)
+        return [(n - k - 2 * s, k + s, (), range(1, n), k, range(1, n - k - s + 1), s, 1)
                 for k in range(n) for s in range(n - k)]
     if kind == "twisted_pos_1":
-        return [(n - k - 2 * s, s, 0, range(1, 2 * n - 2, 2), k,
-                 range(2, 2 * (n - k - s) + 1, 2), s)
+        return [(n - k - 2 * s, s, (), range(1, 2 * n - 2, 2), k,
+                 range(2, 2 * (n - k - s) + 1, 2), s, 1)
                 for k in range(n) for s in range(n - k)]
     if kind == "twisted_pos_2":
         # The g-degree 2n - 1 is always present: k - 1 of the others.
-        return [(n - k - 2 * s, s, 2 * n - 1, range(1, 2 * n - 2, 2), k - 1,
-                 range(0, 2 * (n - k - s) + 1, 2), s)
+        return [(n - k - 2 * s, s, (2 * n - 1,), range(1, 2 * n - 2, 2), k - 1,
+                 range(0, 2 * (n - k - s) + 1, 2), s, 1)
                 for k in range(1, n + 1) for s in range(n - k + 1)]
     if kind == "classical":
-        return [(-n + 2 * k, k, 0, range(0), 0, range(n - k + 1), k) for k in range(n + 1)]
-    # limit: the e-degrees count against the t-degree.
-    return [(-k + 2 * s, 0, 0, range(n), k, range(0, -(k - s) - 1, -1), s)
+        return [(-n + 2 * k, k, (), range(0), 0, range(n - k + 1), k, 1) for k in range(n + 1)]
+    # limit: odd generators truncated below t-degree n, renormalized grading;
+    # the e-degrees count against the t-degree, so they are stored negated.
+    return [(-k + 2 * s, 0, (), range(n), k, range(0, -(k - s) - 1, -1), s, -1)
             for k in range(n + 1) for s in range(k + 1)]
+
+
+def enumerate_basis(kind, n):
+    """All basis monomials of the given kind for parameter n: per run of
+    blocks with one k, each k-subset of the g-degrees, then each block of
+    the run and each s-multiset of its e-degrees."""
+    out = []
+    for part in _parts(kind, n, "basis"):
+        for (fixed, g, k), run in groupby(_blocks(part, n), itemgetter(2, 3, 4)):
+            run = list(run)
+            for subset in combinations(g, k):
+                gs = subset + fixed
+                tg = sum(gs)
+                for w, p, _, _, _, e, s, sign in run:
+                    for a in combinations_with_replacement(e, s):
+                        shown = a if sign > 0 else tuple(-v for v in a)
+                        out.append(BasisMonomial(part, shown, gs, w, tg + sum(a), p))
+    return out
 
 
 def basis_count(kind, n):
     """len(enumerate_basis(kind, n)), counted block by block: C(|g_values|, k)
     subsets times C(|e_values| + s - 1, s) multisets."""
     return sum(comb(len(g), k) * comb(len(e) + s - 1, s)
-               for part in _parts(kind, n) for _, _, _, g, k, e, s in _blocks(part, n))
+               for part in _parts(kind, n, "counts")
+               for _, _, _, g, k, e, s, _ in _blocks(part, n))
 
 
 def _sum_tables(values, top, repeat):
@@ -229,16 +198,17 @@ def pbw_counts(n, twisted=False):
     subset-sum table of the g-degrees and a multiset-sum table of the
     e-degrees, each table built once per range of values.
     """
-    (kind,) = _parts("twisted_neg" if twisted else "untwisted_neg", n)
+    (kind,) = _parts("twisted_neg" if twisted else "untwisted_neg", n, "counts")
     blocks = _blocks(kind, n)
     subsets, multisets = {}, {}
-    for _, _, _, g, k, e, s in blocks:
+    for _, _, _, g, k, e, s, _ in blocks:
         subsets[g] = max(subsets.get(g, 0), k)
         multisets[e] = max(multisets.get(e, 0), s)
     subsets = {g: _sum_tables(g, top, False) for g, top in subsets.items()}
     multisets = {e: _sum_tables(e, top, True) for e, top in multisets.items()}
     counts = {}
-    for w, p, t0, g, k, e, s in blocks:
+    for w, p, fixed, g, k, e, s, _ in blocks:
+        t0 = sum(fixed)
         for tg, cg in subsets[g][k].items():
             for te, ce in multisets[e][s].items():
                 key = (w, t0 + tg + te, p)

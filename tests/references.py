@@ -1,12 +1,13 @@
-"""Walk-by-walk and recurrence references for the tests.
+"""Walk-by-walk, recurrence and basis references for the tests.
 
 A walk is stepped by the geometry of the integer line alone, never by
 walks.step or walks.wall_side; the coefficient tables are built by their
-defining recurrences on QPolynomial dicts.
+defining recurrences on QPolynomial dicts; the basis monomials are generated
+by each kind's inequalities, written out as loops, never by weylchar._blocks.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
 from macweyl.qcomb import q_binomial
 from macweyl.ring import QPolynomial
@@ -110,3 +111,53 @@ def cdag_rec(r, k22, k21, k11):
         q2n = QPolynomial.q_power(2 * n)
         return q2n * cdag_rec(2, k22 - 1, k21, k11) + q2n * cdag_rec(1, k22, k21 - 1, k11) + last
     return cdag_rec(2, k22 - 1, k21, k11) + cdag_rec(1, k22, k21 - 1, k11) + last
+
+
+def basis_tuples(kind, n):
+    """Yield (e_degrees, g_degrees, weight, t_degree, pbw_degree) for every
+    basis monomial of one kind (not the union "twisted_pos"), n in its
+    range (weylchar._parts)."""
+    if kind == "untwisted_neg":
+        for k in range(n + 1):
+            for bs in combinations(range(n), k):
+                for s in range(n - k + 1):
+                    for a in combinations_with_replacement(range(n - k - s + 1), s):
+                        yield (a, bs, -n + k + 2 * s, sum(a) + sum(bs), k + s)
+    elif kind == "twisted_neg":
+        for k in range(n + 1):
+            for bs in combinations(range(1, 2 * n, 2), k):
+                for s in range(n - k + 1):
+                    vals = range(0, 2 * (n - k - s) + 1, 2)
+                    for a in combinations_with_replacement(vals, s):
+                        yield (a, bs, -n + k + 2 * s, sum(a) + sum(bs), s)
+    elif kind == "untwisted_pos":
+        for k in range(n):
+            for bs in combinations(range(1, n), k):
+                for s in range(n - k):
+                    for a in combinations_with_replacement(range(1, n - k - s + 1), s):
+                        yield (a, bs, n - k - 2 * s, sum(a) + sum(bs), k + s)
+    elif kind == "twisted_pos_1":
+        for k in range(n):
+            for bs in combinations(range(1, 2 * n - 2, 2), k):
+                for s in range(n - k):
+                    vals = range(2, 2 * (n - s - k) + 1, 2)
+                    for a in combinations_with_replacement(vals, s):
+                        yield (a, bs, n - k - 2 * s, sum(a) + sum(bs), s)
+    elif kind == "twisted_pos_2":
+        for k in range(1, n + 1):
+            for bs in combinations(range(1, 2 * n - 2, 2), k - 1):
+                full = bs + (2 * n - 1,)
+                for s in range(n - k + 1):
+                    vals = range(0, 2 * (n - s - k) + 1, 2)
+                    for a in combinations_with_replacement(vals, s):
+                        yield (a, full, n - k - 2 * s, sum(a) + sum(full), s)
+    elif kind == "classical":
+        for k in range(n + 1):
+            for a in combinations_with_replacement(range(n - k + 1), k):
+                yield (a, (), -n + 2 * k, sum(a), k)
+    else:  # limit: odd generators truncated below t-degree n, renormalized grading
+        for k in range(n + 1):
+            for cs in combinations(range(n), k):
+                for s in range(k + 1):
+                    for a in combinations_with_replacement(range(k - s + 1), s):
+                        yield (a, cs, -k + 2 * s, sum(cs) - sum(a), 0)

@@ -274,6 +274,50 @@ def test_capacity_limit_exit_three(capsys):
         assert captured.err.startswith("error: ")
 
 
+# (SIZE_LIMITS key, argv with {} for the value just past it, message with {}
+# for the limit): the subcommand or suite asked for, the option bounded and
+# the limit.  One case per key, then `--suite all` and `limitchar --approx`.
+_LIMIT_MESSAGES = [
+    ("walks", ("walks", "--n", "-{}"), "walks is limited to |--n| <= {}"),
+    ("basis", ("basis", "--kind", "limit", "--n", "{}"), "basis is limited to --n <= {}"),
+    ("counts", ("verify", "--suite", "section4", "--max-n", "{}"),
+     "verify --suite section4 is limited to --max-n <= {}"),
+    ("specialize", ("epoly", "--family", "A2dagger", "--n", "{}", "--spec", "tinf"),
+     "epoly --spec tinf is limited to |--n| <= {}"),
+    ("sum", ("epoly", "--family", "A2", "--n", "{}", "--spec", "full"),
+     "epoly --spec full is limited to |--n| <= {}"),
+    ("fusion_oracle", ("fusion", "--n", "{}", "--points", "1"), "fusion is limited to --n <= {}"),
+    ("characters", ("weylchar", "--module", "Wsigma", "--n", "-{}"),
+     "weylchar --module Wsigma is limited to |--n| <= {}"),
+    ("ctable", ("ctable", "--family", "A2", "--r", "1", "--max-n", "{}"),
+     "ctable is limited to --max-n <= {}"),
+    ("recurrences", ("verify", "--suite", "recurrences", "--max-n", "{}"),
+     "verify --suite recurrences is limited to --max-n <= {}"),
+    ("duality", ("verify", "--suite", "duality", "--max-n", "{}"),
+     "verify --suite duality is limited to --max-n <= {}"),
+    ("limitchar", ("limitchar", "--kind", "untwisted", "--qmax", "{}", "--xmax", "4"),
+     "limitchar is limited to --qmax <= {}"),
+    ("counts", ("verify", "--suite", "all", "--max-n", "{}", "--format", "json"),
+     "verify --suite all is limited to --max-n <= {}"),
+    ("characters", ("limitchar", "--kind", "twisted", "--qmax", "3", "--xmax", "3",
+                    "--approx", "{}"), "limitchar is limited to --approx <= {}"),
+]
+
+
+def test_every_size_limit_has_a_message_case():
+    assert sorted({key for key, _, _ in _LIMIT_MESSAGES}) == sorted(SIZE_LIMITS)
+
+
+@pytest.mark.parametrize("key, argv, message", _LIMIT_MESSAGES,
+                         ids=["%s-%s" % (key, argv[2] if argv[0] == "verify" else argv[0])
+                              for key, argv, _ in _LIMIT_MESSAGES])
+def test_capacity_message_names_command_option_and_limit(capsys, key, argv, message):
+    code = cli.run([a.format(SIZE_LIMITS[key] + 1) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: %s\n" % message.format(SIZE_LIMITS[key])
+
+
 def test_usage_error_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["epoly", "--family", "bogus", "--n", "1", "--spec", "t0"])
@@ -350,8 +394,8 @@ def test_size_limits_exit_three_fast(capsys):
         ("ctable", "--family", "A2", "--r", "2", "--max-n", str(SIZE_LIMITS["ctable"] + 1)),
         ("verify", "--suite", "recurrences", "--max-n", str(SIZE_LIMITS["recurrences"] + 1)),
         ("verify", "--suite", "duality", "--max-n", str(SIZE_LIMITS["duality"] + 1)),
-        ("verify", "--suite", "section4", "--max-n", str(SIZE_LIMITS["basis"] + 1)),
-        ("verify", "--suite", "dimensions", "--max-n", str(SIZE_LIMITS["basis"] + 1)),
+        ("verify", "--suite", "section4", "--max-n", str(SIZE_LIMITS["counts"] + 1)),
+        ("verify", "--suite", "dimensions", "--max-n", str(SIZE_LIMITS["counts"] + 1)),
         ("verify", "--suite", "walks", "--max-n", str(SIZE_LIMITS["specialize"] + 1)),
         ("verify", "--suite", "routes", "--max-n", str(SIZE_LIMITS["specialize"] + 1)),
         ("verify", "--suite", "all", "--max-n", "600", "--format", "json"),

@@ -233,7 +233,7 @@ def test_suite_bounds_are_named_not_matched(monkeypatch):
 
 
 def test_dimensions_suite_checks_every_n_asked():
-    top = SIZE_LIMITS["basis"]
+    top = SIZE_LIMITS["counts"]
     entries, code = verify.run_suites("dimensions", top)
     assert code == 0 and {e["status"] for e in entries} == {"EQUAL"}
     assert {e["identity"] for e in entries if e["n"] == top} == {

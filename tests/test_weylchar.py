@@ -4,13 +4,13 @@ from math import comb
 
 import pytest
 
-from macweyl import weylchar
+from macweyl import verify, weylchar
 from macweyl.cform import E_spec
 from macweyl.ring import SIZE_LIMITS, BoundExceeded, QPolynomial, XPolynomial
 from macweyl.weylchar import (
     KINDS,
     LIMIT_KINDS,
-    _basis_tuples,
+    BasisMonomial,
     approximant,
     basis_count,
     ch_D,
@@ -22,7 +22,7 @@ from macweyl.weylchar import (
     pbw_counts,
     scale_q,
 )
-from macweyl.verify import verify_section4
+from references import basis_tuples
 
 
 def qp(d):
@@ -40,9 +40,14 @@ def test_basis_counts():
         assert len(enumerate_basis("classical", n)) == 2**n
 
 
-def _enumerated_pbw_triples(n, twisted):
+def _reference_basis(kind, n):
+    parts = ("twisted_pos_1", "twisted_pos_2") if kind == "twisted_pos" else (kind,)
+    return [BasisMonomial(part, *m) for part in parts for m in basis_tuples(part, n)]
+
+
+def _reference_pbw_triples(n, twisted):
     kind = "twisted_neg" if twisted else "untwisted_neg"
-    return dict(Counter((w, t, p) for _, _, w, t, p in _basis_tuples(kind, n)))
+    return dict(Counter((w, t, p) for _, _, w, t, p in basis_tuples(kind, n)))
 
 
 def _kind_ns(max_n):
@@ -55,12 +60,17 @@ def _kind_ns(max_n):
 def test_pbw_counts_equal_enumerated_triples():
     for n in range(9):
         for twisted in (False, True):
-            assert pbw_counts(n, twisted) == _enumerated_pbw_triples(n, twisted), (n, twisted)
+            assert pbw_counts(n, twisted) == _reference_pbw_triples(n, twisted), (n, twisted)
 
 
 def test_basis_counts_equal_enumeration():
     for kind, n in _kind_ns(8):
-        assert basis_count(kind, n) == len(enumerate_basis(kind, n)), (kind, n)
+        assert basis_count(kind, n) == len(_reference_basis(kind, n)), (kind, n)
+
+
+def test_enumeration_equals_reference_in_order():
+    for kind, n in _kind_ns(8):
+        assert enumerate_basis(kind, n) == _reference_basis(kind, n), (kind, n)
 
 
 def test_counts_keep_the_enumeration_limits():
@@ -68,8 +78,13 @@ def test_counts_keep_the_enumeration_limits():
                      (basis_count, ("bogus", 2)), (basis_count, ("twisted_pos", -1))):
         with pytest.raises(ValueError):
             fn(*args)
+    # The counts stop at their own limit, past the enumeration's.
     with pytest.raises(BoundExceeded):
-        pbw_counts(SIZE_LIMITS["basis"] + 1, True)
+        pbw_counts(SIZE_LIMITS["counts"] + 1, True)
+    with pytest.raises(BoundExceeded):
+        basis_count("limit", SIZE_LIMITS["counts"] + 1)
+    with pytest.raises(BoundExceeded):
+        enumerate_basis("limit", SIZE_LIMITS["basis"] + 1)
     with pytest.raises(ValueError, match="kind twisted_pos$"):
         basis_count("twisted_pos", 0)
 
@@ -79,6 +94,8 @@ def test_counts_keep_the_enumeration_limits():
                                          (3, "twisted_pos_2"), (5, "limit")])
 def test_count_table_with_a_range_off_by_one_fails(monkeypatch, field, kind):
     # Field 3 is the g-degree range of a block, field 5 the e-degree range.
+    # The enumeration reads the mutated blocks too, so all three sides are
+    # compared with the reference.
     blocks = weylchar._blocks
 
     def off_by_one(block_kind, n):
@@ -90,10 +107,12 @@ def test_count_table_with_a_range_off_by_one_fails(monkeypatch, field, kind):
 
     monkeypatch.setattr(weylchar, "_blocks", off_by_one)
     n = 4
-    assert basis_count(kind, n) != len(enumerate_basis(kind, n))
+    reference = _reference_basis(kind, n)
+    assert basis_count(kind, n) != len(reference)
+    assert enumerate_basis(kind, n) != reference
     if kind.endswith("_neg"):
         twisted = kind == "twisted_neg"
-        assert pbw_counts(n, twisted) != _enumerated_pbw_triples(n, twisted)
+        assert pbw_counts(n, twisted) != _reference_pbw_triples(n, twisted)
 
 
 def test_basis_example_n1():
@@ -405,8 +424,13 @@ def test_limit_basis_character_matches_product():
         assert poly == limit_char("untwisted", d, d + 2)
 
 
+def _section4(n_values, errata):
+    return verify._classify_pairs(verify._section4_pairs(n_values), errata,
+                                  verify.load_conventions())
+
+
 def test_verify_section4_statuses():
-    entries = verify_section4([n for n in range(-3, 4) if n != 0])
+    entries = _section4([n for n in range(-3, 4) if n != 0], verify.load_errata())
     by_key = {(e["identity"], e["n"]): e for e in entries}
     assert by_key[("ch_W_vs_E_A2dagger_t0", -1)]["status"] == "EQUAL"
     assert by_key[("ch_Wsigma_vs_E_A2_t0", 2)]["status"] == "EQUAL"
@@ -429,7 +453,7 @@ def test_known_erratum_difference_at_n1():
 
 
 def test_section4_without_errata_reports_mismatch():
-    entries = verify_section4([1], errata={})
+    entries = _section4([1], errata={})
     entry = next(e for e in entries if e["identity"] == "pbw_twisted_vs_E_A2_tinf")
     assert entry["status"] == "MISMATCH"
     assert {t["x"] for t in entry["diff"]} == {-1, 1}
