@@ -24,9 +24,8 @@ so the trinomials of one total t serve both families and both r.
 _trinomials builds them once per (t, w) into a table T[k22][kmid], each the
 product of two packed binomials at spacing 1, formed once per set of lower
 indices (the trinomial is symmetric in them).  The binomials are the
-Pascal rows m <= t of [m, j]_Q = [m - 1, j]_Q + Q^(m - j) [m - 1, j - 1]_Q
-(Andrews, The Theory of Partitions, ch. 3), one shift and one add an entry,
-and share no code with qcomb, the tests' reference.  A shift s = 2 a + p is
+Pascal rows m <= t of qcomb.pascal_rows, read at z = Q; the tests' reference
+binomials are QPolynomial dicts in tests/references.py.  A shift s = 2 a + p is
 a shift by a digits of Q times q^p, p the parity of s.  c_closed and
 cdag_closed read one entry back.  E_spec keeps two accumulators per
 x-coefficient, one per parity p of the q-shift, each the sum of Q^a T over
@@ -57,6 +56,7 @@ The Pascal rows live only while a table is built: about t^4 / 24 digits,
 
 from functools import lru_cache
 
+from macweyl.qcomb import pascal_rows
 from macweyl.ring import QPolynomial, XPolynomial, check_size, packed_width
 from macweyl.walks import FAMILIES, normalize_spec
 
@@ -81,11 +81,7 @@ def _trinomials(total, width):
     `width` bytes a digit, Q = q^2; see the module docstring.  A trinomial
     is symmetric in its three lower indices, so it is formed once, as
     [total, a]_Q [total - a, b]_Q for its indices sorted a <= b <= c."""
-    bits = 8 * width
-    pascal = [[1]]
-    for m in range(1, total + 1):
-        prev = pascal[-1]
-        pascal.append([1] + [prev[j] + (prev[j - 1] << bits * (m - j)) for j in range(1, m)] + [1])
+    pascal = pascal_rows(total, width)
     products = {}
     table = []
     for k22 in range(total + 1):

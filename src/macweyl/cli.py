@@ -5,12 +5,14 @@ verify.  All but ctable, which prints JSON only, take --format text|json.
 Text output uses the canonical term ordering.  JSON follows the schemas
 documented in the README and is byte for byte what json.dumps(obj,
 indent=2) prints, with sorted keys where the subcommand sorts them (those
-subcommands print through _emit).  Every document is rendered by _dumps, and
-its lists of flat rows do not go through the stdlib's pure-Python indenting
-encoder: a list of {coeff, q, x} rows is rendered one x block at a time, by
-one %-template that repeats the row once per q-term with that block's x
-already written in, and every other flat row list (the other term lists, the
-walks, the basis monomials) by one %-template per row.
+subcommands print through _emit).  Every document is rendered by _encode,
+into one string (_dumps) or, for the basis, straight to stdout, and its lists
+of flat rows do not go through the stdlib's pure-Python indenting encoder: a
+list of {coeff, q, x} rows is rendered one x block at a time, by one
+%-template that repeats the row once per q-term with that block's x already
+written in, and every other flat row list (the other term lists, verify's
+diffs, the walks, the basis monomials) by one %-template per row, _CHUNK
+rows a piece.
 Exit codes: 0 success, 1 usage error, 2 verification mismatch that no
 errata rule explains (including disagreeing specialization routes in epoly,
 and a limit that diverges on the exact route), 3 an input beyond the size a
@@ -30,6 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from types import SimpleNamespace
 
 from macweyl import cform, fusion, ramyip, verify, walks, weylchar
@@ -37,10 +40,15 @@ from macweyl.ring import BoundExceeded
 
 
 # A JSON list of flat objects that share one key set: `fields` holds (key,
-# %-format) pairs and `values` one tuple per object, in field order.  Keys
-# print in the order given, also under sort_keys; the one caller whose output
-# sorts its keys, _bi_rows, gives (coeff, q, v), which is sorted already.
-_Rows = namedtuple("_Rows", "fields values")
+# %-format) pairs and `values` one item per object, which `row` maps to the
+# tuple of its values in field order (None: the items are those tuples).
+# Keys print in the order given, also under sort_keys; the callers whose
+# output sorts its keys, _bi_rows and _cmd_verify's diffs, give (coeff, q, v)
+# and (coeff, q, x), which are sorted already.
+_Rows = namedtuple("_Rows", "fields values row", defaults=(None,))
+
+# The rows a _Rows renders into one string before handing it on.
+_CHUNK = 4096
 
 # The {coeff, q, x} rows of an XPolynomial over QPolynomial, x-major, q
 # ascending.  Each x block is rendered by one call of one %-template, the row
@@ -60,59 +68,69 @@ def _dumps(obj, sort_keys=False):
     """json.dumps(obj, indent=2, sort_keys=sort_keys), byte for byte, where
     each _Rows in obj stands for the list of objects it describes."""
     out = []
-    _encode(obj, "\n", sort_keys, out)
+    _encode(obj, "\n", sort_keys, out.append)
     return "".join(out)
 
 
-def _encode(obj, nl, sort_keys, out):
-    # nl is a newline plus the indentation of the line obj starts on.
+def _encode(obj, nl, sort_keys, put):
+    # nl is a newline plus the indentation of the line obj starts on; put
+    # takes each piece of the text in turn.
     if isinstance(obj, str):
-        out.append(_quote(obj))
+        put(_quote(obj))
     elif obj is None or obj is True or obj is False:
-        out.append(_LITERALS[obj])
+        put(_LITERALS[obj])
     elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+        put(int.__repr__(obj))
     elif isinstance(obj, _Rows):
-        out.append(_encode_rows(obj, nl))
+        _encode_rows(obj, nl, put)
     elif isinstance(obj, _QRows):
-        out.append(_encode_q_rows(obj.poly, nl))
+        put(_encode_q_rows(obj.poly, nl))
     elif isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            put("{}")
             return
         inner = nl + "  "
         sep = "{"
         for key, value in sorted(obj.items()) if sort_keys else obj.items():
-            out.append(sep + inner + _quote(key) + ": ")
-            _encode(value, inner, sort_keys, out)
+            put(sep + inner + _quote(key) + ": ")
+            _encode(value, inner, sort_keys, put)
             sep = ","
-        out.append(nl + "}")
+        put(nl + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            out.append("[]")
+            put("[]")
             return
         inner = nl + "  "
         sep = "["
         for value in obj:
-            out.append(sep + inner)
-            _encode(value, inner, sort_keys, out)
+            put(sep + inner)
+            _encode(value, inner, sort_keys, put)
             sep = ","
-        out.append(nl + "]")
+        put(nl + "]")
     else:
         raise TypeError("cannot encode %r as JSON" % (obj,))
 
 
-def _encode_rows(rows, nl):
-    fields, values = rows
+def _encode_rows(rows, nl, put):
+    # _CHUNK rows a piece, so that no more of them are held as text at once.
+    fields, values, row = rows
     if not values:
-        return "[]"
+        put("[]")
+        return
     row_nl = nl + "  "
     key_nl = row_nl + "  "
     template = "{%s%s}" % (
         ",".join(key_nl + _quote(k).replace("%", "%%") + ": " + fmt for k, fmt in fields),
         row_nl,
     )
-    return "[%s%s%s]" % (row_nl, ("," + row_nl).join(map(template.__mod__, values)), nl)
+    sep = "," + row_nl
+    put("[" + row_nl)
+    for i in range(0, len(values), _CHUNK):
+        chunk = values[i:i + _CHUNK]
+        if i:
+            put(sep)
+        put(sep.join(map(template.__mod__, chunk if row is None else map(row, chunk))))
+    put(nl + "]")
 
 
 def _encode_q_rows(poly, nl):
@@ -203,7 +221,7 @@ def _cmd_weylchar(args):
     return 0
 
 
-_BASIS_TEXT = "e=%-16s g=%-16s weight=%-3d tdeg=%-3d pbw=%d"
+_BASIS_TEXT = "e=%-16s g=%-16s weight=%-3d tdeg=%-3d pbw=%d\n"
 _BASIS_FIELDS = (("e", "%s"), ("g", "%s"), ("weight", "%d"), ("tdeg", "%d"), ("pbw", "%d"))
 
 
@@ -213,18 +231,24 @@ def _row_list(values):
     return head + sep.join(map(str, values)) + tail if values else "[]"
 
 
+def _basis_row(m):
+    return _row_list(m.e_degrees), _row_list(m.g_degrees), m.weight, m.t_degree, m.pbw_degree
+
+
 def _cmd_basis(args):
+    # About 3^n monomials: the rows are rendered and written _CHUNK at a time.
     monomials = weylchar.enumerate_basis(args.kind, args.n)
+    write = sys.stdout.write
     if args.format == "json":
-        rows = [(_row_list(m.e_degrees), _row_list(m.g_degrees), m.weight, m.t_degree,
-                 m.pbw_degree) for m in monomials]
-        print(_dumps({"kind": args.kind, "n": args.n, "count": len(rows),
-                      "monomials": _Rows(_BASIS_FIELDS, rows)}))
+        _encode({"kind": args.kind, "n": args.n, "count": len(monomials),
+                 "monomials": _Rows(_BASIS_FIELDS, monomials, _basis_row)}, "\n", False, write)
+        write("\n")
     else:
-        lines = [_BASIS_TEXT % (list(m.e_degrees), list(m.g_degrees), m.weight, m.t_degree,
-                                m.pbw_degree) for m in monomials]
-        lines.append("count: %d" % len(lines))
-        print("\n".join(lines))
+        for i in range(0, len(monomials), _CHUNK):
+            write("".join([_BASIS_TEXT % (list(m.e_degrees), list(m.g_degrees), m.weight,
+                                          m.t_degree, m.pbw_degree)
+                           for m in monomials[i:i + _CHUNK]]))
+        write("count: %d\n" % len(monomials))
     return 0
 
 
@@ -296,12 +320,18 @@ def _cmd_walks(args):
     return 0
 
 
+# An entry's diff, as verify lists it: {x, q, coeff} dicts.
+_DIFF_FIELDS = (("coeff", '"%s"'), ("q", "%d"), ("x", "%d"))
+_DIFF_ROW = itemgetter("coeff", "q", "x")
+
+
 def _cmd_verify(args):
     entries, exit_code = verify.run_suites(args.suite, args.max_n)
     _emit(
         args,
         lambda: "%s\n\nexit code: %d" % (verify.format_text_report(entries), exit_code),
-        {"suite": args.suite, "max_n": args.max_n, "exit_code": exit_code, "entries": entries},
+        {"suite": args.suite, "max_n": args.max_n, "exit_code": exit_code,
+         "entries": [dict(e, diff=_Rows(_DIFF_FIELDS, e["diff"], _DIFF_ROW)) for e in entries]},
     )
     return exit_code
 

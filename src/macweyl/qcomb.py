@@ -1,38 +1,36 @@
-"""Gaussian binomials, truncated q-series products and theta sums.
+"""Gaussian binomials as packed Pascal rows, truncated q-series products and
+theta sums.
+
+pascal_rows builds the Gaussian binomials [m, j], m <= top, by Pascal's rule
+on packed integers; cform reads them at z = Q = q^2 (its trinomial tables)
+and weylchar.ch_D at z = q.  Nothing else in the package reads them: the
+tests' reference binomials are QPolynomial dicts in tests/references.py.
 
 A truncated series is a plain XPolynomial cut to 0 <= q-exponent <= q_bound
 and |x-exponent| <= x_bound; every coefficient it keeps is exact, so none is
 reported beyond the degree to which it was actually computed.
 """
 
-from functools import lru_cache
 from math import isqrt
 
 from macweyl.ring import QPolynomial, XPolynomial
 
 
-@lru_cache(maxsize=None)
-def _gauss(n, m):
-    # Pascal recurrence in base q; exact, division-free.
-    if m < 0 or m > n:
-        return QPolynomial.zero()
-    if m == 0 or m == n:
-        return QPolynomial.one()
-    return _gauss(n - 1, m) + QPolynomial.q_power(n - m) * _gauss(n - 1, m - 1)
-
-
-def q_binomial(n, m, base_exponent=1):
-    """Gaussian binomial [n choose m] in the variable q^base_exponent.
-
-    Returns 0 when m is outside [0, n], mirroring the vanishing convention
-    used by the coefficient tables.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    p = _gauss(n, m)
-    if base_exponent == 1 or p.is_zero():
-        return p
-    return p.scale_exponents(base_exponent)
+def pascal_rows(top, width):
+    """rows[m][j] = [m, j]_z, 0 <= j <= m <= top, packed at z = 2^(8 width):
+    base-2^(8 width) digit i is the z^i coefficient.  Pascal's rule
+    [m, j] = [m - 1, j] + z^(m - j) [m - 1, j - 1] (Andrews, The Theory of
+    Partitions, ch. 3) costs one shift and one add an entry.  Both terms
+    have nonnegative coefficients, and a digit of [m, j] is at most its
+    value at z = 1, C(m, j) <= C(top, top // 2), so with that below
+    2^(8 width - 1) no digit carries and QPolynomial.from_packed reads each
+    one back."""
+    bits = 8 * width
+    rows = [[1]]
+    for m in range(1, top + 1):
+        prev = rows[-1]
+        rows.append([1] + [prev[j] + (prev[j - 1] << bits * (m - j)) for j in range(1, m)] + [1])
+    return rows
 
 
 def _one_side_product(exponents, q_bound, x_bound):

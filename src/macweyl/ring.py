@@ -56,9 +56,10 @@ class BoundExceeded(ValueError):
 # lists number 2^l, l about 2|n|: the `walks` dump in JSON takes
 # 1.6 s and 300 MB and prints 84 MB at n = -9 (0.9 s, 150 MB and 41 MB at
 # n = 9), so the limit is the output's size.  weylchar.enumerate_basis lists
-# about 3^n monomials: `basis --kind untwisted_neg --n 12` takes 4.5 s and
-# 530 MB in JSON (4.1 s and 260 MB in text).  Each step further costs 2-4x
-# more.  weylchar.basis_count and pbw_counts count the same monomials without
+# about 3^n monomials: `basis --kind untwisted_neg --n 12` takes 4.0 s and
+# 110 MB, the list of monomials, in JSON (3.2 s and 110 MB in text), as the
+# rows are written a chunk at a time.  Each step further costs 2-4x more.
+# weylchar.basis_count and pbw_counts count the same monomials without
 # listing them, and "counts" bounds them and the suites that read only them:
 # `verify --suite section4` takes 1.2-2.1 s at --max-n 20 and 3.8-6.3 s at
 # 24 (its PBW side and closed forms), `--suite dimensions` 0.1 s at 32, and
@@ -71,11 +72,12 @@ class BoundExceeded(ValueError):
 # n = 6, 0.7-1.0 / 4.6-5.2 s at n = 7 and 18 / 120 s at n = 8.
 # The closed-form characters (weylchar.ch_W, ch_W_sigma, ch_D) stop at the
 # closed-forms ladder's top rung, |n| = 64, where a JSON job takes under a
-# second at either sign; past it the negative weights are bound by memory
-# (about 700 MB of output at n = -128).  The table inputs are bounded by a
-# max_n: cform.ctable at 32 (2.8 s, 370 MB), and the verify suites
-# (verify._SUITES) at recurrences 40 (1.2-1.8 s and 110 MB, packed integers;
-# 48 takes 5.1 s) and duality 32 (1.6-2.4 s; 36 takes 5.3 s and 48 36 s).
+# second at either sign (ch_D(64), one packed Pascal row, 0.01 s); past it
+# the negative weights are bound by memory (about 700 MB of output at
+# n = -128).  The table inputs are bounded by a max_n: cform.ctable at 32
+# (2.8 s, 370 MB), and the verify suites (verify._SUITES) at recurrences
+# 40 (1.2-1.8 s and 110 MB, packed integers; 48 takes 5.1 s) and duality
+# 32 (1.6-2.4 s; 36 takes 5.3 s and 48 36 s).
 # weylchar.limit_char grows as qmax^1.5, the partition series and the theta
 # sum over it: at qmax 4096 a kind takes 0.1-0.3 s at xmax 8 (8192: 0.2-0.6
 # s), and 1.4 s and 50 MB of JSON at any xmax, as a theta sum reaches no

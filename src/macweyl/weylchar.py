@@ -79,7 +79,7 @@ from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
 from operator import itemgetter
 
-from macweyl.qcomb import euler_product_truncated, q_binomial
+from macweyl.qcomb import euler_product_truncated, pascal_rows
 from macweyl.ring import QPolynomial, XPolynomial, check_size, packed_width
 
 KINDS = (
@@ -217,11 +217,16 @@ def pbw_counts(n, twisted=False):
 
 
 def ch_D(n):
-    """Character of the classical module of lowest weight -n (dimension 2^n)."""
+    """Character of the classical module of lowest weight -n (dimension 2^n):
+    sum_k [n, k]_q x^(2k - n), row n of qcomb.pascal_rows at z = q.  Its
+    width holds C(n, n // 2), the largest [n, k] at q = 1, which bounds
+    every digit of the rows m <= n (pascal_rows)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_size("characters", n)
-    return XPolynomial({-n + 2 * k: q_binomial(n, k) for k in range(n + 1)})
+    width = packed_width(comb(n, n // 2))
+    return XPolynomial({2 * k - n: QPolynomial.from_packed(v, width)
+                        for k, v in enumerate(pascal_rows(n, width)[n])})
 
 
 def _packed_recurrence(m, b, c, e, width):

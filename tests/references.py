@@ -1,15 +1,16 @@
-"""Walk-by-walk, recurrence and basis references for the tests.
+"""Walk-by-walk, recurrence, binomial and basis references for the tests.
 
 A walk is stepped by the geometry of the integer line alone, never by
 walks.step or walks.wall_side; the coefficient tables are built by their
-defining recurrences on QPolynomial dicts; the basis monomials are generated
-by each kind's inequalities, written out as loops, never by weylchar._blocks.
+defining recurrences on QPolynomial dicts, and the Gaussian binomials by
+Pascal's rule on QPolynomial dicts, never by qcomb.pascal_rows; the basis
+monomials are generated by each kind's inequalities, written out as loops,
+never by weylchar._blocks.
 """
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
-from macweyl.qcomb import q_binomial
 from macweyl.ring import QPolynomial
 from macweyl.walks import CUT_SIGN, S0, S1, walk_word
 
@@ -75,6 +76,30 @@ def legprime(h, shift):
 def surviving(folds, family, spec):
     """True when the walk has no s0-folding of the sign the limit cuts."""
     return not folds["J0_pos" if CUT_SIGN[family, spec] > 0 else "J0_neg"]
+
+
+@lru_cache(maxsize=None)
+def _gauss(n, m):
+    # Pascal recurrence in base q; exact, division-free.
+    if m < 0 or m > n:
+        return QPolynomial.zero()
+    if m == 0 or m == n:
+        return QPolynomial.one()
+    return _gauss(n - 1, m) + QPolynomial.q_power(n - m) * _gauss(n - 1, m - 1)
+
+
+def q_binomial(n, m, base_exponent=1):
+    """Gaussian binomial [n choose m] in the variable q^base_exponent.
+
+    Returns 0 when m is outside [0, n], mirroring the vanishing convention
+    used by the coefficient tables.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    p = _gauss(n, m)
+    if base_exponent == 1 or p.is_zero():
+        return p
+    return p.scale_exponents(base_exponent)
 
 
 def q_multinomial(k1, k2, k3, base_exponent=2):

@@ -4,9 +4,8 @@ import pytest
 
 from macweyl import cform
 from macweyl.cform import E_spec, _shift, _triples, c_closed, cdag_closed, ctable
-from macweyl.qcomb import q_binomial
 from macweyl.ring import QPolynomial, XPolynomial, packed_width
-from references import c_rec, cdag_rec, q_multinomial
+from references import c_rec, cdag_rec, q_binomial, q_multinomial
 
 
 def qp(d):

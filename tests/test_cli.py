@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from macweyl import cli, ramyip, verify, walks
+from macweyl import cli, ramyip, verify, walks, weylchar
 from macweyl.ring import SIZE_LIMITS, QPolynomial, XPolynomial
 from references import hword, leg, surviving, traverse, walks_toward
 
@@ -599,6 +599,35 @@ def test_closed_stdout_pipe_exits_141_without_traceback():
     assert (proc.wait(), err) == (128 + signal.SIGPIPE, b"")
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_pipe_exits_141_while_basis_rows_are_written():
+    # The basis is written a chunk of rows at a time, megabytes in all.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    for fmt in ("text", "json"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "macweyl.cli", "basis", "--kind", "untwisted_neg", "--n",
+             "10", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.read(2) in (b"e=", b"{\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (128 + signal.SIGPIPE, b""), fmt
+
+
+def test_basis_text_rows_past_one_chunk(capsys):
+    monomials = weylchar.enumerate_basis("untwisted_neg", 8)
+    assert len(monomials) > cli._CHUNK
+    code, out = run_cli(capsys, "basis", "--kind", "untwisted_neg", "--n", "8")
+    lines = out.split("\n")
+    assert code == 0 and lines[-2:] == ["count: %d" % len(monomials), ""]
+    assert lines[:-2] == [
+        "e=%-16s g=%-16s weight=%-3d tdeg=%-3d pbw=%d"
+        % (list(m.e_degrees), list(m.g_degrees), m.weight, m.t_degree, m.pbw_degree)
+        for m in monomials]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_failed_stdout_write_exits_74_without_traceback():
     # Every write to /dev/full fails with ENOSPC: a full disk, not a closed
@@ -650,6 +679,9 @@ def test_cli_import_leaves_dataclasses_unloaded():
         (("fusion", "--n", "2", "--points", "1,2", "--twisted"), True),
         (("walks", "--n", "-1"), False),
         (("verify", "--suite", "all", "--max-n", "2"), True),
+        # Entries whose diffs are nonempty, and basis rows past one chunk.
+        (("verify", "--suite", "section4", "--max-n", "5"), True),
+        (("basis", "--kind", "untwisted_neg", "--n", "8"), False),
     ],
 )
 def test_json_output_is_stdlib_indent_2(capsys, argv, sort_keys):
@@ -673,7 +705,7 @@ def _expand(obj):
     if isinstance(obj, cli._Rows):
         return [
             {k: (str(v) if fmt == '"%d"' else v) for (k, fmt), v in zip(obj.fields, row)}
-            for row in obj.values
+            for row in (obj.values if obj.row is None else map(obj.row, obj.values))
         ]
     if isinstance(obj, dict):
         return {k: _expand(v) for k, v in obj.items()}
@@ -685,6 +717,8 @@ def _expand(obj):
 def test_dumps_matches_stdlib():
     rows = cli._Rows(COEFF_Q_X, [(3, 0, -1), (-12345678901234567890, 2, 4)])
     unsorted = cli._Rows((("q", "%d"), ("coeff", '"%d"')), [(1, 7), (-2, 0)])
+    # Rows mapped from their items, two chunks and one row more.
+    mapped = cli._Rows(COEFF_Q_X, range(2 * cli._CHUNK + 1), lambda i: (i, -i, i % 3))
     cases = [
         [],
         {},
@@ -694,6 +728,8 @@ def test_dumps_matches_stdlib():
         [True, False, None, 0, -7, 2**70],
         {"quote\"back\\slash": "tab\t new\nline é ☃ \U0001d11e", "z": "", "a": "\x00\x1f"},
         rows,
+        mapped,
+        {"a": mapped, "b": [mapped]},
     ]
     checks = [(obj, sort_keys) for obj in cases for sort_keys in (False, True)]
     # A _Rows prints its keys in the order given, so the rows with unsorted

@@ -1,12 +1,13 @@
 from itertools import permutations
+from math import comb
 
 from macweyl.qcomb import (
     euler_product_truncated,
     inv_pochhammer_truncated,
-    q_binomial,
+    pascal_rows,
     wedge_lhs_truncated,
 )
-from macweyl.ring import QPolynomial, XPolynomial
+from macweyl.ring import QPolynomial, XPolynomial, packed_width
 from references import q_multinomial
 
 
@@ -32,35 +33,43 @@ def brute_gauss(n, m):
     return QPolynomial(counts)
 
 
+def rows(top, step=1):
+    # pascal_rows up to `top`, each entry decoded in q^step.
+    width = packed_width(comb(top, top // 2))
+    return [[QPolynomial.from_packed(v, width, step) for v in row]
+            for row in pascal_rows(top, width)]
+
+
 def test_q_binomial_examples():
-    assert q_binomial(2, 1) == qp({0: 1, 1: 1})
-    assert q_binomial(4, 2) == brute_gauss(4, 2)
-    assert q_binomial(4, 2) == qp({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
-    for n in range(6):
-        assert q_binomial(n, 0) == qp({0: 1})
-    assert q_binomial(3, -1).is_zero()
-    assert q_binomial(3, 4).is_zero()
+    assert rows(2)[2][1] == qp({0: 1, 1: 1})
+    assert rows(4)[4][2] == brute_gauss(4, 2)
+    assert rows(4)[4][2] == qp({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
+    for n, row in enumerate(rows(5)):
+        assert row[0] == row[n] == qp({0: 1})
+    # A row holds [n, m] for 0 <= m <= n alone.
+    assert len(rows(3)[3]) == 4
 
 
 def test_q_binomial_against_brute_force():
-    for n in range(9):
+    for n, row in enumerate(rows(8)):
         for m in range(n + 1):
-            assert q_binomial(n, m) == brute_gauss(n, m)
+            assert row[m] == brute_gauss(n, m)
 
 
 def test_q_binomial_symmetry_and_pascal():
+    table = rows(12)
     for n in range(13):
         for m in range(n + 1):
-            assert q_binomial(n, m) == q_binomial(n, n - m)
-            if 0 < n:
-                lhs = q_binomial(n, m)
-                rhs = q_binomial(n - 1, m) + QPolynomial.q_power(n - m) * q_binomial(n - 1, m - 1)
+            assert table[n][m] == table[n][n - m]
+            if 0 < m < n:
+                lhs = table[n][m]
+                rhs = table[n - 1][m] + QPolynomial.q_power(n - m) * table[n - 1][m - 1]
                 assert lhs == rhs
 
 
 def test_q_binomial_base_and_degree():
     for base in (1, 2):
-        p = q_binomial(5, 2, base)
+        p = rows(5, base)[5][2]
         assert max(p.terms) == 2 * 3 * base
         assert all(c > 0 for c in p.terms.values())
 

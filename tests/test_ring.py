@@ -7,8 +7,8 @@ from macweyl.ring import (
     RationalFunction,
     XPolynomial,
 )
-from macweyl.qcomb import q_binomial
 from macweyl.weylchar import ch_W, ch_W_sigma
+from references import q_binomial
 
 
 def qp(d):

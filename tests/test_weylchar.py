@@ -22,7 +22,7 @@ from macweyl.weylchar import (
     pbw_counts,
     scale_q,
 )
-from references import basis_tuples
+from references import basis_tuples, q_binomial
 
 
 def qp(d):
@@ -240,6 +240,13 @@ def test_ch_D_examples():
     assert ch_D(2) == XPolynomial({-2: qp({0: 1}), 0: qp({0: 1, 1: 1}), 2: qp({0: 1})})
     for n in range(11):
         assert ch_D(n).eval_at_ones() == 2**n
+
+
+def test_ch_D_equals_reference_binomials():
+    # Every n up to the characters' limit, 64, where C(64, 32) fills 61 of
+    # the 64 bits of a digit.
+    for n in range(SIZE_LIMITS["characters"] + 1):
+        assert ch_D(n) == XPolynomial({2 * k - n: q_binomial(n, k) for k in range(n + 1)}), n
 
 
 def test_ch_W_examples():
